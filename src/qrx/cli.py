@@ -16,9 +16,10 @@ Conventions
   same formatting.  Identical inputs produce byte-identical outputs.
 * ``--config file.json`` overrides any long flag of the chosen subcommand
   (keys may use ``-`` or ``_``).
-* ``QRX_THREADS`` caps the number of worker threads used for sweep points;
-  output assembly is always in grid order, so parallelism never changes the
-  bytes written.
+* ``QRX_THREADS`` caps the number of worker threads used for ``bpsk-sweep``
+  points; output assembly is always in grid order, so parallelism never
+  changes the bytes written.  The rate commands evaluate whole grids as
+  arrays and ignore it.
 * Exit codes: 0 ok, 2 configuration error, 3 numerical non-convergence,
   4 I/O error.
 """
@@ -164,10 +165,7 @@ def _parse_steps(spec: str) -> float | None:
 def _apply_config(args: argparse.Namespace) -> None:
     if not getattr(args, "config", None):
         return
-    try:
-        raw = _read_text(args.config)
-    except OSError as exc:
-        raise exc
+    raw = _read_text(args.config)
     try:
         overrides = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -182,8 +180,8 @@ def _apply_config(args: argparse.Namespace) -> None:
 
 
 def _map_grid(fun, items):
-    """Evaluate sweep points, optionally on QRX_THREADS workers; results are
-    always collected in grid order."""
+    """Evaluate bpsk-sweep points, optionally on QRX_THREADS workers; results
+    are always collected in grid order."""
     items = list(items)
     try:
         workers = int(os.environ.get("QRX_THREADS", "1"))
@@ -265,14 +263,14 @@ def _cmd_hadamard_rates(args) -> int:
             raise ConfigError(f"code lengths must be powers of two, got {n}")
     energies = _parse_grid(args.e_grid)
     j_steps = _parse_steps(args.j)
-
-    def point(pair):
-        energy, n = pair
-        rate = hadamard.had_rate(n, m, energy, kernel=args.kernel, j_steps=j_steps)
-        return (energy, n, m, args.kernel, rate, hadamard.classical_capacity(energy))
-
-    grid = [(float(e), n) for e in energies for n in lengths]
-    rows = _map_grid(point, grid)
+    rates = hadamard.had_rate(
+        np.array(lengths), m, energies[:, None], kernel=args.kernel, j_steps=j_steps
+    )
+    rows = [
+        (float(e), n, m, args.kernel, rates[i, k], hadamard.classical_capacity(e))
+        for i, e in enumerate(energies)
+        for k, n in enumerate(lengths)
+    ]
     _write_csv(args.out, ["E", "N", "M", "kind", "rate", "capacity"], rows)
     return EXIT_OK
 
@@ -397,12 +395,14 @@ def _fig_optimal_rates(energies) -> tuple:
 def _fig_helstrom_rates(energies) -> tuple:
     header = ["E", "N", "M", "kind", "rate_per_energy"]
     lengths = (8, 16, 64, 256, 1024)
+    had = hadamard.had_rate(np.array(lengths), 3, energies[:, None])
+    separable = hadamard.separable_rate(3, energies)
     rows = []
-    for e in energies:
-        for n in lengths:
-            rows.append((e, n, 3, "helstrom", hadamard.had_rate(n, 3, e) / e))
+    for i, e in enumerate(energies):
+        for k, n in enumerate(lengths):
+            rows.append((e, n, 3, "helstrom", had[i, k] / e))
             rows.append((e, n, 3, "optimal", hadamard.optimal_rate(n, 3, e) / e))
-        rows.append((e, 1, 3, "separable", hadamard.separable_rate(3, e) / e))
+        rows.append((e, 1, 3, "separable", separable[i] / e))
         rows.append((e, 1, 1, "capacity", hadamard.classical_capacity(e) / e))
     return header, rows
 
@@ -410,31 +410,34 @@ def _fig_helstrom_rates(energies) -> tuple:
 def _fig_envelope_gains(energies, j_steps=None) -> tuple:
     header = ["E", "M", "kind", "relative_gain"]
     lengths = [2**i for i in range(1, 11)]
-    rows = []
-    for e in energies:
-        ref = hadamard.envelope(lengths, 2, e, j_steps=j_steps)
-        for m in (3, 4):
-            gain = (hadamard.envelope(lengths, m, e, j_steps=j_steps) - ref) / ref
-            rows.append((e, m, "helstrom", gain))
-        if j_steps is None:
-            for m in (3, 4):
-                gain_r = (
-                    hadamard.envelope(lengths, m, e, kernel="realistic") - ref
-                ) / ref
-                rows.append((e, m, "realistic", gain_r))
+    ref = hadamard.envelope(lengths, 2, energies, j_steps=j_steps)
+    combos = [(m, "helstrom") for m in (3, 4)]
+    if j_steps is None:
+        combos += [(m, "realistic") for m in (3, 4)]
+    gains = {
+        (m, kind): (hadamard.envelope(lengths, m, energies, kind, j_steps) - ref) / ref
+        for m, kind in combos
+    }
+    rows = [
+        (e, m, kind, gain[i]) for i, e in enumerate(energies) for (m, kind), gain in gains.items()
+    ]
     return header, rows
 
 
 def _fig_finite_steps(energies) -> tuple:
     header = ["E", "M", "J", "relative_gain"]
     lengths = [2**i for i in range(1, 11)]
-    rows = []
-    for e in energies:
-        ref = hadamard.envelope(lengths, 2, e)
-        for m in (3, 4):
-            for j_steps in (10, 30, 100, None):
-                val = hadamard.envelope(lengths, m, e, j_steps=j_steps)
-                rows.append((e, m, "inf" if j_steps is None else j_steps, (val - ref) / ref))
+    ref = hadamard.envelope(lengths, 2, energies)
+    gains = {
+        (m, j): (hadamard.envelope(lengths, m, energies, j_steps=j) - ref) / ref
+        for m in (3, 4)
+        for j in (10, 30, 100, None)
+    }
+    rows = [
+        (e, m, "inf" if j is None else j, gain[i])
+        for i, e in enumerate(energies)
+        for (m, j), gain in gains.items()
+    ]
     return header, rows
 
 

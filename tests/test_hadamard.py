@@ -4,6 +4,8 @@ Oracles used here:
   * integer arithmetic for the Hadamard matrix identities,
   * an NM x NM coherent-state Gram spectrum for optimal_rate,
   * scipy.integrate.dblquad for the M=4 cascade's nested integral,
+  * scalar adaptive scipy.integrate.quad (the path the fixed-order rule
+    replaced) for the vacuum-or-pulse matrices and the M=3 closed form,
   * info.mutual_information on the full (NM)x(NM+1) channel for the rates,
   * closed forms (with ledgered corrections) for the realistic rates.
 """
@@ -14,8 +16,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from qrx import cli
 from qrx import hadamard as hd
 from qrx import info
+from qrx.errors import ConvergenceError
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +71,84 @@ def channel_mi_oracle(n: int, m: int, energy: float, kernel: str = "helstrom") -
 
 def h2(p: float) -> float:
     return 0.0 if p <= 0.0 else -p * math.log2(p)
+
+
+def quad(fun, lo: float, hi: float, tol: float = 1e-10) -> float:
+    val, err = integrate.quad(fun, lo, hi, epsabs=tol, epsrel=tol, limit=300)
+    assert err <= 1e-8
+    return val
+
+
+def binary_helstrom(same: bool, energy: float) -> float:
+    root = math.sqrt(max(1.0 - math.exp(-4.0 * energy), 0.0))
+    return 0.5 * (1.0 + root) if same else 0.5 * (1.0 - root)
+
+
+def quad_real3(l: int, m_in: int, energy: float, tol: float = 1e-10) -> float:
+    """M=3 nulling cascade with its inner integral by adaptive quadrature."""
+    if m_in == 0:
+        return 1.0 if l == 0 else 0.0
+    if m_in == 2:  # symmetry 1 <-> 2
+        return quad_real3((0, 2, 1)[l], 1, energy, tol)
+    e3 = 3.0 * energy
+    if l == 0:
+        return math.exp(-e3)
+    if energy == 0.0:
+        return 0.0
+    return quad(lambda x: math.exp(-x) * binary_helstrom(l == 1, 0.5 * (e3 - x)), 0.0, e3, tol)
+
+
+def quad_real4(l: int, m_in: int, energy: float) -> float:
+    """M=4 nulling cascade; P(1|1) by adaptive quadrature, P(3|1) as the rest."""
+    if m_in == 0:
+        return 1.0 if l == 0 else 0.0
+    e2, e4 = 2.0 * energy, 4.0 * energy
+    if m_in == 2:
+        return {0: math.exp(-e4), 2: 1.0 - math.exp(-e4)}.get(l, 0.0)
+    if m_in == 3:  # symmetry 1 <-> 3
+        return quad_real4((0, 3, 2, 1)[l], 1, energy)
+    if l == 0:
+        return math.exp(-e2)
+    if l == 2:
+        return e2 * math.exp(-e2)
+    if energy == 0.0:
+        return 0.0
+    p11 = quad(lambda x: x * math.exp(-x) * binary_helstrom(True, 0.5 * (e4 - 2.0 * x)), 0.0, e2)
+    if l == 1:
+        return p11
+    return max(1.0 - math.exp(-e2) - e2 * math.exp(-e2) - p11, 0.0)
+
+
+def quad_kernel(kind: str, m: int):
+    if kind == "helstrom":
+        return lambda l, m_in, e: hd.psk_helstrom_prob(l, m_in, m, e)
+    return quad_real3 if m == 3 else quad_real4
+
+
+def quad_vp_matrix(kind: str, m: int, energy: float) -> np.ndarray:
+    """Scalar J=inf vacuum-or-pulse matrix, one adaptive quadrature per entry."""
+    prob = quad_kernel(kind, m)
+    out = np.empty((m, m))
+    for mm in range(m):
+        for l in range(m):
+            if kind == "helstrom" and mm > 0:  # circulant
+                out[l, mm] = out[(l - mm) % m, 0]
+            else:
+                out[l, mm] = quad(lambda x: math.exp(-x) * prob(l, mm, energy - x), 0.0, energy)
+    return out
+
+
+def loop_vp_matrix(kind: str, m: int, energy: float, j_steps: int) -> np.ndarray:
+    """Finite-J vacuum-or-pulse matrix as a scalar loop over the click step."""
+    kern = hd.DetectionKernel(kind, m)
+    step = energy / j_steps
+    total = np.zeros((m, m))
+    for j in range(1, j_steps + 1):
+        weight = math.exp(-step * (j - 1)) * (1.0 - math.exp(-step))
+        total += weight * np.array(
+            [[kern.prob(l, mm, step * (j_steps - j)) for mm in range(m)] for l in range(m)]
+        )
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +389,72 @@ def test_vp_finite_j_riemann_oracle():
     # finite-J click probabilities exhaust the non-vacuum mass exactly
     total = sum(hd.vp_prob(l, 1, m, e, j_steps=j_steps) for l in range(m))
     assert total + hd.vp_vacuum_prob(e) == pytest.approx(1.0, abs=1e-12)
+
+
+KERNELS = [("helstrom", 2), ("helstrom", 3), ("helstrom", 4), ("helstrom", 8),
+           ("realistic", 3), ("realistic", 4)]
+
+
+@pytest.mark.parametrize("kind,m", KERNELS)
+def test_vp_matrices_against_adaptive_quadrature(kind, m):
+    """J=inf over the pulse energies N*E, E on a log grid over [1e-4, 1] and
+    N = 2..1024; the adaptive path itself is only good to ~1e-10."""
+    lengths = 2 ** np.arange(1, 11)
+    pulses = np.outer(np.logspace(-4, 0, 5), lengths)
+    new = hd._vp_matrices(kind, m, pulses, None)
+    assert new.shape == pulses.shape + (m, m)
+    for idx in np.ndindex(pulses.shape):
+        oracle = quad_vp_matrix(kind, m, pulses[idx])
+        np.testing.assert_allclose(new[idx], oracle, rtol=0, atol=2e-10)
+
+
+@pytest.mark.parametrize("kind,m,j_steps", [("helstrom", 3, 10), ("helstrom", 8, 30),
+                                            ("realistic", 3, 30), ("realistic", 4, 10)])
+def test_vp_matrices_finite_j_against_scalar_loop(kind, m, j_steps):
+    pulses = np.array([0.0, 2e-3, 0.3, 4.0, 60.0])
+    new = hd._vp_matrices(kind, m, pulses, j_steps)
+    for k, e in enumerate(pulses):
+        oracle = loop_vp_matrix(kind, m, e, j_steps)
+        np.testing.assert_allclose(new[k], oracle, rtol=0, atol=1e-13)
+
+
+def test_realistic_m3_closed_form_against_quadrature():
+    # at tol 1e-10 quad itself is off by 3e-12 near e = 5.7
+    for e in np.logspace(-6, math.log10(1024.0), 25):
+        for l in (1, 2):
+            oracle = quad_real3(l, 1, e, tol=1e-12)
+            assert hd.realistic_psk(l, 1, 3, e) == pytest.approx(oracle, abs=1e-12)
+
+
+def test_had_rate_broadcasts_and_keeps_scalars():
+    lengths = np.array([2, 8, 64])
+    energies = np.array([1e-3, 0.05, 0.4])
+    grid = hd.had_rate(lengths, 4, energies[:, None], kernel="realistic")
+    assert grid.shape == (3, 3)
+    for i, e in enumerate(energies):
+        for k, n in enumerate(lengths):
+            scalar = hd.had_rate(int(n), 4, float(e), kernel="realistic")
+            assert isinstance(scalar, float)
+            assert grid[i, k] == pytest.approx(scalar, abs=1e-15)
+    env = hd.envelope(lengths, 3, energies)
+    scalars = [hd.envelope(lengths, 3, e) for e in energies]
+    np.testing.assert_allclose(env, scalars, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("kind,m,j_steps", [("helstrom", 3, None), ("realistic", 4, None),
+                                            ("realistic", 4, 10)])
+def test_coarse_rule_raises_naming_the_point(monkeypatch, tmp_path, kind, m, j_steps):
+    # 12 nodes per panel leave error estimates of ~1e-5 at this point
+    monkeypatch.setattr(hd, "_NODES", 12)
+    with pytest.raises(ConvergenceError) as excinfo:
+        hd.had_rate(16, m, 3.0, kernel=kind, j_steps=j_steps)
+    msg = str(excinfo.value)
+    j_text = "inf" if j_steps is None else str(j_steps)
+    for part in (f"M={m}", f"kernel={kind}", f"J={j_text}", "pulse energy 48.0"):
+        assert part in msg
+    argv = ["hadamard-rates", "--M", str(m), "--N", "16", "--E-grid", "3:3:1",
+            "--kernel", kind, "--J", j_text, "--out", str(tmp_path / "r.csv")]
+    assert cli.main(argv) == cli.EXIT_CONVERGENCE
 
 
 def test_vp_validation():

@@ -35,22 +35,29 @@ def random_q(rng):
 
 def dual_oracle(weighted):
     """min Tr[K] s.t. K >= sigma_k: for qubits the constraints are the cone
-    inequalities |r_K - r_k| <= c_K - c_k.  Independent route (SLSQP on the
-    dual) against the F-function optimization."""
+    inequalities |r_K - r_k| <= c_K - c_k, so Tr[K] = 2 min_r g(r) with
+    g(r) = max_k (c_k + |r - r_k|), a convex function on R^3.  Independent
+    route (derivative-free minimization of the dual) against the F-function
+    optimization: Nelder-Mead from the centroid, restarted with a fresh 0.1
+    simplex until g stops decreasing."""
     from scipy.optimize import minimize
 
-    cons = [
-        {
-            "type": "ineq",
-            "fun": lambda x, s=s: (x[0] - s.c) - np.linalg.norm(x[1:] - s.r),
-        }
-        for s in weighted
-    ]
-    x0 = np.zeros(4)
-    x0[0] = max(s.c + s.rnorm for s in weighted) + 0.5
-    res = minimize(lambda x: x[0], x0, constraints=cons, method="SLSQP", tol=1e-12)
-    assert res.success
-    return 2.0 * res.x[0]
+    cs = np.array([s.c for s in weighted])
+    rs = np.array([s.r for s in weighted])
+
+    def g(r):
+        return float(np.max(cs + np.linalg.norm(rs - r, axis=1)))
+
+    x, best = rs.mean(axis=0), np.inf
+    while True:
+        simplex = np.vstack([x, x + 0.1 * np.eye(3)])
+        res = minimize(g, x, method="Nelder-Mead",
+                       options={"initial_simplex": simplex, "xatol": 1e-13, "fatol": 1e-15,
+                                "maxiter": 20000, "maxfev": 40000})
+        assert res.success, res.message
+        if res.fun >= best:
+            return 2.0 * best
+        x, best = res.x, res.fun
 
 
 # ------------------------------------------------------------- Bloch algebra
