@@ -299,13 +299,7 @@ def _cmd_qubit_disc(args) -> int:
     total_p = sum(p for _, p in states)
     if abs(total_p - 1.0) > 1e-9:
         raise ConfigError(f"probabilities must sum to 1, got {total_p!r}")
-    weighted = [rho * p for rho, p in states]
-    best_val, best_q, best_perm = -np.inf, None, None
-    for perm in qubit_disc._orderings(len(weighted)):
-        a, b, c, pref = qubit_disc.abc_operators([weighted[i] for i in perm])
-        val, q = qubit_disc.f_optimize(a, b, c)
-        if pref + val > best_val:
-            best_val, best_q, best_perm = pref + val, q, perm
+    best_val, best_q, best_perm = qubit_disc._psucc([rho * p for rho, p in states])
     report = {
         "n_states": len(states),
         "p_succ": float(best_val),

@@ -8,6 +8,13 @@ over operators 0 <= Q <= 1, evaluated here in the Bloch representation
 H = c_H 1 + r_H . sigma (trace 2 c_H, eigenvalues c_H +- |r_H|).  Closed
 forms are used when they provably apply; otherwise a deterministic
 grid-plus-pattern-search optimization runs over the Bloch coefficients of Q.
+
+The coarse grid is evaluated as arrays.  In general it runs over
+(c_Q, r_Q in the span of r_A, r_B, r_C) and keeps only the feasible points
+|r_Q| <= min(c_Q, 1 - c_Q); those points are built on first use for each
+span dimension and cached read-only.  For three states (C = 0) the reduced
+(c_Q, phi_Q) grid is one array expression.  The sign test and
+|r|^2 - c^2 of B and C are computed once per search, not per evaluation.
 """
 
 from __future__ import annotations
@@ -16,6 +23,8 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import numpy as np
+
+from .povm import sqrt_psd
 
 _SIGN_TOL = 1e-11  # definite-sign detection threshold on eigenvalues
 
@@ -113,36 +122,43 @@ def bloch_state(r_vec, p: float = 1.0) -> BlochOperator:
 # ------------------------------------------------------------ F evaluation
 
 
-def _tr_abs_sandwich(c_eff: float, r_eff: np.ndarray, x: BlochOperator) -> float:
-    """Tr| sqrt(Q') X sqrt(Q') | where Q' has Bloch coefficients (c_eff, r_eff).
+def _sandwich_term(x: BlochOperator):
+    """Tr| sqrt(Q') X sqrt(Q') | as a function of (c_eff, r_eff . r_X,
+    |r_eff|^2), where Q' has Bloch coefficients (c_eff, r_eff).  Works on
+    scalars and arrays; X's sign test and |r_X|^2 - c_X^2 run once here.
 
     For definite-sign X the sandwich keeps the sign, so the trace-abs equals
     |Tr[Q' X]|; otherwise the printed two-square-root qubit form applies.
     """
-    dot = c_eff * x.c + float(r_eff @ x.r)
     if x.has_definite_sign():
-        return 2.0 * abs(dot)
-    val = dot * dot + (float(x.r @ x.r) - x.c**2) * (c_eff**2 - float(r_eff @ r_eff))
-    return 2.0 * np.sqrt(max(val, 0.0))
+        return lambda c_eff, rdot, rsq: 2.0 * np.abs(c_eff * x.c + rdot)
+    gap = float(x.r @ x.r) - x.c**2
+
+    def term(c_eff, rdot, rsq):
+        # products, not **2: a numpy scalar's **2 calls pow(), which can
+        # differ from an array's x*x in the last bit
+        dot = c_eff * x.c + rdot
+        return 2.0 * np.sqrt(np.maximum(dot * dot + gap * (c_eff * c_eff - rsq), 0.0))
+
+    return term
 
 
 def f_value(q: BlochOperator, a: BlochOperator, b: BlochOperator, c: BlochOperator) -> float:
     """F_Q(A, B, C) via the Bloch closed forms; Q must satisfy 0 <= Q <= 1."""
     if not (-1e-9 <= q.c <= 1 + 1e-9 and q.rnorm <= min(q.c, 1 - q.c) + 1e-9):
         raise ValueError("Q violates 0 <= Q <= 1")
+    rsq = float(q.r @ q.r)
     out = 2.0 * (q.c * a.c + float(q.r @ a.r))
-    out += _tr_abs_sandwich(q.c, q.r, b)
-    out += _tr_abs_sandwich(1.0 - q.c, -q.r, c)
-    return out
+    out += _sandwich_term(b)(q.c, float(q.r @ b.r), rsq)
+    out += _sandwich_term(c)(1.0 - q.c, -float(q.r @ c.r), rsq)
+    return float(out)
 
 
 def f_value_matrix(q: BlochOperator, a, b, c) -> float:
     """Direct 2x2 matrix evaluation of F_Q (oracle route)."""
-    from scipy.linalg import sqrtm
-
     qm = q.matrix()
-    sq = np.real_if_close(sqrtm(qm))
-    sq1 = np.real_if_close(sqrtm(np.eye(2) - qm))
+    sq = sqrt_psd(qm)
+    sq1 = sqrt_psd(np.eye(2) - qm)
 
     def tr_abs(m):
         return float(np.abs(np.linalg.eigvalsh(0.5 * (m + m.conj().T))).sum())
@@ -222,38 +238,47 @@ def _pattern_search(fun, x0, lower, upper, project=None, step0=0.05, step_min=1e
 #: grid resolution per scalar dimension for the coarse stage
 _GRID_POINTS = 41
 
+#: span dimension k -> feasible coarse grid (c_Q, r_Q components), see _feasible_grid
+_GRIDS: dict = {}
+
+
+def _feasible_grid(k: int) -> tuple:
+    """Points of the coarse (c_Q, r_1, ..., r_k) grid with |r| <= min(c, 1-c).
+
+    Returns read-only arrays (c_Q of shape (n,), r components of shape
+    (n, k)) in meshgrid(indexing="ij") ravel order, c_Q outermost.  Built on
+    first use one c_Q slice at a time over a single k-D r-mesh, then cached.
+    """
+    grid = _GRIDS.get(k)
+    if grid is None:
+        cs = np.linspace(0.0, 1.0, _GRID_POINTS)
+        axes = np.meshgrid(*[np.linspace(-0.5, 0.5, _GRID_POINTS)] * k, indexing="ij")
+        r = np.stack([m.ravel() for m in axes], axis=-1) if k else np.zeros((1, 0))
+        rnorm = np.sqrt((r**2).sum(axis=-1))
+        keep = [rnorm <= min(cq, 1.0 - cq) for cq in cs]
+        grid = (np.repeat(cs, [m.sum() for m in keep]), np.concatenate([r[m] for m in keep]))
+        for arr in grid:
+            arr.setflags(write=False)
+        _GRIDS[k] = grid
+    return grid
+
 
 def _optimize_general(a, b, c, basis):
-    """Grid + refinement over (c_Q, r_Q components in `basis`)."""
-    k = basis.shape[0]
+    """Coarse grid over the feasible (c_Q, r_Q components in `basis`).
+    Returns the value, c_Q and r_Q components of the grid's first maximum
+    and the array objective f_components(c_Q, r_components)."""
     ra, rb, rc = basis @ a.r, basis @ b.r, basis @ c.r
-
-    def term_vec(c_eff, rdot, rsq, x, rx):
-        dot = c_eff * x.c + rdot
-        if x.has_definite_sign():
-            return 2.0 * np.abs(dot)
-        return 2.0 * np.sqrt(np.maximum(dot**2 + (float(x.r @ x.r) - x.c**2) * (c_eff**2 - rsq), 0.0))
+    term_b, term_c = _sandwich_term(b), _sandwich_term(c)
 
     def f_components(cq, rcomp):
         rsq = (rcomp**2).sum(axis=-1)
         out = 2.0 * (cq * a.c + rcomp @ ra)
-        out = out + term_vec(cq, rcomp @ rb, rsq, b, rb)
-        out = out + term_vec(1.0 - cq, -(rcomp @ rc), rsq, c, rc)
+        out = out + term_b(cq, rcomp @ rb, rsq)
+        out = out + term_c(1.0 - cq, -(rcomp @ rc), rsq)
         return out
 
-    # coarse grid
-    cs = np.linspace(0.0, 1.0, _GRID_POINTS)
-    if k == 0:
-        vals = f_components(cs, np.zeros((cs.size, 0)))
-        best = int(np.argmax(vals))
-        return float(vals[best]), float(cs[best]), np.zeros(0), f_components
-
-    axes = [cs] + [np.linspace(-0.5, 0.5, _GRID_POINTS)] * k
-    mesh = np.meshgrid(*axes, indexing="ij")
-    cq = mesh[0].ravel()
-    rcomp = np.stack([m.ravel() for m in mesh[1:]], axis=-1)
-    ok = np.sqrt((rcomp**2).sum(axis=-1)) <= np.minimum(cq, 1.0 - cq)
-    vals = np.where(ok, f_components(cq, rcomp), -np.inf)
+    cq, rcomp = _feasible_grid(basis.shape[0])
+    vals = f_components(cq, rcomp)
     best = int(np.argmax(vals))
     return float(vals[best]), float(cq[best]), rcomp[best], f_components
 
@@ -274,38 +299,30 @@ def f_optimize(a: BlochOperator, b: BlochOperator, c: BlochOperator, reduce_m3: 
         basis = _span_basis([a.r, b.r])
         if basis.shape[0] == 0:
             basis = np.eye(3)[:1]
-        elif basis.shape[0] == 1:
+        if basis.shape[0] == 1:
             # need a full plane to vary phi_Q
             extra = np.eye(3)[np.argmin(np.abs(basis[0]))]
             e2 = extra - (extra @ basis[0]) * basis[0]
             basis = np.vstack([basis[0], e2 / np.linalg.norm(e2)])
         basis = basis[:2]
         ra, rb = basis @ a.r, basis @ b.r
+        term_b = _sandwich_term(b)
 
-        def f_angle(x):
-            cq, phi = x
-            rq = (1.0 - cq) * np.array([np.cos(phi), np.sin(phi)])
-            dot_b = cq * b.c + rq @ rb
-            if b.has_definite_sign():
-                tb = 2.0 * abs(dot_b)
-            else:
-                rqsq = float(rq @ rq)
-                tb = 2.0 * np.sqrt(
-                    max(dot_b**2 + (float(b.r @ b.r) - b.c**2) * (cq**2 - rqsq), 0.0)
-                )
-            return 2.0 * (cq * a.c + rq @ ra) + tb
+        # array or scalar (c_Q, phi_Q); the 2-vector dots are written out
+        # because BLAS may fuse their multiply-add, so a scalar evaluation
+        # equals the grid's value at the same point
+        def f_angle(cq, phi):
+            r0, r1 = (1.0 - cq) * np.cos(phi), (1.0 - cq) * np.sin(phi)
+            tb = term_b(cq, r0 * rb[0] + r1 * rb[1], r0 * r0 + r1 * r1)
+            return 2.0 * (cq * a.c + (r0 * ra[0] + r1 * ra[1])) + tb
 
         cs = np.linspace(0.5, 1.0, _GRID_POINTS)
         phis = np.linspace(0.0, 2 * np.pi, 2 * _GRID_POINTS, endpoint=False)
-        grid_best, x_best = -np.inf, None
-        for cq in cs:
-            for phi in phis:
-                v = f_angle((cq, phi))
-                if v > grid_best:
-                    grid_best, x_best = v, (cq, phi)
+        i, j = np.unravel_index(np.argmax(f_angle(*np.meshgrid(cs, phis, indexing="ij"))),
+                                (cs.size, phis.size))
         val, x = _pattern_search(
-            f_angle,
-            x_best,
+            lambda y: f_angle(*y),
+            (cs[i], phis[j]),
             lower=np.array([0.5, -np.inf]),
             upper=np.array([1.0, np.inf]),
         )
@@ -432,12 +449,15 @@ def _orderings(n: int):
     return out
 
 
-def _psucc(weighted, reduce_m3: bool = True) -> float:
-    best = -np.inf
+def _psucc(weighted, reduce_m3: bool = True) -> tuple:
+    """(success probability, Q*, ordering) of the best state ordering; the
+    first ordering wins ties."""
+    best = (-np.inf, None, None)
     for perm in _orderings(len(weighted)):
         a, b, c, pref = abc_operators([weighted[i] for i in perm])
-        val, _ = f_optimize(a, b, c, reduce_m3=reduce_m3)
-        best = max(best, pref + val)
+        val, q = f_optimize(a, b, c, reduce_m3=reduce_m3)
+        if pref + val > best[0]:
+            best = (pref + val, q, perm)
     return best
 
 
@@ -447,14 +467,14 @@ def psucc3(states, reduce_m3: bool = True) -> float:
     weighted = [rho * p for rho, p in states]
     if len(weighted) != 3:
         raise ValueError("psucc3 needs exactly 3 states")
-    return _psucc(weighted, reduce_m3=reduce_m3)
+    return _psucc(weighted, reduce_m3=reduce_m3)[0]
 
 
 def psucc4(states) -> float:
     weighted = [rho * p for rho, p in states]
     if len(weighted) != 4:
         raise ValueError("psucc4 needs exactly 4 states")
-    return _psucc(weighted)
+    return _psucc(weighted)[0]
 
 
 # ------------------------------------------------------ geometric oracle

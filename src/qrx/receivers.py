@@ -293,16 +293,27 @@ def cavity_output(alpha: float, omega_tau: float = 0.0, cutoff: int = None) -> f
     return fock.FockOperator(rho, cutoff=d - 1)
 
 
-def cavity_psucc(alpha: float, beta: float) -> float:
-    """Kennedy-style inference with the cavity stage replacing the NHPA."""
-    rho = cavity_output(2.0 * alpha)
+def _cavity_field(alpha: float, beta_max: float) -> fock.FockOperator:
+    """cavity_output(2 alpha) on a cutoff that covers the signal and every
+    probe |beta| <= beta_max."""
+    cutoff = max(fock.auto_cutoff(4.0 * alpha**2), fock.auto_cutoff(beta_max**2), 6)
+    return cavity_output(2.0 * alpha, cutoff=cutoff)
+
+
+def cavity_psucc(alpha: float, beta: float, rho: fock.FockOperator = None) -> float:
+    """Kennedy-style inference with the cavity stage replacing the NHPA.
+    `rho` is a field from `_cavity_field(alpha, beta_max)` with
+    beta_max >= |beta|, shared between probes; built here if omitted."""
+    if rho is None:
+        rho = _cavity_field(alpha, abs(beta))
     coh = fock.coherent_state(beta, cutoff=rho.cutoff).amps
     p0_plus = float(np.real(coh.conj() @ rho.matrix @ coh))
     return 0.5 * (1.0 + exp(-(beta**2)) - p0_plus)
 
 
 def cavity_optimize(alpha: float) -> tuple:
-    return _grid_refine_max(lambda b: cavity_psucc(alpha, b), -2.0, 0.0, n_grid=61, tol=1e-10)
+    rho = _cavity_field(alpha, 2.0)
+    return _grid_refine_max(lambda b: cavity_psucc(alpha, b, rho), -2.0, 0.0, n_grid=61, tol=1e-10)
 
 
 # ------------------------------------------------------------ TS (squeezing)

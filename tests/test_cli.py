@@ -59,6 +59,20 @@ def test_bpsk_sweep_reports_receiver_parameters(tmp_path):
         assert float(r[4]) < 0.0
 
 
+def test_bpsk_sweep_cavity_default_grid(tmp_path):
+    # the probe |beta| <= 2 needs a larger cutoff than the weak signals
+    # at the low end of the grid
+    code, text = run_cli(["bpsk-sweep", "--receiver", "cavity"], tmp_path)
+    assert code == 0
+    header, rows = parse_csv(text)
+    assert header == ["alpha_sq", "p_succ", "p_helstrom", "gap", "beta"]
+    assert len(rows) == 40
+    assert float(rows[0][0]) == pytest.approx(0.05**2)
+    for r in rows:
+        assert 0.5 <= float(r[1]) <= float(r[2]) <= 1.0
+        assert -2.0 <= float(r[4]) <= 0.0
+
+
 def test_bpsk_sweep_rejects_unknown_receiver(tmp_path):
     code, _ = run_cli(["bpsk-sweep", "--receiver", "nope"], tmp_path)
     assert code == 2

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrx import povm as povm_mod
+from qrx import qubit_disc as qd
 from qrx.qubit_disc import (
     BlochOperator,
     abc_operators,
@@ -199,6 +200,12 @@ def test_trine_success_probability():
     assert psucc3(trine()) == pytest.approx(2 / 3, abs=1e-6)
 
 
+def test_maximally_mixed_states_give_the_largest_prior():
+    # zero Bloch vectors: the reduced (c_Q, phi_Q) search still needs a plane
+    states = [(bloch_state(np.zeros(3)), p) for p in (0.2, 0.3, 0.5)]
+    assert psucc3(states) == pytest.approx(0.5, abs=1e-12)
+
+
 def test_trine_polytope_cross_check():
     p = polytope_ratio_psucc([planar(2 * np.pi * k / 3) for k in range(3)])
     assert p == pytest.approx(2 / 3, abs=1e-12)
@@ -364,3 +371,165 @@ def test_cyclic_matches_srm_in_higher_dim():
         np.trace(e @ np.outer(s, s.conj())).real for e, s in zip(meas.elements, states)
     ) / m
     assert perr == pytest.approx(1 - p_succ, abs=1e-10)
+
+
+# ------------------------------------------------------ coarse-grid oracles
+#
+# The coarse grids are evaluated as arrays over the feasible points only.
+# The oracles below are the earlier forms of the same searches: the general
+# grid over the full (c_Q, r_1..r_k) mesh with infeasible points masked to
+# -inf, and the reduced M=3 grid as a scalar double loop with a strict `>`.
+# They use the current objective arithmetic (squares and 2-vector dots as
+# plain products and sums, so a scalar evaluation equals an array element),
+# and f_optimize must return bit-identical (value, Q) with either.
+
+
+def full_mesh_optimize_general(a, b, c, basis):
+    """`_optimize_general` over the full mesh, infeasible points masked."""
+    k = basis.shape[0]
+    ra, rb, rc = basis @ a.r, basis @ b.r, basis @ c.r
+
+    def term_vec(c_eff, rdot, rsq, x):
+        dot = c_eff * x.c + rdot
+        if x.has_definite_sign():
+            return 2.0 * np.abs(dot)
+        gap = float(x.r @ x.r) - x.c**2
+        return 2.0 * np.sqrt(np.maximum(dot * dot + gap * (c_eff * c_eff - rsq), 0.0))
+
+    def f_components(cq, rcomp):
+        rsq = (rcomp**2).sum(axis=-1)
+        out = 2.0 * (cq * a.c + rcomp @ ra)
+        out = out + term_vec(cq, rcomp @ rb, rsq, b)
+        out = out + term_vec(1.0 - cq, -(rcomp @ rc), rsq, c)
+        return out
+
+    cs = np.linspace(0.0, 1.0, qd._GRID_POINTS)
+    if k == 0:
+        vals = f_components(cs, np.zeros((cs.size, 0)))
+        best = int(np.argmax(vals))
+        return float(vals[best]), float(cs[best]), np.zeros(0), f_components
+
+    mesh = np.meshgrid(cs, *[np.linspace(-0.5, 0.5, qd._GRID_POINTS)] * k, indexing="ij")
+    cq = mesh[0].ravel()
+    rcomp = np.stack([m.ravel() for m in mesh[1:]], axis=-1)
+    ok = np.sqrt((rcomp**2).sum(axis=-1)) <= np.minimum(cq, 1.0 - cq)
+    vals = np.where(ok, f_components(cq, rcomp), -np.inf)
+    best = int(np.argmax(vals))
+    return float(vals[best]), float(cq[best]), rcomp[best], f_components
+
+
+def scalar_loop_f_optimize_m3(a, b, c):
+    """The reduced M=3 branch of f_optimize with its (c_Q, phi_Q) grid as a
+    scalar double loop that keeps the first strict maximum."""
+    basis = qd._span_basis([a.r, b.r])
+    if basis.shape[0] == 0:
+        basis = np.eye(3)[:1]
+    if basis.shape[0] == 1:
+        extra = np.eye(3)[np.argmin(np.abs(basis[0]))]
+        e2 = extra - (extra @ basis[0]) * basis[0]
+        basis = np.vstack([basis[0], e2 / np.linalg.norm(e2)])
+    basis = basis[:2]
+    ra, rb = basis @ a.r, basis @ b.r
+
+    def f_angle(x):
+        cq, phi = x
+        r0, r1 = (1.0 - cq) * np.cos(phi), (1.0 - cq) * np.sin(phi)
+        dot_b = cq * b.c + (r0 * rb[0] + r1 * rb[1])
+        if b.has_definite_sign():
+            tb = 2.0 * abs(dot_b)
+        else:
+            rqsq = r0 * r0 + r1 * r1
+            gap = float(b.r @ b.r) - b.c**2
+            tb = 2.0 * np.sqrt(max(dot_b * dot_b + gap * (cq * cq - rqsq), 0.0))
+        return 2.0 * (cq * a.c + (r0 * ra[0] + r1 * ra[1])) + tb
+
+    grid_best, x_best = -np.inf, None
+    for cq in np.linspace(0.5, 1.0, qd._GRID_POINTS):
+        for phi in np.linspace(0.0, 2 * np.pi, 2 * qd._GRID_POINTS, endpoint=False):
+            v = f_angle((cq, phi))
+            if v > grid_best:
+                grid_best, x_best = v, (cq, phi)
+    val, x = qd._pattern_search(f_angle, x_best, lower=np.array([0.5, -np.inf]),
+                                upper=np.array([1.0, np.inf]))
+    cq, phi = x
+    rq3 = (1.0 - cq) * (np.cos(phi) * basis[0] + np.sin(phi) * basis[1])
+    return qd._maybe_closed_form(a, b, c, val, BlochOperator(cq, rq3))
+
+
+def ensemble(rng, n, dim, pure):
+    """n weighted states with Bloch vectors spanning `dim` dimensions."""
+    rs = np.zeros((n, 3))
+    rs[:, :dim] = rng.normal(size=(n, dim))
+    if dim:
+        rs /= np.linalg.norm(rs, axis=1, keepdims=True)
+        if not pure:
+            rs *= rng.uniform(0.2, 0.9, size=(n, 1))
+    p = rng.random(n) + 0.1
+    return [bloch_state(r, pk) for r, pk in zip(rs, p / p.sum())]
+
+
+def abc_of_orderings(weighted, limit=None):
+    perms = qd._orderings(len(weighted))[:limit]
+    return [abc_operators([weighted[i] for i in perm])[:3] for perm in perms]
+
+
+def assert_same(got, want):
+    (v1, q1), (v2, q2) = got, want
+    assert (v1, q1.c, q1.r.tolist()) == (v2, q2.c, q2.r.tolist())
+
+
+def test_general_grid_matches_full_mesh_oracle(monkeypatch):
+    rng = np.random.default_rng(53)
+    cases = []
+    for dim, pure in ((0, False), (1, True), (1, False), (2, True), (2, False)):
+        cases += abc_of_orderings(ensemble(rng, 4, dim, pure), limit=3)
+    cases += abc_of_orderings(ensemble(rng, 3, 3, False), limit=2)  # M=3, reduce_m3=False
+    cases += abc_of_orderings(ensemble(rng, 4, 3, False), limit=2)  # 3-D grid, k = 3
+    dims = set()
+    for a, b, c in cases:
+        dims.add(qd._span_basis([a.r, b.r, c.r]).shape[0])
+        got = f_optimize(a, b, c, reduce_m3=False)
+        with monkeypatch.context() as m:
+            m.setattr(qd, "_optimize_general", full_mesh_optimize_general)
+            want = f_optimize(a, b, c, reduce_m3=False)
+        assert_same(got, want)
+    assert dims == {0, 1, 2, 3}
+
+
+def test_m3_grid_matches_scalar_loop_oracle():
+    rng = np.random.default_rng(59)
+    ensembles = [[rho * p for rho, p in trine()]]
+    ensembles.append(ensemble(rng, 3, 0, False))
+    ensembles += [ensemble(rng, 3, dim, pure) for dim in (1, 2, 3) for pure in (True, False)]
+    definite = set()
+    for weighted in ensembles:
+        for a, b, c in abc_of_orderings(weighted):
+            definite.add(b.has_definite_sign())
+            assert_same(f_optimize(a, b, c), scalar_loop_f_optimize_m3(a, b, c))
+    assert definite == {True, False}
+
+
+def test_feasible_grid_is_cached_read_only():
+    for k in (1, 2):
+        cq, rcomp = qd._feasible_grid(k)
+        assert qd._feasible_grid(k)[0] is cq
+        assert not cq.flags.writeable and not rcomp.flags.writeable
+        assert np.all(np.linalg.norm(rcomp, axis=1) <= np.minimum(cq, 1.0 - cq))
+        mesh = np.meshgrid(*[np.linspace(0.0, 1.0, qd._GRID_POINTS)]
+                           + [np.linspace(-0.5, 0.5, qd._GRID_POINTS)] * k, indexing="ij")
+        full = np.stack([m.ravel() for m in mesh], axis=-1)
+        ok = np.sqrt((full[:, 1:] ** 2).sum(axis=-1)) <= np.minimum(full[:, 0], 1.0 - full[:, 0])
+        assert np.array_equal(np.column_stack([cq, rcomp]), full[ok])
+    with pytest.raises(ValueError):
+        cq[0] = 0.5
+
+
+def test_import_builds_no_grid():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(qd.__file__))
+    code = "import qrx.qubit_disc as qd; assert qd._GRIDS == {}, qd._GRIDS.keys()"
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

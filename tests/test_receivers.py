@@ -223,6 +223,15 @@ def test_cavity_trace_and_vacuum():
     assert np.max(np.abs(out - want)) < 1e-14
 
 
+def test_cavity_psucc_cutoff_covers_probe():
+    # weak signal, strong probe: the cutoff follows the larger of the two
+    for alpha, beta in ((0.05, -2.0), (0.1, -3.0), (0.8, -0.3)):
+        p = rc.cavity_psucc(alpha, beta)
+        assert 0.0 <= p <= 1.0
+        shared = rc.cavity_psucc(alpha, beta, rc._cavity_field(alpha, 4.0))
+        assert p == pytest.approx(shared, abs=1e-14)
+
+
 def test_cavity_gain():
     alpha = 0.29
     ok, _ = rc.optimized_kennedy(alpha)
