@@ -16,10 +16,6 @@ Conventions
   same formatting.  Identical inputs produce byte-identical outputs.
 * ``--config file.json`` overrides any long flag of the chosen subcommand
   (keys may use ``-`` or ``_``).
-* ``QRX_THREADS`` caps the number of worker threads used for ``bpsk-sweep``
-  points; output assembly is always in grid order, so parallelism never
-  changes the bytes written.  The rate commands evaluate whole grids as
-  arrays and ignore it.
 * Exit codes: 0 ok, 2 configuration error, 3 numerical non-convergence,
   4 I/O error.
 """
@@ -33,7 +29,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -179,20 +174,6 @@ def _apply_config(args: argparse.Namespace) -> None:
         setattr(args, attr, value)
 
 
-def _map_grid(fun, items):
-    """Evaluate bpsk-sweep points, optionally on QRX_THREADS workers; results
-    are always collected in grid order."""
-    items = list(items)
-    try:
-        workers = int(os.environ.get("QRX_THREADS", "1"))
-    except ValueError:
-        raise ConfigError("QRX_THREADS must be an integer")
-    if workers <= 1 or len(items) <= 1:
-        return [fun(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fun, items))
-
-
 # -------------------------------------------------------------- bpsk-sweep
 
 #: extra per-receiver parameter columns reported by bpsk-sweep
@@ -243,7 +224,7 @@ def _cmd_bpsk_sweep(args) -> int:
     header = ["alpha_sq", "p_succ", "p_helstrom", "gap"]
     if steps == 1:
         header += list(_SWEEP_PARAMS.get(args.receiver, ()))
-    rows = _map_grid(lambda a: _sweep_point(args.receiver, float(a), steps), alphas)
+    rows = [_sweep_point(args.receiver, float(a), steps) for a in alphas]
     _write_csv(args.out, header, rows)
     return EXIT_OK
 

@@ -9,8 +9,9 @@ int dq dp W = Tr[rho].  A coherent amplitude alpha sits at
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
-from math import ceil, sqrt
+from math import ceil, cosh, sinh, sqrt, tanh
 
 import numpy as np
 from scipy.linalg import expm
@@ -154,13 +155,6 @@ def displacement_operator(beta: complex, cutoff: int | None = None) -> FockOpera
     return FockOperator(expm(gen), cutoff)
 
 
-def squeeze_operator(r: float, cutoff: int) -> FockOperator:
-    """U_sq(r) = exp(-r/2 (a^dag^2 - a^2)); r > 0 squeezes the q quadrature."""
-    a = annihilation(cutoff).matrix
-    gen = -0.5 * r * (a.conj().T @ a.conj().T - a @ a)
-    return FockOperator(expm(gen), cutoff)
-
-
 # ------------------------------------------------------------------- states
 
 
@@ -282,9 +276,24 @@ def squeezed_displaced_overlap(
 
 
 def squeezed_displaced_state(beta: complex, r: float, cutoff: int) -> FockVector:
-    """|beta, r> = U_sq(r) D(beta) |0> built by matrix products (oracle path)."""
-    v = coherent_state(beta, cutoff)
-    return squeeze_operator(r, cutoff).apply(v)
+    """|beta, r> = U_sq(r) D(beta) |0>, with U_sq(r) = exp(-r/2 (a^dag^2 - a^2))
+    (r > 0 squeezes the q quadrature), on photon numbers 0..cutoff.
+
+    The state is the eigenvector (a cosh r + a^dag sinh r)|beta, r> =
+    mu |beta, r>, mu = beta~ cosh r + beta~* sinh r = beta, so its amplitudes
+    obey psi_{n+1} = (beta psi_n - sinh r sqrt(n) psi_{n-1}) / (cosh r sqrt(n+1))
+    from psi_0 = exp(-|beta|^2/2 + tanh(r) beta^2/2) / sqrt(cosh r)
+    (Yuen, PRA 13, 2226 (1976)).  No truncation check: the caller bounds what
+    the cut costs it.
+    """
+    b = complex(beta)
+    c, s = cosh(r), sinh(r)
+    psi = [cmath.exp(-0.5 * abs(b) ** 2 + 0.5 * tanh(r) * b * b) / sqrt(c)]
+    prev = 0.0
+    for n in range(cutoff):
+        psi.append((b * psi[n] - s * sqrt(n) * prev) / (c * sqrt(n + 1.0)))
+        prev = psi[n]
+    return FockVector(np.array(psi), cutoff)
 
 
 def quadrature_eigenvector(q: float, phi: float, cutoff: int) -> FockVector:

@@ -73,6 +73,18 @@ def test_bpsk_sweep_cavity_default_grid(tmp_path):
         assert -2.0 <= float(r[4]) <= 0.0
 
 
+@pytest.mark.parametrize("receiver", ["ts", "nhpa"])
+def test_bpsk_sweep_default_grid(tmp_path, receiver):
+    # every point of the documented grid evaluates, within its checked cutoff
+    code, text = run_cli(["bpsk-sweep", "--receiver", receiver], tmp_path)
+    assert code == 0
+    header, rows = parse_csv(text)
+    assert header == ["alpha_sq", "p_succ", "p_helstrom", "gap"] + list(cli._SWEEP_PARAMS[receiver])
+    assert len(rows) == 40
+    for r in rows:
+        assert 0.5 <= float(r[1]) <= float(r[2]) <= 1.0
+
+
 def test_bpsk_sweep_rejects_unknown_receiver(tmp_path):
     code, _ = run_cli(["bpsk-sweep", "--receiver", "nope"], tmp_path)
     assert code == 2
@@ -133,14 +145,11 @@ def test_hadamard_rates_finite_steps_below_limit(tmp_path):
 # ------------------------------------------------------------- determinism
 
 
-def test_reruns_are_byte_identical(tmp_path, monkeypatch):
+def test_reruns_are_byte_identical(tmp_path):
     args = ["bpsk-sweep", "--receiver", "dephaser", "--alpha-grid", "0.2:0.4:3"]
     _, first = run_cli(args, tmp_path, "a")
     _, second = run_cli(args, tmp_path, "b")
     assert first == second
-    monkeypatch.setenv("QRX_THREADS", "4")
-    _, threaded = run_cli(args, tmp_path, "c")
-    assert threaded == first
 
 
 def test_csv_uses_crlf_and_17_digits(tmp_path):

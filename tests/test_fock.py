@@ -9,8 +9,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from qrx import ConvergenceError, TruncationError, fock
+
+
+def squeeze_operator(r, cutoff):
+    """Oracle: U_sq(r) = exp(-r/2 (a^dag^2 - a^2)) as a dense matrix
+    exponential of the truncated generator."""
+    a = fock.annihilation(cutoff).matrix
+    return expm(-0.5 * r * (a.conj().T @ a.conj().T - a @ a))
+
+
+def matrix_squeezed_displaced_state(beta, r, cutoff):
+    """Oracle: amplitudes of |beta, r> = U_sq(r) D(beta)|0> by matrix product."""
+    return squeeze_operator(r, cutoff) @ fock.coherent_state(beta, cutoff).amps
 
 
 def test_vacuum_coherent_state():
@@ -92,8 +105,8 @@ def test_squeezed_quadrature_variance():
 
 def test_squeezed_state_matches_squeeze_operator():
     v = fock.squeezed_state(0.4, 60)
-    w = fock.squeeze_operator(0.4, 60).apply(fock.coherent_state(0, 60))
-    assert np.max(np.abs(v.amps - w.amps)) < 1e-10
+    w = matrix_squeezed_displaced_state(0.0, 0.4, 60)
+    assert np.max(np.abs(v.amps - w)) < 1e-10
 
 
 def test_squeezed_displaced_overlap_r0():
@@ -113,9 +126,17 @@ def test_squeezed_displaced_overlap_k0_beta0():
 
 def test_squeezed_displaced_overlap_matrix_oracle():
     k, beta, r = 3, 0.6, -0.3
-    st_vec = fock.squeezed_displaced_state(beta, r, 80)
     got = fock.squeezed_displaced_overlap(k, beta, r)
-    assert abs(got - st_vec.amps[k]) < 1e-8
+    assert abs(got - matrix_squeezed_displaced_state(beta, r, 80)[k]) < 1e-8
+
+
+def test_squeezed_displaced_recurrence_matches_matrix_oracle():
+    # far below the oracle's cutoff of 200 its truncation does not reach
+    for beta in (-1.6, 0.4 - 0.3j, 0.0):
+        for r in (-0.8, 0.0, 0.3):
+            got = fock.squeezed_displaced_state(beta, r, 46)
+            want = matrix_squeezed_displaced_state(beta, r, 200)[:47]
+            assert np.max(np.abs(got.amps - want)) < 1e-13
 
 
 def test_squeezed_displaced_overlap_tail_flag():

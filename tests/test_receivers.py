@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import expm
+from scipy.special import gammaln
+from test_fock import matrix_squeezed_displaced_state
 
-from qrx import fock, povm
+from qrx import TruncationError, fock, povm
 from qrx import receivers as rc
 
 CUT = 40
@@ -15,10 +20,10 @@ def coh(x, cutoff=CUT):
 def nhpa_kraus(g, n, cutoff=CUT):
     ms = np.eye(cutoff + 1, dtype=complex)
     mf = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+    cs, cf = rc._nhpa_coeffs(g, n, n)
     for k in range(n + 1):
-        cs, cf = rc._nhpa_coeffs(g, n, k)
-        ms[k, k] -= cs
-        mf[k, k] = cf
+        ms[k, k] -= cs[k]
+        mf[k, k] = cf[k]
     return ms, mf
 
 
@@ -242,11 +247,60 @@ def test_cavity_gain():
 # ------------------------------------------------------------------------- TS
 
 
+def ts_psucc_from(amps, alpha, n):
+    """ts p_succ from given amplitudes <k|beta, r>, k = 0..len - 1."""
+    ks = np.arange(len(amps))
+    bra2a = np.exp(-2.0 * alpha**2 + ks * np.log(2.0 * alpha) - 0.5 * gammaln(ks + 1.0))
+    prod = bra2a * amps
+    return 0.5 * (1.0 + abs(amps[0]) ** 2 - abs(prod[:n].sum()) ** 2 - abs(prod[n:].sum()) ** 2)
+
+
+def ts_series(alpha, beta, r, n):
+    """ts p_succ with |beta, r> from the single-amplitude series."""
+    k_max = fock.auto_cutoff(4.0 * alpha**2 + beta**2 + np.sinh(r) ** 2 + 1.0)
+    amps = [fock.squeezed_displaced_overlap(k, beta, r) for k in range(k_max + 1)]
+    return ts_psucc_from(np.array(amps), alpha, n)
+
+
 def test_ts_series_route_matches_matrix_route():
-    for args in ((0.3, -0.5, -0.2, 2), (0.6, -0.8, 0.1, 3), (0.45, -0.4, 0.3, 2)):
-        assert rc.ts_psucc(*args, method="matrix") == pytest.approx(
-            rc.ts_psucc(*args, method="series"), abs=1e-12
-        )
+    # ts_psucc (recurrence) against the series route and the dense expm route
+    for alpha, beta, r, n in ((0.3, -0.5, -0.2, 2), (0.6, -0.8, 0.1, 3), (0.45, -0.4, 0.3, 2)):
+        k_max = fock.auto_cutoff(4.0 * alpha**2 + beta**2 + np.sinh(r) ** 2 + 1.0)
+        matrix = ts_psucc_from(matrix_squeezed_displaced_state(beta, r, k_max), alpha, n)
+        series = ts_series(alpha, beta, r, n)
+        assert series == pytest.approx(matrix, abs=1e-12)
+        assert rc.ts_psucc(alpha, beta, r, n) == pytest.approx(series, abs=1e-12)
+
+
+def test_ts_recurrence_matches_series_oracle():
+    # includes the corner (-1.6, -0.8) of ts_optimize's grid, where the dense
+    # expm route at its old cutoff was 6.5e-8 off
+    worst = 0.0
+    for alpha in (0.3, 1.0):
+        for beta in (-1.6, -0.5, 0.0):
+            for r in (-0.8, 0.0, 0.2):
+                worst = max(worst, abs(rc.ts_psucc(alpha, beta, r, 2) - ts_series(alpha, beta, r, 2)))
+    assert worst < 1e-13
+
+
+def test_ts_truncation_is_checked():
+    with pytest.raises(TruncationError, match=r"alpha=0\.8, beta=-1\.0, r=-0\.5.*k_max=5"):
+        rc.ts_psucc(0.8, -1.0, -0.5, 2, k_max=5)
+    # the default cutoff passes its own check over ts_optimize's whole grid
+    for alpha in (0.05, 1.0):
+        for beta in np.linspace(-1.6, 0.0, 5):
+            for r in np.linspace(-0.8, 0.2, 5):
+                rc.ts_psucc(alpha, beta, r, 2)
+
+
+def test_ts_optimize_builds_no_dense_operator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("expm called")
+
+    monkeypatch.setattr(scipy.linalg, "expm", refuse)
+    monkeypatch.setattr(fock, "expm", refuse)
+    p, beta, r = rc.ts_optimize(0.5, 2)
+    assert 0.5 < p <= 1 - rc.helstrom_bpsk(0.5)
 
 
 def test_ts_r0_reduces_to_dephaser():
@@ -294,6 +348,14 @@ def test_dolinar_monotone_and_bounded():
         prev = v
 
 
+def test_dolinar_chunks_keep_the_result(monkeypatch):
+    # posteriors are solved in chunks of _DOLINAR_CHUNK per optimizer call
+    whole = [rc.dolinar_multistep(0.5, 5, rc.ReceiverSpec(b)) for b in ("nhpa", "opt_kennedy")]
+    monkeypatch.setattr(rc, "_DOLINAR_CHUNK", 3)
+    chunked = [rc.dolinar_multistep(0.5, 5, rc.ReceiverSpec(b)) for b in ("nhpa", "opt_kennedy")]
+    assert chunked == pytest.approx(whole, abs=1e-12)
+
+
 def test_dolinar_validation():
     with pytest.raises(ValueError):
         rc.dolinar_multistep(0.4, 0)
@@ -333,7 +395,7 @@ def test_pi_channel_never_helps_kennedy():
             p0p = float(np.real(b.conj() @ rho_p @ b))
             return 0.5 * (1 + p0m - p0p)
 
-        return rc._grid_refine_max(psucc, -2.2, 0.5, n_grid=61, tol=1e-9)[0]
+        return rc._grid_max(np.vectorize(psucc), -2.2, 0.5, n_grid=61, tol=1e-9)[0]
 
     for _ in range(20):
         plus = fock.coherent_state(alpha, cutoff=cutoff).to_operator()
@@ -370,3 +432,170 @@ def test_binary_outcome_stats():
     assert s.p_err == pytest.approx(0.15)
     with pytest.raises(ValueError):
         rc.BinaryOutcomeStats(1.4, 0.1, 0.85)
+
+
+# ------------------------------------------------------- scalar-path oracles
+# The scalar golden-section optimizer, objectives, NHPA sweep and recursive
+# Dolinar that the array code replaced, kept as the reference for it.
+
+ALPHA_GRID = np.linspace(0.05, 1.0, 40)
+
+
+def golden_max(fun, lo, hi, tol=1e-12):
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - phi * (b - a), a + phi * (b - a)
+    fc, fd = fun(c), fun(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = fun(d)
+    x = 0.5 * (a + b)
+    return fun(x), x
+
+
+def grid_refine_max(fun, lo, hi, n_grid=121, tol=1e-12):
+    xs = np.linspace(lo, hi, n_grid)
+    vals = [fun(x) for x in xs]
+    i = int(np.argmax(vals))
+    return golden_max(fun, xs[max(i - 1, 0)], xs[min(i + 1, n_grid - 1)], tol=tol)
+
+
+def scalar_nhpa_overlaps(alpha, beta, g, n):
+    x = 2.0 * alpha * beta
+    env = math.exp(-(4.0 * alpha**2 + beta**2))
+    term, s_sum, f_sum = 1.0, 0.0, 0.0
+    for k in range(n + 1):
+        if k > 0:
+            term *= x / k
+        if g == math.inf:
+            cs = cf = 1.0 if k < n else 0.0
+        else:
+            cs = 1.0 - g ** (-(n - k))
+            cf = math.sqrt(max(1.0 - g ** (-2 * (n - k)), 0.0))
+        s_sum += term * cs
+        f_sum += term * cf
+    return env * (math.exp(x) - s_sum) ** 2, env * f_sum**2
+
+
+def scalar_nhpa_beta(alpha, g, n):
+    def psucc(b):
+        return 0.5 * (1.0 + math.exp(-(b**2)) - sum(scalar_nhpa_overlaps(alpha, b, g, n)))
+
+    return grid_refine_max(psucc, -2.0, 0.0)
+
+
+def scalar_nhpa_optimize(alpha, n_values=(1, 2, 3), g_max=200.0):
+    best = (-1.0, 0.0, 1.0, 1)
+    for n in n_values:
+        gs = list(np.geomspace(1.0, g_max, 41)) + [math.inf]
+        vals = []
+        for g in gs:
+            v, b = scalar_nhpa_beta(alpha, g, n)
+            vals.append(v)
+            if v > best[0]:
+                best = (v, b, g, n)
+        i = int(np.argmax(vals))
+        if gs[i] != math.inf and 0 < i < len(gs) - 2:
+            _, lg = golden_max(lambda lg: scalar_nhpa_beta(alpha, math.exp(lg), n)[0],
+                               math.log(gs[i - 1]), math.log(gs[i + 1]), tol=1e-10)
+            v, b = scalar_nhpa_beta(alpha, math.exp(lg), n)
+            if v > best[0]:
+                best = (v, b, math.exp(lg), n)
+    return best
+
+
+def scalar_dolinar(alpha, n_steps, g_choices, n_cut):
+    a = alpha / math.sqrt(n_steps)
+
+    def step_probs(beta, g, orient):
+        ms, mf = scalar_nhpa_overlaps(-orient * a, beta, g, n_cut)
+        if orient == -1:
+            return ms + mf, math.exp(-(beta**2))
+        return math.exp(-(beta**2)), ms + mf
+
+    def success(p_plus, steps_left):
+        if steps_left == 0:
+            return max(p_plus, 1.0 - p_plus)
+        best, best_cfg = -1.0, None
+        for orient in (-1, +1):
+            for g in g_choices:
+
+                def gain(beta, g=g, orient=orient):
+                    q_p, q_m = step_probs(beta, g, orient)
+                    return (max(p_plus * q_p, (1.0 - p_plus) * q_m)
+                            + max(p_plus * (1.0 - q_p), (1.0 - p_plus) * (1.0 - q_m)))
+
+                val, beta = grid_refine_max(gain, -2.0, 2.0, n_grid=81, tol=1e-10)
+                if val > best:
+                    best, best_cfg = val, step_probs(beta, g, orient)
+        q_p, q_m = best_cfg
+        out = 0.0
+        for q_plus, q_minus in ((q_p, q_m), (1.0 - q_p, 1.0 - q_m)):
+            p_out = p_plus * q_plus + (1.0 - p_plus) * q_minus
+            if p_out > 1e-300:
+                out += p_out * success(p_plus * q_plus / p_out, steps_left - 1)
+        return out
+
+    return success(0.5, n_steps)
+
+
+def cavity_coherent_psucc(alpha, beta, rho):
+    """cavity_psucc with the probe from fock.coherent_state."""
+    coh = fock.coherent_state(beta, cutoff=rho.cutoff).amps
+    return 0.5 * (1.0 + math.exp(-(beta**2)) - float(np.real(coh.conj() @ rho.matrix @ coh)))
+
+
+def test_single_step_optimizers_match_scalar_path():
+    for alpha in ALPHA_GRID:
+        alpha = float(alpha)
+        rho = rc._cavity_field(alpha, 2.0)
+        cases = [
+            (rc.optimized_kennedy(alpha), grid_refine_max(
+                lambda b: rc.kennedy_psucc(alpha, b), -3.0 * alpha - 2.0, 0.0)),
+            (rc.dephaser_optimize(alpha, 2, "amp_inf"), grid_refine_max(
+                lambda b: rc.dephaser_psucc(alpha, b, 2, "amp_inf"), -2.0, 0.0)),
+            (rc.dephaser_optimize(alpha, 2, "full"), grid_refine_max(
+                lambda b: rc.dephaser_psucc(alpha, b, 2, "full"), -2.0, 0.0)),
+            (rc.cavity_optimize(alpha), grid_refine_max(
+                lambda b: cavity_coherent_psucc(alpha, b, rho), -2.0, 0.0, n_grid=61, tol=1e-10)),
+        ]
+        for (p, beta), (p_ref, beta_ref) in cases:
+            assert p == pytest.approx(p_ref, abs=1e-13)
+            assert beta == pytest.approx(beta_ref, abs=1e-6)
+
+
+def test_nhpa_optimize_matches_scalar_path():
+    for alpha in ALPHA_GRID:
+        p, beta, g, n = rc.nhpa_optimize(float(alpha))
+        p_ref, beta_ref, g_ref, n_ref = scalar_nhpa_optimize(float(alpha))
+        assert p == pytest.approx(p_ref, abs=1e-13)
+        assert n == n_ref
+        assert beta == pytest.approx(beta_ref, abs=1e-6)
+        assert g == pytest.approx(g_ref, rel=1e-4)
+
+
+@pytest.mark.parametrize("base, g_choices, steps", [
+    ("opt_kennedy", None, range(1, 9)),
+    ("nhpa", None, range(1, 5)),
+    ("nhpa", (1.0, 10.0), range(5, 9)),
+    ("dephaser", None, range(1, 5)),
+])
+def test_dolinar_matches_recursive_path(base, g_choices, steps):
+    params = {} if g_choices is None else {"g_grid": g_choices}
+    spec = rc.ReceiverSpec(base, params)
+    if base == "opt_kennedy":
+        ref_g, n_cut = (1.0,), 1
+    elif base == "dephaser":
+        ref_g, n_cut = (math.inf,), 2
+    else:
+        grid = np.geomspace(1.0, 100.0, 13) if g_choices is None else g_choices
+        ref_g, n_cut = tuple(grid) + (math.inf,), 2
+    for n_steps in steps:
+        got = rc.dolinar_multistep(0.5, n_steps, spec)
+        assert got == pytest.approx(scalar_dolinar(0.5, n_steps, ref_g, n_cut), abs=1e-9)
