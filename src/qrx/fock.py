@@ -14,15 +14,10 @@ from dataclasses import dataclass, field
 from math import ceil, cosh, sinh, sqrt, tanh
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import gammaln
 
-from . import _kernels
-from .errors import ConvergenceError, TruncationError
+from .errors import TruncationError
 
 TRUNCATION_TOL = 1e-12
-#: eigenvalues below this are clamped to zero in operator functions
-CLAMP_TOL = 1e-12
 
 
 def auto_cutoff(energy: float) -> int:
@@ -35,6 +30,8 @@ def auto_cutoff(energy: float) -> int:
 
 
 def _log_factorials(n: int) -> np.ndarray:
+    from scipy.special import gammaln
+
     return gammaln(np.arange(n + 1) + 1.0)
 
 
@@ -150,6 +147,8 @@ def displacement_operator(beta: complex, cutoff: int | None = None) -> FockOpera
     the truncated space (anti-Hermitian truncated generator)."""
     if cutoff is None:
         cutoff = auto_cutoff(abs(beta) ** 2)
+    from scipy.linalg import expm
+
     a = annihilation(cutoff).matrix
     gen = beta * a.conj().T - np.conj(beta) * a
     return FockOperator(expm(gen), cutoff)
@@ -193,6 +192,8 @@ def coherent_overlap(alpha: complex, beta: complex) -> complex:
 
 def _squeezed_coeffs(r: float, n_pairs: int) -> np.ndarray:
     """c_l(r) = (cosh r)^{-1/2} sqrt((2l)!)/(2^l l!) (-tanh r)^l, l=0..n_pairs."""
+    from scipy.special import gammaln
+
     ls = np.arange(n_pairs + 1)
     if r == 0.0:
         return np.where(ls == 0, 1.0, 0.0)
@@ -217,62 +218,6 @@ def squeezed_state(r: float, cutoff: int, truncation_tol: float = TRUNCATION_TOL
             f"cutoff {cutoff} too small for squeezing r={r}: deficit {1.0 - v.norm_sq:.3e}"
         )
     return v
-
-
-def displaced_amplitude_after_squeeze(beta: complex, r: float) -> complex:
-    """beta~ with U_sq(r) D(beta) = D(beta~) U_sq(r)."""
-    b = complex(beta)
-    return b * np.cosh(r) - b.conjugate() * np.sinh(r)
-
-
-def displacement_matrix_element(k: int, m: int, beta: complex) -> complex:
-    """<k|D(beta)|m> via the finite normal-ordered sum."""
-    b = complex(beta)
-    if b == 0:
-        return 1.0 + 0.0j if k == m else 0.0j
-    lfk = gammaln(k + 1.0)
-    lfm = gammaln(m + 1.0)
-    total = 0.0j
-    for t in range(m + 1):
-        s = k - m + t
-        if s < 0:
-            continue
-        logden = gammaln(t + 1.0) + gammaln(m - t + 1.0) + gammaln(s + 1.0)
-        total += (-b.conjugate()) ** t * b**s * np.exp(0.5 * (lfk + lfm) - logden)
-    return total * np.exp(-0.5 * abs(b) ** 2)
-
-
-def squeezed_displaced_overlap(
-    k: int, beta: complex, r: float, l_max: int | None = None, tol: float = 1e-12
-) -> complex:
-    """<k | beta, r> where |beta, r> = U_sq(r) D(beta) |0>.
-
-    Commuting the squeezer through the displacement gives
-    |beta, r> = D(beta~) U_sq(r)|0> with beta~ = beta cosh r - beta* sinh r,
-    so the overlap is the series sum_l c_l(r) <k|D(beta~)|2l>, truncated when
-    the analytic tail bound tanh|r|^{l+1}/(1 - tanh|r|) drops below `tol`.
-    """
-    bt = displaced_amplitude_after_squeeze(beta, r)
-    t = abs(np.tanh(r))
-    if t >= 1.0:
-        raise ConvergenceError("tanh|r| >= 1")
-    if l_max is None:
-        l_max = 1
-        while t > 0 and t ** (l_max + 1) / (1.0 - t) > tol:
-            l_max += 1
-            if l_max > 10_000:
-                raise ConvergenceError("squeezed-overlap series did not converge")
-    elif t > 0 and t ** (l_max + 1) / (1.0 - t) > tol:
-        raise ConvergenceError(
-            f"tail bound {t ** (l_max + 1) / (1.0 - t):.2e} above {tol:.1e} at l_max={l_max}"
-        )
-    c = _squeezed_coeffs(float(r), l_max)
-    total = 0.0j
-    for ell in range(l_max + 1):
-        if c[ell] == 0.0:
-            continue
-        total += c[ell] * displacement_matrix_element(k, 2 * ell, bt)
-    return complex(total)
 
 
 def squeezed_displaced_state(beta: complex, r: float, cutoff: int) -> FockVector:
@@ -398,33 +343,6 @@ def apply_amplifier(rho: FockOperator, kappa: float, out_cutoff: int | None = No
 # ---------------------------------------------------------- operator calculus
 
 
-def hermitian_eig_clamped(op: FockOperator, clamp: float = CLAMP_TOL):
-    """Eigendecomposition of a Hermitian operator with small eigenvalues
-    clamped to zero — the deterministic pseudo-inverse convention used by the
-    POVM module."""
-    w, u = np.linalg.eigh(0.5 * (op.matrix + op.matrix.conj().T))
-    w = np.where(np.abs(w) < clamp, 0.0, w)
-    return w, u
-
-
-def op_sqrt(op: FockOperator, clamp: float = CLAMP_TOL) -> FockOperator:
-    w, u = hermitian_eig_clamped(op, clamp)
-    w = np.clip(w, 0.0, None)
-    return FockOperator((u * np.sqrt(w)) @ u.conj().T, op.cutoff)
-
-
-def op_abs(op: FockOperator, clamp: float = CLAMP_TOL) -> FockOperator:
-    w, u = hermitian_eig_clamped(op, clamp)
-    return FockOperator((u * np.abs(w)) @ u.conj().T, op.cutoff)
-
-
-def op_pinv_sqrt(op: FockOperator, clamp: float = CLAMP_TOL) -> FockOperator:
-    """Pseudo-inverse square root: zero on the (clamped) kernel."""
-    w, u = hermitian_eig_clamped(op, clamp)
-    inv = np.where(w > 0.0, 1.0 / np.sqrt(np.clip(w, clamp, None)), 0.0)
-    return FockOperator((u * inv) @ u.conj().T, op.cutoff)
-
-
 def purity(rho: FockOperator) -> float:
     return float(np.trace(rho.matrix @ rho.matrix).real)
 
@@ -437,10 +355,39 @@ def wigner(rho: FockOperator, q_axis, p_axis) -> WignerGrid:
 
         W(q,p) = (1/pi) Tr[rho D(2 alpha) Pi],   alpha = (q + i p)/sqrt(2),
 
-    with Pi the photon-number parity.  Dispatched to the numba or numpy
-    backend (see `qrx._kernels`)."""
+    with Pi the photon-number parity.  With beta = 2 alpha this is
+
+        W = (1/pi) e^{-|beta|^2/2} Re sum_{m<=n} w_mn rho_mn (-1)^m
+            sqrt(m!/n!) beta^{n-m} L_m^{(n-m)}(|beta|^2),
+
+    w_mm = 1 and w_mn = 2 above the diagonal, evaluated over the whole grid
+    at once for each (m, n) pair."""
+    from scipy.special import eval_genlaguerre
+
     q_axis = np.asarray(q_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
     qg, pg = np.meshgrid(q_axis, p_axis, indexing="ij")
-    vals = _kernels.wigner_grid(rho.matrix, qg.ravel(), pg.ravel())
-    return WignerGrid(q_axis, p_axis, vals.reshape(qg.shape))
+    m_rho = rho.matrix
+    dim = m_rho.shape[0]
+    beta = np.sqrt(2.0) * (qg + 1j * pg)
+    x = np.abs(beta) ** 2
+    lf = _log_factorials(dim - 1)
+
+    total = np.zeros(qg.shape, dtype=float)
+    # diagonal j = n - m = 0
+    for m in range(dim):
+        rmm = m_rho[m, m].real
+        if rmm != 0.0:
+            total += ((-1.0) ** m) * rmm * eval_genlaguerre(m, 0, x)
+    acc = np.zeros(qg.shape, dtype=complex)
+    for j in range(1, dim):
+        betaj = beta**j
+        for m in range(dim - j):
+            n = m + j
+            r_mn = m_rho[m, n]
+            if r_mn == 0.0:
+                continue
+            pref = np.exp(0.5 * (lf[m] - lf[n]))  # sqrt(m!/n!)
+            acc += ((-1.0) ** m) * r_mn * pref * betaj * eval_genlaguerre(m, j, x)
+    total += 2.0 * acc.real
+    return WignerGrid(q_axis, p_axis, total * np.exp(-0.5 * x) / np.pi)

@@ -42,10 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Not used here: perfbench's tracer replaces ``hadamard.integrate`` with a
-# counting shim, so the name must stay a module attribute.
-from scipy import integrate  # noqa: F401
-
 from .errors import ConvergenceError
 
 __all__ = [
@@ -73,6 +69,17 @@ _RULE_TOL = 1e-8
 _X_MAX = 40.0
 #: kernel evaluations per block of `_vp_matrices`, which bounds its temporaries
 _BLOCK = 1 << 14
+
+
+def __getattr__(name):
+    # ``hadamard.integrate`` exists only for perfbench's tracer, which swaps
+    # it for a counting shim, until the probes move into qrx.  It is imported
+    # on first access, so importing this module loads no scipy.
+    if name == "integrate":
+        from scipy import integrate
+
+        return integrate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _require_power_of_two(n) -> None:
@@ -218,18 +225,21 @@ def _inf_rule(energy: np.ndarray, n: int) -> tuple:
     """Two-panel rule for ∫₀^ℰ e^{−x}·f(ℰ−x) dx, for ℰ of any shape.
 
     Returns (x, ε, w) of shape ℰ.shape + (2n,) with ε = ℰ − x, so that the
-    integral is Σ w·f(ε); the weights include the factor e^{−x}.
+    integral is Σ w·f(ε); the weights include the factor e^{−x}.  The three
+    are views of one array, written in place (see `_realistic_matrices`).
     """
     s, w = _gauss01(n)
     e = energy[..., None]
     a = np.minimum(e, 1.0)  # ε = a·s² near the √ε branch at ε = 0
-    eps_a = a * s**2
-    x_a = e - eps_a
     b = np.clip(e - 1.0, 0.0, _X_MAX)  # x ∈ [0, b] on the rest
-    x_b = b * s
-    x = np.concatenate([x_a, x_b], axis=-1)
-    eps = np.concatenate([eps_a, e - x_b], axis=-1)
-    weights = np.concatenate([2.0 * a * s * w, b * w], axis=-1) * np.exp(-x)
+    x, eps, weights = np.empty((3,) + energy.shape + (2 * n,))
+    np.multiply(a, s**2, out=eps[..., :n])
+    np.subtract(e, eps[..., :n], out=x[..., :n])
+    np.multiply(b, s, out=x[..., n:])
+    np.subtract(e, x[..., n:], out=eps[..., n:])
+    np.multiply(2.0 * a * s, w, out=weights[..., :n])
+    np.multiply(b, w, out=weights[..., n:])
+    weights *= np.exp(-x)
     return x, eps, weights
 
 
@@ -269,8 +279,15 @@ def _realistic_matrices(m: int, eps: np.ndarray, n: int) -> np.ndarray:
     out[..., 0, 1] = out[..., 0, 3] = c2
     out[..., 2, 1] = out[..., 2, 3] = e2 * c2
     i0 = -np.expm1(-e2) - e2 * c2
+    # One energy's inner rule has 2n × 2n nodes (128 KiB per array at n = 64).
+    # Worked in place, a block's temporaries stay below twice the rule's one
+    # allocation, so glibc's malloc keeps them mapped between blocks instead
+    # of trimming the heap and faulting it back in (~1,000 page faults per
+    # request without).
     x, rest, w = _inf_rule(e2, n)
-    i1 = np.sum(w * x * np.sqrt(-np.expm1(-4.0 * rest)), axis=-1)
+    w *= x
+    w *= np.sqrt(-np.expm1(-4.0 * rest))
+    i1 = np.sum(w, axis=-1)
     out[..., 1, 1] = out[..., 3, 3] = 0.5 * (i0 + i1)
     out[..., 3, 1] = out[..., 1, 3] = 0.5 * (i0 - i1)
     return out

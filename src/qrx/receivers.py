@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from math import erf, exp, factorial, inf, lgamma, log, sqrt
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import fock
 
@@ -326,6 +325,8 @@ def cavity_psucc(alpha: float, beta, rho: fock.FockOperator = None):
     broadcasts over real beta.  `rho` is a field from
     `_cavity_field(alpha, beta_max)` with beta_max >= |beta|, shared between
     probes; built here if omitted."""
+    from scipy.special import gammaln
+
     beta = np.asarray(beta, dtype=float)
     if rho is None:
         rho = _cavity_field(alpha, float(np.max(np.abs(beta))))
@@ -364,6 +365,8 @@ def ts_psucc(alpha: float, beta: float, r: float, n: int = 2, k_max: int = None)
     1 - 4 alpha^2/(k_max + 2); a TruncationError is raised when that bound
     exceeds fock.TRUNCATION_TOL.
     """
+    from scipy.special import gammaln
+
     if k_max is None:
         k_max = fock.auto_cutoff(4.0 * alpha**2 + beta**2 + np.sinh(r) ** 2 + 1.0)
     amps = fock.squeezed_displaced_state(beta, r, cutoff=k_max).amps

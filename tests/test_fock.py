@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.special import gammaln
 
-from qrx import ConvergenceError, TruncationError, fock
+from qrx import ConvergenceError, TruncationError, fock, povm
 
 
 def squeeze_operator(r, cutoff):
@@ -24,6 +25,59 @@ def squeeze_operator(r, cutoff):
 def matrix_squeezed_displaced_state(beta, r, cutoff):
     """Oracle: amplitudes of |beta, r> = U_sq(r) D(beta)|0> by matrix product."""
     return squeeze_operator(r, cutoff) @ fock.coherent_state(beta, cutoff).amps
+
+
+def displacement_matrix_element(k, m, beta):
+    """Oracle: <k|D(beta)|m> via the finite normal-ordered sum."""
+    b = complex(beta)
+    if b == 0:
+        return 1.0 + 0.0j if k == m else 0.0j
+    lfk = gammaln(k + 1.0)
+    lfm = gammaln(m + 1.0)
+    total = 0.0j
+    for t in range(m + 1):
+        s = k - m + t
+        if s < 0:
+            continue
+        logden = gammaln(t + 1.0) + gammaln(m - t + 1.0) + gammaln(s + 1.0)
+        total += (-b.conjugate()) ** t * b**s * np.exp(0.5 * (lfk + lfm) - logden)
+    return total * np.exp(-0.5 * abs(b) ** 2)
+
+
+def squeezed_displaced_overlap(k, beta, r, l_max=None, tol=1e-12):
+    """Oracle: <k | beta, r> where |beta, r> = U_sq(r) D(beta) |0>.
+
+    Commuting the squeezer through the displacement gives
+    |beta, r> = D(beta~) U_sq(r)|0> with beta~ = beta cosh r - beta* sinh r,
+    so the overlap is the series sum_l c_l(r) <k|D(beta~)|2l>, truncated when
+    the analytic tail bound tanh|r|^{l+1}/(1 - tanh|r|) drops below `tol`.
+
+    The alternating sum in `displacement_matrix_element` cancels as |beta~|
+    and k grow: at (beta, r) = (-1.6, -0.8) this is off by 1.5e-13 at k = 9
+    and by 2.4e-4 at k = 45, so it is an amplitude oracle only at low k.
+    """
+    b = complex(beta)
+    bt = b * np.cosh(r) - b.conjugate() * np.sinh(r)
+    t = abs(np.tanh(r))
+    if t >= 1.0:
+        raise ConvergenceError("tanh|r| >= 1")
+    if l_max is None:
+        l_max = 1
+        while t > 0 and t ** (l_max + 1) / (1.0 - t) > tol:
+            l_max += 1
+            if l_max > 10_000:
+                raise ConvergenceError("squeezed-overlap series did not converge")
+    elif t > 0 and t ** (l_max + 1) / (1.0 - t) > tol:
+        raise ConvergenceError(
+            f"tail bound {t ** (l_max + 1) / (1.0 - t):.2e} above {tol:.1e} at l_max={l_max}"
+        )
+    c = fock._squeezed_coeffs(float(r), l_max)
+    total = 0.0j
+    for ell in range(l_max + 1):
+        if c[ell] == 0.0:
+            continue
+        total += c[ell] * displacement_matrix_element(k, 2 * ell, bt)
+    return complex(total)
 
 
 def test_vacuum_coherent_state():
@@ -113,20 +167,20 @@ def test_squeezed_displaced_overlap_r0():
     # series collapses to the coherent amplitude
     beta = 0.4 - 0.2j
     for k in range(5):
-        got = fock.squeezed_displaced_overlap(k, beta, 0.0)
+        got = squeezed_displaced_overlap(k, beta, 0.0)
         want = fock.coherent_state(beta, 10).amps[k]
         assert abs(got - want) < 1e-12
 
 
 def test_squeezed_displaced_overlap_k0_beta0():
     r = 0.5
-    got = fock.squeezed_displaced_overlap(0, 0.0, r)
+    got = squeezed_displaced_overlap(0, 0.0, r)
     assert got == pytest.approx(1 / np.sqrt(np.cosh(r)), abs=1e-12)
 
 
 def test_squeezed_displaced_overlap_matrix_oracle():
     k, beta, r = 3, 0.6, -0.3
-    got = fock.squeezed_displaced_overlap(k, beta, r)
+    got = squeezed_displaced_overlap(k, beta, r)
     assert abs(got - matrix_squeezed_displaced_state(beta, r, 80)[k]) < 1e-8
 
 
@@ -141,7 +195,7 @@ def test_squeezed_displaced_recurrence_matches_matrix_oracle():
 
 def test_squeezed_displaced_overlap_tail_flag():
     with pytest.raises(ConvergenceError):
-        fock.squeezed_displaced_overlap(2, 0.3, 1.5, l_max=2)
+        squeezed_displaced_overlap(2, 0.3, 1.5, l_max=2)
 
 
 def test_quadrature_ground_state_density():
@@ -244,13 +298,11 @@ def test_density_constructor_invariants():
 def test_op_sqrt_and_abs():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    h = fock.FockOperator(x + x.conj().T, 5)
-    s = fock.op_abs(h)
-    w = np.linalg.eigvalsh(s.matrix)
-    assert w.min() >= -1e-12
-    pos = fock.FockOperator(x @ x.conj().T, 5)
-    r = fock.op_sqrt(pos)
-    assert np.max(np.abs(r.matrix @ r.matrix - pos.matrix)) < 1e-9
+    pos = x @ x.conj().T
+    r = povm.sqrt_psd(pos)
+    assert np.max(np.abs(r - r.conj().T)) < 1e-12
+    assert np.linalg.eigvalsh(r).min() >= -1e-12
+    assert np.max(np.abs(r @ r - pos)) < 1e-9
 
 
 class TestWigner:
@@ -274,16 +326,3 @@ class TestWigner:
         qs = np.linspace(-7, 7, 141)
         w = fock.wigner(rho, qs, qs)
         assert w.integral() == pytest.approx(1.0, rel=0.02)
-
-    def test_backends_agree(self):
-        from qrx import _kernels
-
-        rng = np.random.default_rng(11)
-        x = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
-        m = x @ x.conj().T
-        m /= np.trace(m).real
-        qs = np.linspace(-3, 3, 31)
-        qg, pg = np.meshgrid(qs, qs, indexing="ij")
-        ref = _kernels._wigner_grid_numpy(m, qg.ravel(), pg.ravel())
-        got = _kernels.wigner_grid(m, qg.ravel(), pg.ravel())
-        assert np.max(np.abs(ref - got)) < 1e-12
