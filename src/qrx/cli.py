@@ -176,54 +176,29 @@ def _apply_config(args: argparse.Namespace) -> None:
 
 # -------------------------------------------------------------- bpsk-sweep
 
-#: extra per-receiver parameter columns reported by bpsk-sweep
-_SWEEP_PARAMS = {
-    "opt_kennedy": ("beta",),
-    "nhpa": ("beta", "g", "n"),
-    "dephaser": ("beta",),
-    "cavity": ("beta",),
-    "ts": ("beta", "r"),
-}
-
 
 def _sweep_point(kind: str, alpha: float, steps: int):
-    params: tuple = ()
+    """(alpha^2, p_succ, p_helstrom, gap, *receivers.PARAMS[kind]); Dolinar
+    runs over `steps` copies report no parameters."""
     if steps > 1:
-        p = receivers.dolinar_multistep(alpha, steps, receivers.ReceiverSpec(kind))
-    elif kind == "opt_kennedy":
-        p, beta = receivers.optimized_kennedy(alpha)
-        params = (beta,)
-    elif kind == "nhpa":
-        p, beta, g, n = receivers.nhpa_optimize(alpha)
-        params = (beta, g, n)
-    elif kind == "dephaser":
-        p, beta = receivers.dephaser_optimize(alpha)
-        params = (beta,)
-    elif kind == "cavity":
-        p, beta = receivers.cavity_optimize(alpha)
-        params = (beta,)
-    elif kind == "ts":
-        p, beta, r = receivers.ts_optimize(alpha)
-        params = (beta, r)
+        p, params = receivers.dolinar_multistep(alpha, steps, receivers.ReceiverSpec(kind)), ()
     else:
-        p = receivers.receiver_psucc(receivers.ReceiverSpec(kind), alpha)
+        p, *params = receivers.optimize(kind, alpha)
     p_hel = 1.0 - receivers.helstrom_bpsk(alpha)
     return (alpha**2, p, p_hel, p_hel - p, *params)
 
 
 def _cmd_bpsk_sweep(args) -> int:
-    kinds = ("helstrom", "homodyne", "kennedy", "opt_kennedy", "nhpa", "dephaser", "cavity", "ts")
-    if args.receiver not in kinds:
-        raise ConfigError(f"receiver must be one of {kinds}, got {args.receiver!r}")
+    if args.receiver not in receivers.PARAMS:
+        raise ConfigError(
+            f"receiver must be one of {tuple(receivers.PARAMS)}, got {args.receiver!r}")
     steps = int(args.steps)
     if steps < 1:
         raise ConfigError("--steps must be >= 1")
-    if steps > 1 and args.receiver not in ("kennedy", "opt_kennedy", "nhpa", "dephaser"):
-        raise ConfigError(f"--steps > 1 is not supported for receiver {args.receiver!r}")
     alphas = _parse_grid(args.alpha_grid)
     header = ["alpha_sq", "p_succ", "p_helstrom", "gap"]
     if steps == 1:
-        header += list(_SWEEP_PARAMS.get(args.receiver, ()))
+        header += list(receivers.PARAMS[args.receiver])
     rows = [_sweep_point(args.receiver, float(a), steps) for a in alphas]
     _write_csv(args.out, header, rows)
     return EXIT_OK
@@ -259,18 +234,40 @@ def _cmd_hadamard_rates(args) -> int:
 # --------------------------------------------------------------- qubit-disc
 
 
+def _bloch_row(row: list, line: int) -> tuple:
+    """(BlochOperator, p) from one (c, rx, ry, rz, p) row, which must give a
+    density operator (2c = 1, |r| <= c) and a prior p >= 0 (NaN fails every check)."""
+    if len(row) != 5:
+        raise ConfigError(f"line {line}: need 5 fields (c, rx, ry, rz, p), got {len(row)}")
+    values = []
+    for name, x in zip(("c", "rx", "ry", "rz", "p"), row):
+        try:
+            values.append(float(x))
+        except ValueError:
+            raise ConfigError(f"line {line}: field {name} is not a number: {x!r}") from None
+    c, r, p = values[0], np.array(values[1:4]), values[4]
+    if not abs(2.0 * c - 1.0) <= 1e-9:
+        raise ConfigError(f"line {line}: field c must be 0.5 (unit trace), got {c!r}")
+    if not math.hypot(*r) <= c + 1e-9:
+        raise ConfigError(f"line {line}: fields rx, ry, rz give |r| = {math.hypot(*r)!r} "
+                          f"> c = {c!r}, not a density operator")
+    if not p >= 0.0:
+        raise ConfigError(f"line {line}: field p must be >= 0, got {p!r}")
+    return qubit_disc.BlochOperator(c, r), p
+
+
 def _read_bloch_states(path: str) -> list:
-    states = []
+    """(state, prior) per non-empty CSV row; only the first non-empty row
+    may be a non-numeric header."""
     with open(path, newline="") as handle:
-        for row in csv.reader(handle):
-            if not row or not row[0].strip():
-                continue
-            try:
-                c, rx, ry, rz, p = (float(x) for x in row)
-            except ValueError:
-                continue  # header row
-            states.append((qubit_disc.BlochOperator(c, np.array([rx, ry, rz])), p))
-    return states
+        reader = csv.reader(handle)
+        rows = [(reader.line_num, row) for row in reader if any(x.strip() for x in row)]
+    if rows:
+        try:
+            [float(x) for x in rows[0][1]]
+        except ValueError:
+            rows = rows[1:]  # header row
+    return [_bloch_row(row, line) for line, row in rows]
 
 
 def _cmd_qubit_disc(args) -> int:

@@ -6,8 +6,9 @@ The success probability reduces to the function
 
 over operators 0 <= Q <= 1, evaluated here in the Bloch representation
 H = c_H 1 + r_H . sigma (trace 2 c_H, eigenvalues c_H +- |r_H|).  Closed
-forms are used when they provably apply; otherwise a deterministic
-grid-plus-pattern-search optimization runs over the Bloch coefficients of Q.
+forms are used when they provably apply; otherwise a deterministic coarse
+grid runs over the Bloch coefficients of Q and `_search._pattern_search`
+refines its best point.
 
 The coarse grid is evaluated as arrays.  In general it runs over
 (c_Q, r_Q in the span of r_A, r_B, r_C) and keeps only the feasible points
@@ -24,6 +25,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from ._search import _pattern_search
 from .povm import sqrt_psd
 
 _SIGN_TOL = 1e-11  # definite-sign detection threshold on eigenvalues
@@ -208,31 +210,6 @@ def _span_basis(vectors, tol: float = 1e-12) -> np.ndarray:
         return np.zeros((0, 3))
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     return vt[s > tol * max(1.0, s[0])]
-
-
-def _pattern_search(fun, x0, lower, upper, project=None, step0=0.05, step_min=1e-9):
-    """Deterministic coordinate pattern search (maximization).  Trial points
-    are clipped to the box and, if given, projected back onto the feasible
-    set so the search can slide along constraint boundaries."""
-    x = np.array(x0, dtype=float)
-    fx = fun(x)
-    step = step0
-    n = x.size
-    while step > step_min:
-        improved = False
-        for i in range(n):
-            for sgn in (1.0, -1.0):
-                y = x.copy()
-                y[i] = np.clip(y[i] + sgn * step, lower[i], upper[i])
-                if project is not None:
-                    y = project(y)
-                fy = fun(y)
-                if fy > fx + 1e-15:
-                    x, fx = y, fy
-                    improved = True
-        if not improved:
-            step *= 0.5
-    return fx, x
 
 
 #: grid resolution per scalar dimension for the coarse stage

@@ -10,10 +10,13 @@ the amplifying/dephasing stage acts, a final displacement D(-beta) is
 applied and an on/off detector fires on any photon; "no click" is read as
 "-alpha".  All closed forms are written for real alpha, beta; optimal
 operating points sit at beta < 0, exactly as the printed contour region.
-Objectives take arrays and broadcast, so one call of the optimizer
-`_grid_max` maximizes a whole batch of 1-D searches: a coarse grid, then
-repeated re-gridding between the neighbours of each argmax.  All
-optimizations are deterministic.
+Objectives take arrays and broadcast, so one call of `_search._grid_max`
+maximizes a whole batch of 1-D searches; `ts_optimize` refines its (beta, r)
+grid with `_search._pattern_search`.  All optimizations are deterministic.
+
+This module is the receiver catalogue: `PARAMS` names every kind and the
+free parameters its optimizer returns, `DOLINAR_BASES` the kinds that
+`dolinar_multistep` repeats, and `optimize(kind, alpha)` runs one.
 """
 
 from __future__ import annotations
@@ -24,8 +27,14 @@ from math import erf, exp, factorial, inf, lgamma, log, sqrt
 import numpy as np
 
 from . import fock
+from ._search import _ZOOM, _grid_max, _pattern_search
 
-_KINDS = ("homodyne", "kennedy", "opt_kennedy", "nhpa", "dephaser", "cavity", "ts", "helstrom")
+#: receiver kind -> the free parameters `optimize` returns after p_succ
+PARAMS = {"helstrom": (), "homodyne": (), "kennedy": (), "opt_kennedy": ("beta",),
+          "nhpa": ("beta", "g", "n"), "dephaser": ("beta",), "cavity": ("beta",),
+          "ts": ("beta", "r")}
+#: receiver kinds that dolinar_multistep can repeat over copies
+DOLINAR_BASES = ("kennedy", "opt_kennedy", "nhpa", "dephaser")
 
 
 @dataclass(frozen=True)
@@ -35,7 +44,7 @@ class ReceiverSpec:
     p_plus: float = 0.5
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in PARAMS:
             raise ValueError(f"unknown receiver kind {self.kind!r}")
         if not 0.0 <= self.p_plus <= 1.0:
             raise ValueError("p_plus must lie in [0, 1]")
@@ -45,22 +54,6 @@ class ReceiverSpec:
         n = self.params.get("n")
         if n is not None and (int(n) != n or n < 1):
             raise ValueError("cutoff n must be a positive integer")
-
-
-@dataclass(frozen=True)
-class BinaryOutcomeStats:
-    p_click_plus: float
-    p_click_minus: float
-    p_succ: float
-
-    def __post_init__(self):
-        for p in (self.p_click_plus, self.p_click_minus, self.p_succ):
-            if not -1e-12 <= p <= 1 + 1e-12:
-                raise ValueError("probability outside [0, 1]")
-
-    @property
-    def p_err(self) -> float:
-        return 1.0 - self.p_succ
 
 
 # ------------------------------------------------------------------ baselines
@@ -86,34 +79,6 @@ def kennedy_psucc(alpha, beta):
     return 0.5 * (
         1.0 + np.exp(-np.abs(beta + alpha) ** 2) - np.exp(-np.abs(beta - alpha) ** 2)
     )
-
-
-#: points per bracket when the optimizer re-grids around an argmax
-_ZOOM = 17
-
-
-def _grid_max(fun, lo, hi, n_grid=121, tol=1e-12):
-    """Maximize a batch of independent 1-D functions, each over its [lo, hi].
-
-    `fun` maps points of shape batch + (k,) to values of the same shape;
-    `lo` and `hi` broadcast to the batch shape.  The coarse grid of n_grid
-    points is one call.  Then the bracket between the neighbours of each
-    argmax (the first one on ties) is re-gridded with _ZOOM points, one call
-    per round for the whole batch, until every bracket is narrower than tol.
-    Returns (fun at the bracket midpoints, the midpoints), of batch shape.
-    """
-    a = np.asarray(lo, dtype=float)[..., None]
-    width = np.asarray(hi, dtype=float)[..., None] - a
-    t, zoom = np.linspace(0.0, 1.0, n_grid), np.linspace(0.0, 1.0, _ZOOM)
-    while True:
-        i = np.argmax(fun(a + width * t), axis=-1)[..., None]
-        a, b = a + width * t[np.maximum(i - 1, 0)], a + width * t[np.minimum(i + 1, t.size - 1)]
-        width = b - a
-        if np.all(width <= tol):
-            break
-        t = zoom
-    x = 0.5 * (a + b)
-    return fun(x)[..., 0][()], x[..., 0][()]
 
 
 def optimized_kennedy(alpha: float) -> tuple:
@@ -391,26 +356,14 @@ def ts_psucc(alpha: float, beta: float, r: float, n: int = 2, k_max: int = None)
 
 
 def ts_optimize(alpha: float, n: int = 2) -> tuple:
-    """2D deterministic grid + coordinate refinement over (beta, r)."""
-    best = (-1.0, 0.0, 0.0)
-    for b in np.linspace(-1.6, 0.0, 17):
-        for r in np.linspace(-0.8, 0.2, 11):
-            v = ts_psucc(alpha, b, r, n)
-            if v > best[0]:
-                best = (v, b, r)
-    _, b, r = best
-    step = 0.1
-    fx = best[0]
-    while step > 1e-7:
-        improved = False
-        for db, dr in ((step, 0), (-step, 0), (0, step), (0, -step)):
-            v = ts_psucc(alpha, b + db, r + dr, n)
-            if v > fx + 1e-15:
-                fx, b, r = v, b + db, r + dr
-                improved = True
-        if not improved:
-            step *= 0.5
-    return fx, b, r
+    """(psucc, beta*, r*): the first maximum of a 17 x 11 (beta, r) grid,
+    refined by a pattern search from step 0.1 down to 1e-7."""
+    grid = [(ts_psucc(alpha, b, r, n), b, r)
+            for b in np.linspace(-1.6, 0.0, 17) for r in np.linspace(-0.8, 0.2, 11)]
+    best = max(grid, key=lambda t: t[0])  # the first maximum
+    fx, x = _pattern_search(lambda y: ts_psucc(alpha, y[0], y[1], n), best[1:],
+                            (-inf, -inf), (inf, inf), step0=0.1, step_min=1e-7)
+    return fx, x[0], x[1]
 
 
 # ------------------------------------------------------------------- Dolinar
@@ -441,8 +394,8 @@ def dolinar_multistep(alpha: float, n_steps: int, base: ReceiverSpec = None) -> 
     weight x max(p, 1 - p)."""
     if base is None:
         base = ReceiverSpec("opt_kennedy")
-    if base.kind not in ("kennedy", "opt_kennedy", "nhpa", "dephaser"):
-        raise ValueError(f"unsupported Dolinar base {base.kind!r}")
+    if base.kind not in DOLINAR_BASES:
+        raise ValueError(f"unsupported Dolinar base {base.kind!r}, need one of {DOLINAR_BASES}")
     if int(n_steps) != n_steps or n_steps < 1:
         raise ValueError("n_steps must be a positive integer")
     a = alpha / sqrt(n_steps)
@@ -495,31 +448,44 @@ def receiver_psucc(spec: ReceiverSpec, alpha: float) -> float:
     p = spec.params
     if spec.kind == "helstrom":
         return 1.0 - helstrom_bpsk(alpha, spec.p_plus)
-    if spec.kind == "homodyne":
-        return 1.0 - homodyne_perr(alpha)
-    if spec.kind == "kennedy":
-        return kennedy_psucc(alpha, p.get("beta", -alpha))
-    if spec.kind == "opt_kennedy":
-        return optimized_kennedy(alpha)[0]
-    if spec.kind == "nhpa":
-        if "g" in p and "beta" in p:
+    if spec.kind == "kennedy" and "beta" in p:
+        return kennedy_psucc(alpha, p["beta"])
+    if spec.kind == "nhpa" and "g" in p:
+        if "beta" in p:
             return nhpa_psucc(alpha, p["beta"], p["g"], p.get("n", 2))
-        if "g" in p:
-            return nhpa_optimize_beta(alpha, p["g"], p.get("n", 2))[0]
-        return nhpa_optimize(alpha)[0]
+        return nhpa_optimize_beta(alpha, p["g"], p.get("n", 2))[0]
     if spec.kind == "dephaser":
-        n = p.get("n", 2)
-        kind = p.get("variant", "amp_inf")
+        n, kind = p.get("n", 2), p.get("variant", "amp_inf")
         if "beta" in p:
             return dephaser_psucc(alpha, p["beta"], n, kind)
         return dephaser_optimize(alpha, n, kind)[0]
-    if spec.kind == "cavity":
-        if "beta" in p:
-            return cavity_psucc(alpha, p["beta"])
-        return cavity_optimize(alpha)[0]
+    if spec.kind == "cavity" and "beta" in p:
+        return cavity_psucc(alpha, p["beta"])
     if spec.kind == "ts":
         n = p.get("n", 2)
         if "beta" in p and "r" in p:
             return ts_psucc(alpha, p["beta"], p["r"], n)
         return ts_optimize(alpha, n)[0]
-    raise ValueError(f"unknown receiver kind {spec.kind!r}")
+    return optimize(spec.kind, alpha)[0]
+
+
+def optimize(kind: str, alpha: float) -> tuple:
+    """(p_succ, *PARAMS[kind]) of the receiver at amplitude alpha and equal
+    priors, with its free parameters at the optimum its optimizer finds."""
+    if kind == "helstrom":
+        return (1.0 - helstrom_bpsk(alpha),)
+    if kind == "homodyne":
+        return (1.0 - homodyne_perr(alpha),)
+    if kind == "kennedy":
+        return (kennedy_psucc(alpha, -alpha),)
+    if kind == "opt_kennedy":
+        return optimized_kennedy(alpha)
+    if kind == "nhpa":
+        return nhpa_optimize(alpha)
+    if kind == "dephaser":
+        return dephaser_optimize(alpha)
+    if kind == "cavity":
+        return cavity_optimize(alpha)
+    if kind == "ts":
+        return ts_optimize(alpha)
+    raise ValueError(f"unknown receiver kind {kind!r}")

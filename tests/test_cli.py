@@ -1,6 +1,7 @@
 """End-to-end tests for the qrx command-line interface."""
 
 import csv
+import importlib.util
 import json
 import math
 import os
@@ -79,7 +80,7 @@ def test_bpsk_sweep_default_grid(tmp_path, receiver):
     code, text = run_cli(["bpsk-sweep", "--receiver", receiver], tmp_path)
     assert code == 0
     header, rows = parse_csv(text)
-    assert header == ["alpha_sq", "p_succ", "p_helstrom", "gap"] + list(cli._SWEEP_PARAMS[receiver])
+    assert header == ["alpha_sq", "p_succ", "p_helstrom", "gap"] + list(receivers.PARAMS[receiver])
     assert len(rows) == 40
     for r in rows:
         assert 0.5 <= float(r[1]) <= float(r[2]) <= 1.0
@@ -88,6 +89,35 @@ def test_bpsk_sweep_default_grid(tmp_path, receiver):
 def test_bpsk_sweep_rejects_unknown_receiver(tmp_path):
     code, _ = run_cli(["bpsk-sweep", "--receiver", "nope"], tmp_path)
     assert code == 2
+
+
+@pytest.mark.parametrize("receiver", list(receivers.PARAMS))
+def test_bpsk_sweep_accepts_every_receiver_kind(tmp_path, receiver):
+    code, text = run_cli(["bpsk-sweep", "--receiver", receiver, "--alpha-grid", "0.4:0.4:1"],
+                         tmp_path)
+    assert code == 0
+    header, rows = parse_csv(text)
+    assert header == ["alpha_sq", "p_succ", "p_helstrom", "gap"] + list(receivers.PARAMS[receiver])
+    p, *params = receivers.optimize(receiver, 0.4)
+    assert [float(x) for x in rows[0][1:2] + rows[0][4:]] == [p, *params]
+
+
+@pytest.mark.parametrize("receiver", ["ts", "cavity", "helstrom", "homodyne"])
+def test_bpsk_sweep_steps_need_a_dolinar_base(tmp_path, capsys, receiver):
+    code, _ = run_cli(["bpsk-sweep", "--receiver", receiver, "--steps", "2"], tmp_path)
+    assert code == 2
+    assert f"unsupported Dolinar base {receiver!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("receiver", receivers.DOLINAR_BASES)
+def test_bpsk_sweep_steps_run_on_every_dolinar_base(tmp_path, receiver):
+    code, text = run_cli(["bpsk-sweep", "--receiver", receiver, "--steps", "2",
+                          "--alpha-grid", "0.4:0.4:1"], tmp_path)
+    assert code == 0
+    header, rows = parse_csv(text)
+    assert header == ["alpha_sq", "p_succ", "p_helstrom", "gap"]
+    spec = receivers.ReceiverSpec(receiver)
+    assert float(rows[0][1]) == receivers.dolinar_multistep(0.4, 2, spec)
 
 
 def test_bpsk_sweep_rejects_bad_grid(tmp_path):
@@ -196,6 +226,38 @@ def test_qubit_disc_validates_probabilities(tmp_path):
     path.write_text("0.5,0,0,0.5,0.9\n0.5,0,0,-0.5,0.9\n0.5,0.5,0,0,0.9\n")
     code, _ = run_cli(["qubit-disc", "--in", str(path)], tmp_path)
     assert code == 2
+
+
+def test_qubit_disc_header_and_blank_rows_are_optional(tmp_path):
+    rows = trine_csv(tmp_path).read_text().splitlines()
+    path = tmp_path / "plain.csv"
+    path.write_text("\n" + "\n\n".join(rows[1:]) + "\n")
+    assert run_cli(["qubit-disc", "--in", str(path)], tmp_path, "plain") == \
+        run_cli(["qubit-disc", "--in", str(trine_csv(tmp_path))], tmp_path, "header")
+
+
+#: three valid rows whose priors sum to 1, so that a dropped fourth row
+#: would leave a runnable problem
+GOOD_ROWS = ["0.5,0.0,0.0,0.5,0.5", "0.5,0.5,0.0,0.0,0.25", "0.5,-0.5,0.0,0.0,0.25"]
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    ("0.5,0.0,0.0,0.0", "line 5: need 5 fields"),
+    ("0.5,zero,0.0,0.0,0.0", "line 5: field rx is not a number: 'zero'"),
+    ("c,rx,ry,rz,p", "line 5: field c is not a number: 'c'"),
+    ("0.5,3.0,0.0,0.0,0.0", "line 5: fields rx, ry, rz give |r| = 3.0 > c = 0.5"),
+    ("0.6,0.0,0.0,0.0,0.0", "line 5: field c must be 0.5"),
+    ("nan,0.0,0.0,0.0,0.0", "line 5: field c must be 0.5"),
+    ("0.5,0.0,0.0,0.0,-0.25", "line 5: field p must be >= 0"),
+], ids=["short", "non-number", "second-header", "r-too-long", "trace", "nan", "negative-p"])
+def test_qubit_disc_rejects_bad_rows(tmp_path, capsys, bad_row, message):
+    # only the first non-empty row may be a header; every other row must be
+    # a density operator with a prior p >= 0
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(["c,rx,ry,rz,p", *GOOD_ROWS, bad_row]) + "\n")
+    code, _ = run_cli(["qubit-disc", "--in", str(path)], tmp_path)
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------- tree-decompose
@@ -378,6 +440,20 @@ def test_fresh_request_loads_no_scipy(tmp_path, args):
     assert (code, loaded) == (0, [])
     assert run_cli(args, tmp_path, "in_process")[0] == 0
     assert fresh.read_bytes() == (tmp_path / "in_process").read_bytes()
+
+
+def test_tracer_hooks_exist():
+    # perfbench's tracer wraps these private names of qrx modules by getattr,
+    # so renaming one breaks traced benchmark runs
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.PRIVATE
+    for layer, names in tracing.PRIVATE.items():
+        module = importlib.import_module(f"qrx.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"qrx.{layer}.{name}"
 
 
 def test_hadamard_integrate_is_scipy_integrate():

@@ -427,11 +427,32 @@ def test_receiver_spec_validation_and_dispatch():
     ) == pytest.approx(rc.nhpa_psucc(a, -0.5, 3.0, 2))
 
 
-def test_binary_outcome_stats():
-    s = rc.BinaryOutcomeStats(0.9, 0.1, 0.85)
-    assert s.p_err == pytest.approx(0.15)
-    with pytest.raises(ValueError):
-        rc.BinaryOutcomeStats(1.4, 0.1, 0.85)
+#: kind -> the optimizer (or closed form) that receivers.optimize names
+NAMED = {
+    "helstrom": lambda a: (1.0 - rc.helstrom_bpsk(a),),
+    "homodyne": lambda a: (1.0 - rc.homodyne_perr(a),),
+    "kennedy": lambda a: (rc.kennedy_psucc(a, -a),),
+    "opt_kennedy": rc.optimized_kennedy,
+    "nhpa": rc.nhpa_optimize,
+    "dephaser": rc.dephaser_optimize,
+    "cavity": rc.cavity_optimize,
+    "ts": rc.ts_optimize,
+}
+
+
+@pytest.mark.parametrize("kind", list(rc.PARAMS))
+def test_optimize_returns_the_named_optimizer_output(kind):
+    got = rc.optimize(kind, 0.4)
+    assert len(got) == 1 + len(rc.PARAMS[kind])
+    assert tuple(got) == tuple(NAMED[kind](0.4))
+    assert rc.receiver_psucc(rc.ReceiverSpec(kind), 0.4) == got[0]
+
+
+def test_receiver_table_is_complete():
+    assert set(NAMED) == set(rc.PARAMS)
+    assert set(rc.DOLINAR_BASES) <= set(rc.PARAMS)
+    with pytest.raises(ValueError, match="laser"):
+        rc.optimize("laser", 0.4)
 
 
 # ------------------------------------------------------- scalar-path oracles
@@ -545,6 +566,29 @@ def scalar_dolinar(alpha, n_steps, g_choices, n_cut):
     return success(0.5, n_steps)
 
 
+def scalar_ts_optimize(alpha, n=2):
+    """ts_optimize's own (beta, r) coordinate loop, before it used the
+    shared pattern search."""
+    best = (-1.0, 0.0, 0.0)
+    for b in np.linspace(-1.6, 0.0, 17):
+        for r in np.linspace(-0.8, 0.2, 11):
+            v = rc.ts_psucc(alpha, b, r, n)
+            if v > best[0]:
+                best = (v, b, r)
+    fx, b, r = best
+    step = 0.1
+    while step > 1e-7:
+        improved = False
+        for db, dr in ((step, 0), (-step, 0), (0, step), (0, -step)):
+            v = rc.ts_psucc(alpha, b + db, r + dr, n)
+            if v > fx + 1e-15:
+                fx, b, r = v, b + db, r + dr
+                improved = True
+        if not improved:
+            step *= 0.5
+    return fx, b, r
+
+
 def cavity_coherent_psucc(alpha, beta, rho):
     """cavity_psucc with the probe from fock.coherent_state."""
     coh = fock.coherent_state(beta, cutoff=rho.cutoff).amps
@@ -568,6 +612,13 @@ def test_single_step_optimizers_match_scalar_path():
         for (p, beta), (p_ref, beta_ref) in cases:
             assert p == pytest.approx(p_ref, abs=1e-13)
             assert beta == pytest.approx(beta_ref, abs=1e-6)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_ts_optimize_matches_scalar_path(n):
+    # same trial points in the same order, so the same bits
+    for alpha in ALPHA_GRID[::3]:
+        assert rc.ts_optimize(float(alpha), n) == scalar_ts_optimize(float(alpha), n)
 
 
 def test_nhpa_optimize_matches_scalar_path():
