@@ -1,7 +1,8 @@
 """The two deterministic maximizers behind every optimizer in qrx (numpy only):
 `_grid_max` for batches of 1-D searches (the receivers' beta, gain and
-Dolinar searches), `_pattern_search` for a few coordinates at once
-(`receivers.ts_optimize`, `qubit_disc.f_optimize`).
+Dolinar searches), `_pattern_search` for batches of searches over a few
+coordinates at once (`receivers.ts_optimize` with one lane, `qubit_disc`
+with one lane per state ordering).
 """
 
 from __future__ import annotations
@@ -37,23 +38,41 @@ def _grid_max(fun, lo, hi, n_grid=121, tol=1e-12):
 
 
 def _pattern_search(fun, x0, lower, upper, step0=0.05, step_min=1e-9):
-    """Coordinate pattern search (maximization) from x0: each sweep tries
-    x_i + step, then x_i - step, for every i, clipped to [lower, upper], and
-    keeps a trial that gains more than 1e-15; the step halves after a sweep
-    without gain until it is <= step_min.  Returns (value, point)."""
+    """A batch of coordinate pattern searches (maximization) run in lock-step.
+
+    `x0` has shape (B, n), one start per lane, and `fun` maps points of
+    shape (B, n) to values of shape (B,), lane by lane.  In each sweep every
+    lane tries x_i + step, then x_i - step, for every i, clipped to [lower,
+    upper] (shape (n,)), and keeps a trial that gains more than 1e-15; a
+    lane's step halves after a sweep without gain, and the lane stops once
+    its step is <= step_min.  So each lane follows the trials a search of
+    its own would make, and a stopped lane's point no longer moves.
+    Returns (values of shape (B,), points of shape (B, n)).
+    """
     x = np.array(x0, dtype=float)
-    fx = fun(x)
-    step = step0
-    while step > step_min:
-        improved = False
-        for i in range(x.size):
-            for sgn in (1.0, -1.0):
+    fx = np.array(fun(x), dtype=float)
+    step = np.full(fx.shape, float(step0))
+    active = step > step_min
+    # a trial gains when it beats floor = fx + 1e-15; stopped lanes never do
+    floor = np.where(active, fx + 1e-15, np.inf)
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    bounded = (np.isfinite(lower) | np.isfinite(upper)).tolist()
+    while active.any():
+        improved = np.zeros_like(active)
+        for i in range(x.shape[1]):
+            for move in (step, -step):
                 y = x.copy()
-                y[i] = np.clip(y[i] + sgn * step, lower[i], upper[i])
+                y[:, i] += move
+                if bounded[i]:  # clip is the identity on an unbounded coordinate
+                    y[:, i] = y[:, i].clip(lower[i], upper[i])
                 fy = fun(y)
-                if fy > fx + 1e-15:
-                    x, fx = y, fy
-                    improved = True
-        if not improved:
-            step *= 0.5
+                gain = fy > floor
+                if np.count_nonzero(gain):
+                    np.copyto(x, y, where=gain[:, None])
+                    np.copyto(fx, fy, where=gain)
+                    np.copyto(floor, fy + 1e-15, where=gain)
+                    improved |= gain
+        step[active & ~improved] *= 0.5
+        active = step > step_min
+        floor[~active] = np.inf
     return fx, x

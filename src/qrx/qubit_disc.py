@@ -10,18 +10,32 @@ forms are used when they provably apply; otherwise a deterministic coarse
 grid runs over the Bloch coefficients of Q and `_search._pattern_search`
 refines its best point.
 
+A request searches every inequivalent state ordering (3 for three states,
+12 for four), each with its own (A, B, C), and keeps the first best one.
+The orderings are searched together: one objective holds the constants of
+every ordering as arrays over a lane axis, and one pattern search runs all
+lanes in lock-step, one call for the reduced M=3 lanes and one per span
+dimension of the general lanes.  Each lane makes the trials a search of its
+own would make, and its objective value does not depend on the other lanes
+(dots are plain products and sums, never BLAS).
+
 The coarse grid is evaluated as arrays.  In general it runs over
-(c_Q, r_Q in the span of r_A, r_B, r_C) and keeps only the feasible points
-|r_Q| <= min(c_Q, 1 - c_Q); those points are built on first use for each
-span dimension and cached read-only.  For three states (C = 0) the reduced
-(c_Q, phi_Q) grid is one array expression.  The sign test and
-|r|^2 - c^2 of B and C are computed once per search, not per evaluation.
+(c_Q, r_Q in the span of r_A, r_B, r_C), once per ordering, and keeps only
+the feasible points |r_Q| <= min(c_Q, 1 - c_Q); those points are built on
+first use for each span dimension, cached read-only, and evaluated in
+chunks of _GRID_CHUNK points, so the temporaries stay in cache and the
+heap is not returned to the OS and faulted back in.  For three states
+(C = 0) the reduced (c_Q, phi_Q) grid of every ordering is one array
+expression.  The sign test and |r|^2 - c^2 of B and C are computed once
+per search, not per evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, permutations
+from operator import add, mul
 
 import numpy as np
 
@@ -124,23 +138,30 @@ def bloch_state(r_vec, p: float = 1.0) -> BlochOperator:
 # ------------------------------------------------------------ F evaluation
 
 
-def _sandwich_term(x: BlochOperator):
+def _sandwich_term(xs):
     """Tr| sqrt(Q') X sqrt(Q') | as a function of (c_eff, r_eff . r_X,
-    |r_eff|^2), where Q' has Bloch coefficients (c_eff, r_eff).  Works on
-    scalars and arrays; X's sign test and |r_X|^2 - c_X^2 run once here.
+    |r_eff|^2), where Q' has Bloch coefficients (c_eff, r_eff), for one
+    operator X = xs[j] per lane j.  The arguments broadcast against the lane
+    axis, which is last; each lane's sign test and |r_X|^2 - c_X^2 run once
+    here.
 
     For definite-sign X the sandwich keeps the sign, so the trace-abs equals
     |Tr[Q' X]|; otherwise the printed two-square-root qubit form applies.
     """
-    if x.has_definite_sign():
-        return lambda c_eff, rdot, rsq: 2.0 * np.abs(c_eff * x.c + rdot)
-    gap = float(x.r @ x.r) - x.c**2
+    definite = np.array([x.has_definite_sign() for x in xs])
+    xc = np.array([x.c for x in xs])
+    gap = np.array([float(x.r @ x.r) - x.c**2 for x in xs])
+
+    if definite.all():
+        return lambda c_eff, rdot, rsq: 2.0 * np.abs(c_eff * xc + rdot)
+    mixed = definite.any()
 
     def term(c_eff, rdot, rsq):
         # products, not **2: a numpy scalar's **2 calls pow(), which can
         # differ from an array's x*x in the last bit
-        dot = c_eff * x.c + rdot
-        return 2.0 * np.sqrt(np.maximum(dot * dot + gap * (c_eff * c_eff - rsq), 0.0))
+        dot = c_eff * xc + rdot
+        out = 2.0 * np.sqrt(np.maximum(dot * dot + gap * (c_eff * c_eff - rsq), 0.0))
+        return np.where(definite, 2.0 * np.abs(dot), out) if mixed else out
 
     return term
 
@@ -151,9 +172,9 @@ def f_value(q: BlochOperator, a: BlochOperator, b: BlochOperator, c: BlochOperat
         raise ValueError("Q violates 0 <= Q <= 1")
     rsq = float(q.r @ q.r)
     out = 2.0 * (q.c * a.c + float(q.r @ a.r))
-    out += _sandwich_term(b)(q.c, float(q.r @ b.r), rsq)
-    out += _sandwich_term(c)(1.0 - q.c, -float(q.r @ c.r), rsq)
-    return float(out)
+    out += _sandwich_term([b])(q.c, float(q.r @ b.r), rsq)
+    out += _sandwich_term([c])(1.0 - q.c, -float(q.r @ c.r), rsq)
+    return float(out[0])
 
 
 def f_value_matrix(q: BlochOperator, a, b, c) -> float:
@@ -215,6 +236,10 @@ def _span_basis(vectors, tol: float = 1e-12) -> np.ndarray:
 #: grid resolution per scalar dimension for the coarse stage
 _GRID_POINTS = 41
 
+#: feasible grid points per evaluation in _optimize_general: small enough
+#: that the temporaries stay in cache and in the heap
+_GRID_CHUNK = 16384
+
 #: span dimension k -> feasible coarse grid (c_Q, r_Q components), see _feasible_grid
 _GRIDS: dict = {}
 
@@ -225,6 +250,8 @@ def _feasible_grid(k: int) -> tuple:
     Returns read-only arrays (c_Q of shape (n,), r components of shape
     (n, k)) in meshgrid(indexing="ij") ravel order, c_Q outermost.  Built on
     first use one c_Q slice at a time over a single k-D r-mesh, then cached.
+    The r components are the transpose of a (k, n) array, so each component
+    of a chunk of points is contiguous.
     """
     grid = _GRIDS.get(k)
     if grid is None:
@@ -233,31 +260,153 @@ def _feasible_grid(k: int) -> tuple:
         r = np.stack([m.ravel() for m in axes], axis=-1) if k else np.zeros((1, 0))
         rnorm = np.sqrt((r**2).sum(axis=-1))
         keep = [rnorm <= min(cq, 1.0 - cq) for cq in cs]
-        grid = (np.repeat(cs, [m.sum() for m in keep]), np.concatenate([r[m] for m in keep]))
-        for arr in grid:
+        cq = np.repeat(cs, [m.sum() for m in keep])
+        rt = np.concatenate([r[m] for m in keep]).T.copy()
+        for arr in (cq, rt):
             arr.setflags(write=False)
-        _GRIDS[k] = grid
+        grid = _GRIDS[k] = (cq, rt.T)
     return grid
 
 
+def _dot(r, v):
+    """sum_i r[i] * v[i] as plain products and sums, left to right (0.0 for
+    no terms): elementwise, so a lane's value does not depend on the shape
+    it is evaluated in, as BLAS's fused multiply-adds could make it."""
+    return reduce(add, map(mul, r, v)) if len(r) else 0.0
+
+
+def _objective(lanes):
+    """Array objective f(c_Q, r) = F_Q(A, B, C) for lanes of (a, b, c, basis),
+    with r_Q = sum_i r[i] basis[i] (basis rows orthonormal, k per lane).
+    c_Q and each r[i] broadcast against the lane axis, which is last.  The
+    C term is left out when C = 0 in every lane (the M=3 case)."""
+    ac = np.array([a.c for a, *_ in lanes])
+    ra, rb, rc = (list(np.array([lane[3] @ lane[i].r for lane in lanes]).T) for i in range(3))
+    rc = [-x for x in rc]  # r . (-r_C) = -(r . r_C) exactly, one operation fewer
+    term_b = _sandwich_term([b for _, b, _, _ in lanes])
+    term_c = _sandwich_term([c for _, _, c, _ in lanes])
+    has_c = any(c.c != 0.0 or c.r.any() for _, _, c, _ in lanes)
+
+    def f(cq, r):
+        rsq = _dot(r, r)
+        out = 2.0 * (cq * ac + _dot(r, ra))
+        out = out + term_b(cq, _dot(r, rb), rsq)
+        return out + term_c(1.0 - cq, _dot(r, rc), rsq) if has_c else out
+
+    return f
+
+
 def _optimize_general(a, b, c, basis):
-    """Coarse grid over the feasible (c_Q, r_Q components in `basis`).
-    Returns the value, c_Q and r_Q components of the grid's first maximum
-    and the array objective f_components(c_Q, r_components)."""
-    ra, rb, rc = basis @ a.r, basis @ b.r, basis @ c.r
-    term_b, term_c = _sandwich_term(b), _sandwich_term(c)
-
-    def f_components(cq, rcomp):
-        rsq = (rcomp**2).sum(axis=-1)
-        out = 2.0 * (cq * a.c + rcomp @ ra)
-        out = out + term_b(cq, rcomp @ rb, rsq)
-        out = out + term_c(1.0 - cq, -(rcomp @ rc), rsq)
-        return out
-
+    """Coarse grid over the feasible (c_Q, r_Q components in `basis`),
+    evaluated _GRID_CHUNK points at a time.  Returns the value, c_Q and r_Q
+    components of the grid's first maximum."""
+    f = _objective([(a, b, c, basis)])
     cq, rcomp = _feasible_grid(basis.shape[0])
-    vals = f_components(cq, rcomp)
-    best = int(np.argmax(vals))
-    return float(vals[best]), float(cq[best]), rcomp[best], f_components
+    best, at = -np.inf, 0
+    for lo in range(0, cq.size, _GRID_CHUNK):
+        vals = f(cq[lo:lo + _GRID_CHUNK], rcomp[lo:lo + _GRID_CHUNK].T)
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best, at = float(vals[i]), lo + i
+    return best, float(cq[at]), rcomp[at]
+
+
+def _plane_basis(a: BlochOperator, b: BlochOperator) -> np.ndarray:
+    """Two orthonormal rows spanning r_A and r_B (completed if needed)."""
+    basis = _span_basis([a.r, b.r])
+    if basis.shape[0] == 0:
+        basis = np.eye(3)[:1]
+    if basis.shape[0] == 1:
+        # need a full plane to vary phi_Q
+        extra = np.eye(3)[np.argmin(np.abs(basis[0]))]
+        e2 = extra - (extra @ basis[0]) * basis[0]
+        basis = np.vstack([basis[0], e2 / np.linalg.norm(e2)])
+    return basis[:2]
+
+
+def _polar(cq, phi):
+    """r components (1 - c_Q)(cos phi, sin phi) of the reduced M=3 search."""
+    rn = 1.0 - cq
+    return [rn * np.cos(phi), rn * np.sin(phi)]
+
+
+def _cone(x, k: int):
+    """r components of the general search point x = (c_Q, t, angles), one
+    row per lane: r = t * min(c, 1-c) * direction(angles), so the cone
+    constraint becomes the box t in [-1, 1] and the search can slide along
+    its boundary coordinate-wise."""
+    if k == 0:
+        return []
+    scale = x[:, 1] * np.minimum(x[:, 0], 1.0 - x[:, 0])
+    if k == 1:
+        return [scale]
+    if k == 2:
+        return [scale * np.cos(x[:, 2]), scale * np.sin(x[:, 2])]
+    th, ph = x[:, 2], x[:, 3]
+    return [scale * (np.sin(th) * np.cos(ph)), scale * (np.sin(th) * np.sin(ph)),
+            scale * np.cos(th)]
+
+
+def _cone_start(cq0: float, rcomp0: np.ndarray) -> list:
+    """The (c_Q, t, angles) of _cone at a grid point (c_Q, r components)."""
+    k = rcomp0.size
+    rn0 = np.linalg.norm(rcomp0)
+    bound0 = max(min(cq0, 1.0 - cq0), 1e-12)
+    x0 = [cq0, min(rn0 / bound0, 1.0)]
+    if k == 1:
+        x0[1] *= np.sign(rcomp0[0]) if rn0 > 0 else 1.0
+    elif k == 2:
+        x0.append(np.arctan2(rcomp0[1], rcomp0[0]) if rn0 > 0 else 0.0)
+    elif k == 3:
+        x0.append(np.arccos(np.clip(rcomp0[2] / rn0, -1, 1)) if rn0 > 0 else 0.0)
+        x0.append(np.arctan2(rcomp0[1], rcomp0[0]) if rn0 > 0 else 0.0)
+    return x0[: k + 1]
+
+
+def _f_optimize_all(abcs, reduce_m3: bool = True) -> list:
+    """(value, Q*) of f_optimize for each (A, B, C) of `abcs`, with one
+    pattern search per group of like searches run as lanes in lock-step."""
+    found = [None] * len(abcs)
+    m3, general = [], {}
+    for j, (a, b, c) in enumerate(abcs):
+        if reduce_m3 and c.trace_norm() < 1e-14:
+            m3.append((j, (a, b, c, _plane_basis(a, b))))
+        else:
+            basis = _span_basis([a.r, b.r, c.r])
+            general.setdefault(basis.shape[0], []).append((j, (a, b, c, basis)))
+
+    if m3:
+        # reduced search over (c_Q, phi_Q) with c_Q + |r_Q| = 1 and r_Q in
+        # the plane of r_A, r_B; the grid of every lane is one expression
+        f = _objective([lane for _, lane in m3])
+        cs = np.linspace(0.5, 1.0, _GRID_POINTS)
+        phis = np.linspace(0.0, 2 * np.pi, 2 * _GRID_POINTS, endpoint=False)
+        cqm, phim = (m.reshape(-1, 1) for m in np.meshgrid(cs, phis, indexing="ij"))
+        first = np.argmax(f(cqm, _polar(cqm, phim)), axis=0)
+        vals, xs = _pattern_search(
+            lambda y: f(y[:, 0], _polar(*y.T)),
+            np.column_stack([cqm[first, 0], phim[first, 0]]),
+            lower=np.array([0.5, -np.inf]),
+            upper=np.array([1.0, np.inf]),
+        )
+        for (j, (*_, basis)), val, (cq, phi) in zip(m3, vals, xs):
+            rq3 = (1.0 - cq) * (np.cos(phi) * basis[0] + np.sin(phi) * basis[1])
+            found[j] = (float(val), BlochOperator(cq, rq3))
+
+    for k, group in sorted(general.items()):
+        x0 = [_cone_start(*_optimize_general(*lane)[1:]) for _, lane in group]
+        f = _objective([lane for _, lane in group])
+        vals, xs = _pattern_search(
+            lambda y: f(y[:, 0], _cone(y, k)),
+            np.array(x0),
+            lower=np.array([0.0, -1.0, -np.inf, -np.inf][: k + 1]),
+            upper=np.array([1.0, 1.0, np.inf, np.inf][: k + 1]),
+        )
+        rcomp = np.stack(_cone(xs, k), axis=-1) if k else np.zeros((len(group), 0))
+        for (j, (*_, basis)), val, x, rq in zip(group, vals, xs, rcomp):
+            found[j] = (float(val), BlochOperator(x[0], rq @ basis))
+
+    return [_maybe_closed_form(a, b, c, *got) for (a, b, c), got in zip(abcs, found)]
 
 
 def f_optimize(a: BlochOperator, b: BlochOperator, c: BlochOperator, reduce_m3: bool = True):
@@ -270,97 +419,7 @@ def f_optimize(a: BlochOperator, b: BlochOperator, c: BlochOperator, reduce_m3: 
     (c_Q, phi_Q) with c_Q + r_Q = 1 and r_Q in span(r_A, r_B) unless
     `reduce_m3` is disabled.
     """
-    is_m3 = c.trace_norm() < 1e-14
-
-    if is_m3 and reduce_m3:
-        basis = _span_basis([a.r, b.r])
-        if basis.shape[0] == 0:
-            basis = np.eye(3)[:1]
-        if basis.shape[0] == 1:
-            # need a full plane to vary phi_Q
-            extra = np.eye(3)[np.argmin(np.abs(basis[0]))]
-            e2 = extra - (extra @ basis[0]) * basis[0]
-            basis = np.vstack([basis[0], e2 / np.linalg.norm(e2)])
-        basis = basis[:2]
-        ra, rb = basis @ a.r, basis @ b.r
-        term_b = _sandwich_term(b)
-
-        # array or scalar (c_Q, phi_Q); the 2-vector dots are written out
-        # because BLAS may fuse their multiply-add, so a scalar evaluation
-        # equals the grid's value at the same point
-        def f_angle(cq, phi):
-            r0, r1 = (1.0 - cq) * np.cos(phi), (1.0 - cq) * np.sin(phi)
-            tb = term_b(cq, r0 * rb[0] + r1 * rb[1], r0 * r0 + r1 * r1)
-            return 2.0 * (cq * a.c + (r0 * ra[0] + r1 * ra[1])) + tb
-
-        cs = np.linspace(0.5, 1.0, _GRID_POINTS)
-        phis = np.linspace(0.0, 2 * np.pi, 2 * _GRID_POINTS, endpoint=False)
-        i, j = np.unravel_index(np.argmax(f_angle(*np.meshgrid(cs, phis, indexing="ij"))),
-                                (cs.size, phis.size))
-        val, x = _pattern_search(
-            lambda y: f_angle(*y),
-            (cs[i], phis[j]),
-            lower=np.array([0.5, -np.inf]),
-            upper=np.array([1.0, np.inf]),
-        )
-        cq, phi = x
-        rq3 = (1.0 - cq) * (np.cos(phi) * basis[0] + np.sin(phi) * basis[1])
-        best_val, best_q = val, BlochOperator(cq, rq3)
-    else:
-        basis = _span_basis([a.r, b.r, c.r])
-        g_val, cq0, rcomp0, f_components = _optimize_general(a, b, c, basis)
-        k = basis.shape[0]
-
-        if k == 0:
-            val, x = _pattern_search(
-                lambda y: float(f_components(np.array([y[0]]), np.zeros((1, 0)))[0]),
-                np.array([cq0]),
-                lower=np.array([0.0]),
-                upper=np.array([1.0]),
-            )
-            best_val, best_q = val, BlochOperator(x[0], np.zeros(3))
-            return _maybe_closed_form(a, b, c, best_val, best_q)
-
-        # refine in (c_Q, t, angles): r = t * min(c, 1-c) * direction(angles),
-        # so the cone constraint becomes the box t in [-1, 1] and the search
-        # can slide along its boundary coordinate-wise
-        def to_rcomp(x):
-            c_val, t = x[0], x[1]
-            if k == 1:
-                direction = np.ones(1)
-            elif k == 2:
-                direction = np.array([np.cos(x[2]), np.sin(x[2])])
-            else:
-                th, ph = x[2], x[3]
-                direction = np.array(
-                    [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)]
-                )
-            return t * min(c_val, 1.0 - c_val) * direction
-
-        def f_flat(x):
-            return float(f_components(x[0], to_rcomp(x).reshape(1, k))[0])
-
-        n_ang = max(0, k - 1)
-        rn0 = np.linalg.norm(rcomp0)
-        bound0 = max(min(cq0, 1.0 - cq0), 1e-12)
-        x0 = [cq0, min(rn0 / bound0, 1.0)]
-        if k == 1:
-            x0[1] *= np.sign(rcomp0[0]) if rn0 > 0 else 1.0
-        elif k == 2:
-            x0.append(np.arctan2(rcomp0[1], rcomp0[0]) if rn0 > 0 else 0.0)
-        elif k == 3:
-            x0.append(np.arccos(np.clip(rcomp0[2] / rn0, -1, 1)) if rn0 > 0 else 0.0)
-            x0.append(np.arctan2(rcomp0[1], rcomp0[0]) if rn0 > 0 else 0.0)
-        val, x = _pattern_search(
-            f_flat,
-            np.array(x0[: 2 + n_ang]),
-            lower=np.array([0.0, -1.0] + [-np.inf] * n_ang),
-            upper=np.array([1.0, 1.0] + [np.inf] * n_ang),
-        )
-        rq3 = to_rcomp(x) @ basis if k else np.zeros(3)
-        best_val, best_q = val, BlochOperator(x[0], rq3)
-
-    return _maybe_closed_form(a, b, c, best_val, best_q)
+    return _f_optimize_all([(a, b, c)], reduce_m3)[0]
 
 
 def _maybe_closed_form(a, b, c, best_val, best_q):
@@ -428,13 +487,14 @@ def _orderings(n: int):
 
 def _psucc(weighted, reduce_m3: bool = True) -> tuple:
     """(success probability, Q*, ordering) of the best state ordering; the
-    first ordering wins ties."""
+    first ordering wins ties.  All orderings are searched together."""
+    perms = _orderings(len(weighted))
+    ops = [abc_operators([weighted[i] for i in perm]) for perm in perms]
+    found = _f_optimize_all([op[:3] for op in ops], reduce_m3)
     best = (-np.inf, None, None)
-    for perm in _orderings(len(weighted)):
-        a, b, c, pref = abc_operators([weighted[i] for i in perm])
-        val, q = f_optimize(a, b, c, reduce_m3=reduce_m3)
-        if pref + val > best[0]:
-            best = (pref + val, q, perm)
+    for perm, op, (val, q) in zip(perms, ops, found):
+        if op[3] + val > best[0]:
+            best = (op[3] + val, q, perm)
     return best
 
 

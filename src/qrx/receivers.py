@@ -361,9 +361,9 @@ def ts_optimize(alpha: float, n: int = 2) -> tuple:
     grid = [(ts_psucc(alpha, b, r, n), b, r)
             for b in np.linspace(-1.6, 0.0, 17) for r in np.linspace(-0.8, 0.2, 11)]
     best = max(grid, key=lambda t: t[0])  # the first maximum
-    fx, x = _pattern_search(lambda y: ts_psucc(alpha, y[0], y[1], n), best[1:],
-                            (-inf, -inf), (inf, inf), step0=0.1, step_min=1e-7)
-    return fx, x[0], x[1]
+    fx, x = _pattern_search(lambda y: np.array([ts_psucc(alpha, b, r, n) for b, r in y.tolist()]),
+                            [best[1:]], (-inf, -inf), (inf, inf), step0=0.1, step_min=1e-7)
+    return float(fx[0]), float(x[0, 0]), float(x[0, 1])
 
 
 # ------------------------------------------------------------------- Dolinar

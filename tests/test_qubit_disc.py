@@ -375,52 +375,71 @@ def test_cyclic_matches_srm_in_higher_dim():
 
 # ------------------------------------------------------ coarse-grid oracles
 #
-# The coarse grids are evaluated as arrays over the feasible points only.
-# The oracles below are the earlier forms of the same searches: the general
-# grid over the full (c_Q, r_1..r_k) mesh with infeasible points masked to
-# -inf, and the reduced M=3 grid as a scalar double loop with a strict `>`.
-# They use the current objective arithmetic (squares and 2-vector dots as
-# plain products and sums, so a scalar evaluation equals an array element),
-# and f_optimize must return bit-identical (value, Q) with either.
+# The coarse grids are evaluated as arrays over the feasible points only,
+# in chunks.  The oracles below are the earlier forms of the same searches:
+# the general grid over the full (c_Q, r_1..r_k) mesh with infeasible points
+# masked to -inf, and the reduced M=3 grid as a scalar double loop with a
+# strict `>`, followed by one scalar pattern search per ordering.  They use
+# the current objective arithmetic (squares and dots as plain products and
+# sums, left to right, so an array element equals a scalar evaluation), and
+# the searches must return bit-identical (value, Q) with either.
+
+
+def scalar_pattern_search(fun, x0, lower, upper, step0=0.05, step_min=1e-9):
+    """The one-point coordinate search that `_search._pattern_search` runs
+    for each of its lanes: scalar fun, np.clip, one step."""
+    x = np.array(x0, dtype=float)
+    fx = fun(x)
+    step = step0
+    while step > step_min:
+        improved = False
+        for i in range(x.size):
+            for sgn in (1.0, -1.0):
+                y = x.copy()
+                y[i] = np.clip(y[i] + sgn * step, lower[i], upper[i])
+                fy = fun(y)
+                if fy > fx + 1e-15:
+                    x, fx = y, fy
+                    improved = True
+        if not improved:
+            step *= 0.5
+    return fx, x
+
+
+def plain_term(c_eff, rdot, rsq, x):
+    dot = c_eff * x.c + rdot
+    if x.has_definite_sign():
+        return 2.0 * np.abs(dot)
+    gap = float(x.r @ x.r) - x.c**2
+    return 2.0 * np.sqrt(np.maximum(dot * dot + gap * (c_eff * c_eff - rsq), 0.0))
+
+
+def plain_dot(r, v):
+    out = r[0] * v[0]
+    for ri, vi in zip(r[1:], v[1:]):
+        out = out + ri * vi
+    return out
 
 
 def full_mesh_optimize_general(a, b, c, basis):
     """`_optimize_general` over the full mesh, infeasible points masked."""
     k = basis.shape[0]
     ra, rb, rc = basis @ a.r, basis @ b.r, basis @ c.r
-
-    def term_vec(c_eff, rdot, rsq, x):
-        dot = c_eff * x.c + rdot
-        if x.has_definite_sign():
-            return 2.0 * np.abs(dot)
-        gap = float(x.r @ x.r) - x.c**2
-        return 2.0 * np.sqrt(np.maximum(dot * dot + gap * (c_eff * c_eff - rsq), 0.0))
-
-    def f_components(cq, rcomp):
-        rsq = (rcomp**2).sum(axis=-1)
-        out = 2.0 * (cq * a.c + rcomp @ ra)
-        out = out + term_vec(cq, rcomp @ rb, rsq, b)
-        out = out + term_vec(1.0 - cq, -(rcomp @ rc), rsq, c)
-        return out
-
     cs = np.linspace(0.0, 1.0, qd._GRID_POINTS)
-    if k == 0:
-        vals = f_components(cs, np.zeros((cs.size, 0)))
-        best = int(np.argmax(vals))
-        return float(vals[best]), float(cs[best]), np.zeros(0), f_components
-
     mesh = np.meshgrid(cs, *[np.linspace(-0.5, 0.5, qd._GRID_POINTS)] * k, indexing="ij")
-    cq = mesh[0].ravel()
-    rcomp = np.stack([m.ravel() for m in mesh[1:]], axis=-1)
-    ok = np.sqrt((rcomp**2).sum(axis=-1)) <= np.minimum(cq, 1.0 - cq)
-    vals = np.where(ok, f_components(cq, rcomp), -np.inf)
+    cq, r = mesh[0].ravel(), [m.ravel() for m in mesh[1:]]
+    if k:
+        rsq, adot, bdot, cdot = (plain_dot(r, v) for v in (r, ra, rb, -rc))
+    else:
+        rsq = adot = bdot = cdot = 0.0
+    vals = 2.0 * (cq * a.c + adot) + plain_term(cq, bdot, rsq, b)
+    vals = vals + plain_term(1.0 - cq, cdot, rsq, c)
+    vals = np.where(np.sqrt(rsq) <= np.minimum(cq, 1.0 - cq), vals, -np.inf)
     best = int(np.argmax(vals))
-    return float(vals[best]), float(cq[best]), rcomp[best], f_components
+    return float(vals[best]), float(cq[best]), np.array([ri[best] for ri in r])
 
 
-def scalar_loop_f_optimize_m3(a, b, c):
-    """The reduced M=3 branch of f_optimize with its (c_Q, phi_Q) grid as a
-    scalar double loop that keeps the first strict maximum."""
+def oracle_plane_basis(a, b):
     basis = qd._span_basis([a.r, b.r])
     if basis.shape[0] == 0:
         basis = np.eye(3)[:1]
@@ -428,19 +447,19 @@ def scalar_loop_f_optimize_m3(a, b, c):
         extra = np.eye(3)[np.argmin(np.abs(basis[0]))]
         e2 = extra - (extra @ basis[0]) * basis[0]
         basis = np.vstack([basis[0], e2 / np.linalg.norm(e2)])
-    basis = basis[:2]
+    return basis[:2]
+
+
+def scalar_loop_f_optimize_m3(a, b, c):
+    """The reduced M=3 branch of f_optimize with its (c_Q, phi_Q) grid as a
+    scalar double loop that keeps the first strict maximum."""
+    basis = oracle_plane_basis(a, b)
     ra, rb = basis @ a.r, basis @ b.r
 
     def f_angle(x):
         cq, phi = x
         r0, r1 = (1.0 - cq) * np.cos(phi), (1.0 - cq) * np.sin(phi)
-        dot_b = cq * b.c + (r0 * rb[0] + r1 * rb[1])
-        if b.has_definite_sign():
-            tb = 2.0 * abs(dot_b)
-        else:
-            rqsq = r0 * r0 + r1 * r1
-            gap = float(b.r @ b.r) - b.c**2
-            tb = 2.0 * np.sqrt(max(dot_b * dot_b + gap * (cq * cq - rqsq), 0.0))
+        tb = plain_term(cq, r0 * rb[0] + r1 * rb[1], r0 * r0 + r1 * r1, b)
         return 2.0 * (cq * a.c + (r0 * ra[0] + r1 * ra[1])) + tb
 
     grid_best, x_best = -np.inf, None
@@ -449,11 +468,11 @@ def scalar_loop_f_optimize_m3(a, b, c):
             v = f_angle((cq, phi))
             if v > grid_best:
                 grid_best, x_best = v, (cq, phi)
-    val, x = qd._pattern_search(f_angle, x_best, lower=np.array([0.5, -np.inf]),
-                                upper=np.array([1.0, np.inf]))
+    val, x = scalar_pattern_search(f_angle, x_best, lower=np.array([0.5, -np.inf]),
+                                   upper=np.array([1.0, np.inf]))
     cq, phi = x
     rq3 = (1.0 - cq) * (np.cos(phi) * basis[0] + np.sin(phi) * basis[1])
-    return qd._maybe_closed_form(a, b, c, val, BlochOperator(cq, rq3))
+    return qd._maybe_closed_form(a, b, c, float(val), BlochOperator(cq, rq3))
 
 
 def ensemble(rng, n, dim, pure):
@@ -485,14 +504,17 @@ def test_general_grid_matches_full_mesh_oracle(monkeypatch):
         cases += abc_of_orderings(ensemble(rng, 4, dim, pure), limit=3)
     cases += abc_of_orderings(ensemble(rng, 3, 3, False), limit=2)  # M=3, reduce_m3=False
     cases += abc_of_orderings(ensemble(rng, 4, 3, False), limit=2)  # 3-D grid, k = 3
-    dims = set()
-    for a, b, c in cases:
-        dims.add(qd._span_basis([a.r, b.r, c.r]).shape[0])
-        got = f_optimize(a, b, c, reduce_m3=False)
-        with monkeypatch.context() as m:
-            m.setattr(qd, "_optimize_general", full_mesh_optimize_general)
-            want = f_optimize(a, b, c, reduce_m3=False)
-        assert_same(got, want)
+    dims = {qd._span_basis([a.r, b.r, c.r]).shape[0] for a, b, c in cases}
+    got = qd._f_optimize_all(cases, reduce_m3=False)
+    for (a, b, c), one in zip(cases, got):
+        basis = qd._span_basis([a.r, b.r, c.r])
+        (v1, c1, r1), (v2, c2, r2) = (qd._optimize_general(a, b, c, basis),
+                                      full_mesh_optimize_general(a, b, c, basis))
+        assert (v1, c1, r1.tolist()) == (v2, c2, r2.tolist())
+        assert_same(f_optimize(a, b, c, reduce_m3=False), one)
+    monkeypatch.setattr(qd, "_optimize_general", full_mesh_optimize_general)
+    for one, want in zip(got, qd._f_optimize_all(cases, reduce_m3=False)):
+        assert_same(one, want)
     assert dims == {0, 1, 2, 3}
 
 
@@ -503,10 +525,195 @@ def test_m3_grid_matches_scalar_loop_oracle():
     ensembles += [ensemble(rng, 3, dim, pure) for dim in (1, 2, 3) for pure in (True, False)]
     definite = set()
     for weighted in ensembles:
-        for a, b, c in abc_of_orderings(weighted):
+        abcs = abc_of_orderings(weighted)
+        for (a, b, c), got in zip(abcs, qd._f_optimize_all(abcs)):
             definite.add(b.has_definite_sign())
-            assert_same(f_optimize(a, b, c), scalar_loop_f_optimize_m3(a, b, c))
+            assert_same(got, scalar_loop_f_optimize_m3(a, b, c))
     assert definite == {True, False}
+
+
+def test_grid_chunks_do_not_change_results(monkeypatch):
+    rng = np.random.default_rng(61)
+    weighted = ensemble(rng, 4, 3, False)
+    abcs = abc_of_orderings(weighted, limit=4)
+    bases = [qd._span_basis([a.r, b.r, c.r]) for a, b, c in abcs]
+    assert {basis.shape[0] for basis in bases} == {3}
+    grids = [qd._optimize_general(a, b, c, basis) for (a, b, c), basis in zip(abcs, bases)]
+    val, q, perm = qd._psucc(weighted)
+    monkeypatch.setattr(qd, "_GRID_CHUNK", 317)
+    assert qd._feasible_grid(3)[0].size > 100 * 317
+    for (a, b, c), basis, want in zip(abcs, bases, grids):
+        got = qd._optimize_general(a, b, c, basis)
+        assert got[:2] == want[:2] and got[2].tolist() == want[2].tolist()
+    val2, q2, perm2 = qd._psucc(weighted)
+    assert (val2, q2.c, q2.r.tolist(), perm2) == (val, q.c, q.r.tolist(), perm)
+
+
+def test_psucc_calls_the_grid_per_ordering_and_the_search_per_group(monkeypatch):
+    # perfbench's tracer wraps these two module globals; every call must
+    # go through them
+    calls = {"_optimize_general": 0, "_pattern_search": 0}
+
+    def counting(name):
+        inner = getattr(qd, name)
+
+        def stub(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return stub
+
+    for name in calls:
+        monkeypatch.setattr(qd, name, counting(name))
+    rng = np.random.default_rng(67)
+    for n, dim, groups in ((4, 2, 1), (4, 3, 1), (3, 3, 1)):
+        weighted = ensemble(rng, n, dim, False)
+        calls.update(dict.fromkeys(calls, 0))
+        qd._psucc(weighted)
+        assert calls == {"_optimize_general": 12 if n == 4 else 0, "_pattern_search": groups}
+    # two equal states: C = 0 in 2 of the 12 orderings, so two search
+    # groups (reduced M=3 lanes and k = 2 lanes)
+    weighted = ensemble(rng, 4, 3, False)
+    weighted[3] = weighted[1]
+    calls.update(dict.fromkeys(calls, 0))
+    qd._psucc(weighted)
+    assert calls == {"_optimize_general": 10, "_pattern_search": 2}
+
+
+# -------------------------------------------------- per-ordering oracle
+#
+# The search as it was before the orderings ran as lanes of one pattern
+# search: one f_optimize per ordering, the whole feasible grid in one
+# expression with BLAS dot products (`@`), and scalar_pattern_search over a
+# scalar objective.  The lanes change only the last bits of the objective
+# (plain products and sums), so p_succ may move by rounding and a near-tie
+# between orderings may resolve the other way.
+
+
+def oracle_sandwich_term(x):
+    if x.has_definite_sign():
+        return lambda c_eff, rdot, rsq: 2.0 * np.abs(c_eff * x.c + rdot)
+    gap = float(x.r @ x.r) - x.c**2
+
+    def term(c_eff, rdot, rsq):
+        dot = c_eff * x.c + rdot
+        return 2.0 * np.sqrt(np.maximum(dot * dot + gap * (c_eff * c_eff - rsq), 0.0))
+
+    return term
+
+
+_C_ORDER_GRIDS = {}
+
+
+def oracle_optimize_general(a, b, c, basis):
+    k = basis.shape[0]
+    if k not in _C_ORDER_GRIDS:
+        cq, rcomp = qd._feasible_grid(k)
+        _C_ORDER_GRIDS[k] = cq, np.ascontiguousarray(rcomp)
+    ra, rb, rc = basis @ a.r, basis @ b.r, basis @ c.r
+    term_b, term_c = oracle_sandwich_term(b), oracle_sandwich_term(c)
+
+    def f_components(cq, rcomp):
+        rsq = (rcomp**2).sum(axis=-1)
+        out = 2.0 * (cq * a.c + rcomp @ ra)
+        out = out + term_b(cq, rcomp @ rb, rsq)
+        out = out + term_c(1.0 - cq, -(rcomp @ rc), rsq)
+        return out
+
+    cq, rcomp = _C_ORDER_GRIDS[k]
+    vals = f_components(cq, rcomp)
+    best = int(np.argmax(vals))
+    return float(vals[best]), float(cq[best]), rcomp[best], f_components
+
+
+def oracle_f_optimize(a, b, c, reduce_m3=True):
+    if c.trace_norm() < 1e-14 and reduce_m3:
+        basis = oracle_plane_basis(a, b)
+        ra, rb = basis @ a.r, basis @ b.r
+        term_b = oracle_sandwich_term(b)
+
+        def f_angle(cq, phi):
+            r0, r1 = (1.0 - cq) * np.cos(phi), (1.0 - cq) * np.sin(phi)
+            tb = term_b(cq, r0 * rb[0] + r1 * rb[1], r0 * r0 + r1 * r1)
+            return 2.0 * (cq * a.c + (r0 * ra[0] + r1 * ra[1])) + tb
+
+        cs = np.linspace(0.5, 1.0, qd._GRID_POINTS)
+        phis = np.linspace(0.0, 2 * np.pi, 2 * qd._GRID_POINTS, endpoint=False)
+        i, j = np.unravel_index(np.argmax(f_angle(*np.meshgrid(cs, phis, indexing="ij"))),
+                                (cs.size, phis.size))
+        val, (cq, phi) = scalar_pattern_search(lambda y: f_angle(*y), (cs[i], phis[j]),
+                                               np.array([0.5, -np.inf]), np.array([1.0, np.inf]))
+        rq3 = (1.0 - cq) * (np.cos(phi) * basis[0] + np.sin(phi) * basis[1])
+        return qd._maybe_closed_form(a, b, c, val, BlochOperator(cq, rq3))
+    basis = qd._span_basis([a.r, b.r, c.r])
+    _, cq0, rcomp0, f_components = oracle_optimize_general(a, b, c, basis)
+    k = basis.shape[0]
+    if k == 0:
+        val, x = scalar_pattern_search(
+            lambda y: float(f_components(np.array([y[0]]), np.zeros((1, 0)))[0]),
+            np.array([cq0]), np.array([0.0]), np.array([1.0]))
+        return qd._maybe_closed_form(a, b, c, val, BlochOperator(x[0], np.zeros(3)))
+
+    def to_rcomp(x):
+        c_val, t = x[0], x[1]
+        if k == 1:
+            direction = np.ones(1)
+        elif k == 2:
+            direction = np.array([np.cos(x[2]), np.sin(x[2])])
+        else:
+            th, ph = x[2], x[3]
+            direction = np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
+        return t * min(c_val, 1.0 - c_val) * direction
+
+    n_ang = max(0, k - 1)
+    rn0 = np.linalg.norm(rcomp0)
+    bound0 = max(min(cq0, 1.0 - cq0), 1e-12)
+    x0 = [cq0, min(rn0 / bound0, 1.0)]
+    if k == 1:
+        x0[1] *= np.sign(rcomp0[0]) if rn0 > 0 else 1.0
+    elif k == 2:
+        x0.append(np.arctan2(rcomp0[1], rcomp0[0]) if rn0 > 0 else 0.0)
+    else:
+        x0.append(np.arccos(np.clip(rcomp0[2] / rn0, -1, 1)) if rn0 > 0 else 0.0)
+        x0.append(np.arctan2(rcomp0[1], rcomp0[0]) if rn0 > 0 else 0.0)
+    val, x = scalar_pattern_search(
+        lambda x: float(f_components(x[0], to_rcomp(x).reshape(1, k))[0]), np.array(x0),
+        np.array([0.0, -1.0] + [-np.inf] * n_ang), np.array([1.0, 1.0] + [np.inf] * n_ang))
+    return qd._maybe_closed_form(a, b, c, val, BlochOperator(x[0], to_rcomp(x) @ basis))
+
+
+def oracle_psucc(weighted, reduce_m3=True):
+    """(best p_succ, Q*, ordering, p_succ of every ordering): the first
+    ordering wins ties."""
+    best, totals = (-np.inf, None, None), {}
+    for perm in qd._orderings(len(weighted)):
+        a, b, c, pref = abc_operators([weighted[i] for i in perm])
+        val, q = oracle_f_optimize(a, b, c, reduce_m3)
+        totals[perm] = pref + val
+        if pref + val > best[0]:
+            best = (pref + val, q, perm)
+    return (*best, totals)
+
+
+def test_psucc_matches_the_per_ordering_oracle():
+    rng = np.random.default_rng(71)
+    cases = [(ensemble(rng, n, dim, pure), reduce_m3)
+             for n in (3, 4) for dim in (0, 1, 2, 3) for pure in (True, False)
+             for reduce_m3 in ((True, False) if n == 3 else (True,))
+             if dim or not pure]
+    cases += [(ensemble(rng, 4, 2, pure), True) for pure in (True, False) for _ in range(3)]
+    dims, definite = set(), set()
+    for weighted, reduce_m3 in cases:
+        for a, b, c in abc_of_orderings(weighted):
+            dims.add(qd._span_basis([a.r, b.r, c.r]).shape[0])
+            definite.add(b.has_definite_sign())
+        val, q, perm = qd._psucc(weighted, reduce_m3)
+        want, _, want_perm, totals = oracle_psucc(weighted, reduce_m3)
+        assert abs(val - want) <= 1e-15
+        assert -1e-12 <= q.c <= 1.0 + 1e-12 and q.rnorm <= min(q.c, 1.0 - q.c) + 1e-12
+        if perm != want_perm:
+            assert totals[perm] >= want - 1e-15
+    assert dims == {0, 1, 2, 3} and definite == {True, False}
 
 
 def test_feasible_grid_is_cached_read_only():
