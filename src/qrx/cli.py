@@ -181,7 +181,7 @@ def _sweep_point(kind: str, alpha: float, steps: int):
     """(alpha^2, p_succ, p_helstrom, gap, *receivers.PARAMS[kind]); Dolinar
     runs over `steps` copies report no parameters."""
     if steps > 1:
-        p, params = receivers.dolinar_multistep(alpha, steps, receivers.ReceiverSpec(kind)), ()
+        p, params = receivers.dolinar_multistep(alpha, steps, kind), ()
     else:
         p, *params = receivers.optimize(kind, alpha)
     p_hel = 1.0 - receivers.helstrom_bpsk(alpha)
@@ -320,6 +320,9 @@ def _cmd_gaussian_check(args) -> int:
         raise ConfigError(f"input is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or not ("state" in payload or "channel" in payload):
         raise ConfigError("input must be a JSON object with 'state' and/or 'channel'")
+    for field, keys in (("state", "'mean', 'cov'"), ("channel", "'A', 'B', 'b'")):
+        if not isinstance(payload.get(field, {}), dict):
+            raise ConfigError(f"field {field!r} must be a JSON object with {keys}")
     report: dict = {}
     if "state" in payload:
         spec = payload["state"]

@@ -5,12 +5,16 @@ so the vacuum quadrature variance is 1/2 and the vacuum Wigner function is
 W(q, p) = (1/pi) exp(-(q^2 + p^2)) with integral normalization
 int dq dp W = Tr[rho].  A coherent amplitude alpha sits at
 (q, p) = (sqrt(2) Re alpha, sqrt(2) Im alpha).
+
+Everything here runs on numpy alone: log k! comes from one running-sum
+table (`_log_factorials`) and Laguerre polynomials from their recurrence.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import ceil, cosh, sinh, sqrt, tanh
 
 import numpy as np
@@ -29,10 +33,12 @@ def auto_cutoff(energy: float) -> int:
     return int(ceil(energy + 10.0 * sqrt(energy) + 20.0))
 
 
+@lru_cache(maxsize=64)
 def _log_factorials(n: int) -> np.ndarray:
-    from scipy.special import gammaln
-
-    return gammaln(np.arange(n + 1) + 1.0)
+    """log k! for k = 0..n, as a running sum of log k; cached, so read-only."""
+    lf = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, n + 1)))))
+    lf.setflags(write=False)
+    return lf
 
 
 @dataclass(frozen=True)
@@ -142,18 +148,6 @@ def quadrature_operator(cutoff: int, phi: float = 0.0) -> FockOperator:
     return FockOperator(m, cutoff)
 
 
-def displacement_operator(beta: complex, cutoff: int | None = None) -> FockOperator:
-    """Weyl operator D(beta) = exp(beta a^dag - beta* a), exactly unitary on
-    the truncated space (anti-Hermitian truncated generator)."""
-    if cutoff is None:
-        cutoff = auto_cutoff(abs(beta) ** 2)
-    from scipy.linalg import expm
-
-    a = annihilation(cutoff).matrix
-    gen = beta * a.conj().T - np.conj(beta) * a
-    return FockOperator(expm(gen), cutoff)
-
-
 # ------------------------------------------------------------------- states
 
 
@@ -192,14 +186,12 @@ def coherent_overlap(alpha: complex, beta: complex) -> complex:
 
 def _squeezed_coeffs(r: float, n_pairs: int) -> np.ndarray:
     """c_l(r) = (cosh r)^{-1/2} sqrt((2l)!)/(2^l l!) (-tanh r)^l, l=0..n_pairs."""
-    from scipy.special import gammaln
-
     ls = np.arange(n_pairs + 1)
     if r == 0.0:
         return np.where(ls == 0, 1.0, 0.0)
     t = np.tanh(r)
-    mag = np.exp(0.5 * gammaln(2 * ls + 1.0) - ls * np.log(2.0) - gammaln(ls + 1.0)
-                 + ls * np.log(abs(t)))
+    lf = _log_factorials(2 * n_pairs)
+    mag = np.exp(0.5 * lf[2 * ls] - ls * np.log(2.0) - lf[ls] + ls * np.log(abs(t)))
     signs = np.where(ls % 2 == 0, 1.0, -np.sign(t))
     return mag * signs / sqrt(np.cosh(r))
 
@@ -360,10 +352,10 @@ def wigner(rho: FockOperator, q_axis, p_axis) -> WignerGrid:
         W = (1/pi) e^{-|beta|^2/2} Re sum_{m<=n} w_mn rho_mn (-1)^m
             sqrt(m!/n!) beta^{n-m} L_m^{(n-m)}(|beta|^2),
 
-    w_mm = 1 and w_mn = 2 above the diagonal, evaluated over the whole grid
-    at once for each (m, n) pair."""
-    from scipy.special import eval_genlaguerre
-
+    w_mm = 1 and w_mn = 2 above the diagonal.  For each j = n - m the
+    Laguerre polynomials L_m^{(j)} over the whole grid come from the
+    three-term recurrence in m, m L_m = (2m - 1 + j - x) L_{m-1}
+    - (m - 1 + j) L_{m-2}."""
     q_axis = np.asarray(q_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
     qg, pg = np.meshgrid(q_axis, p_axis, indexing="ij")
@@ -373,21 +365,17 @@ def wigner(rho: FockOperator, q_axis, p_axis) -> WignerGrid:
     x = np.abs(beta) ** 2
     lf = _log_factorials(dim - 1)
 
-    total = np.zeros(qg.shape, dtype=float)
-    # diagonal j = n - m = 0
-    for m in range(dim):
-        rmm = m_rho[m, m].real
-        if rmm != 0.0:
-            total += ((-1.0) ** m) * rmm * eval_genlaguerre(m, 0, x)
-    acc = np.zeros(qg.shape, dtype=complex)
-    for j in range(1, dim):
-        betaj = beta**j
+    total = np.zeros(qg.shape, dtype=complex)
+    betaj = np.ones(qg.shape, dtype=complex)
+    for j in range(dim):
+        lag_prev, lag = np.zeros(qg.shape), np.ones(qg.shape)
+        band = np.zeros(qg.shape, dtype=complex)
         for m in range(dim - j):
-            n = m + j
-            r_mn = m_rho[m, n]
-            if r_mn == 0.0:
-                continue
-            pref = np.exp(0.5 * (lf[m] - lf[n]))  # sqrt(m!/n!)
-            acc += ((-1.0) ** m) * r_mn * pref * betaj * eval_genlaguerre(m, j, x)
-    total += 2.0 * acc.real
-    return WignerGrid(q_axis, p_axis, total * np.exp(-0.5 * x) / np.pi)
+            if m > 0:
+                lag_prev, lag = lag, ((2 * m - 1 + j - x) * lag - (m - 1 + j) * lag_prev) / m
+            r_mn = m_rho[m, m + j]
+            if r_mn != 0.0:
+                band += ((-1.0) ** m * np.exp(0.5 * (lf[m] - lf[m + j])) * r_mn) * lag
+        total += (2.0 if j else 1.0) * betaj * band
+        betaj = betaj * beta
+    return WignerGrid(q_axis, p_axis, total.real * np.exp(-0.5 * x) / np.pi)

@@ -133,11 +133,6 @@ def symplectic(kind: str, params) -> np.ndarray:
     raise ValueError(f"unknown symplectic kind {kind!r}")
 
 
-def is_symplectic(s: np.ndarray, tol: float = 1e-10) -> bool:
-    n = s.shape[0] // 2
-    return bool(np.max(np.abs(s @ omega(n) @ s.T - omega(n))) < tol)
-
-
 def apply_symplectic(s: np.ndarray, state: GaussianState) -> GaussianState:
     return GaussianState(s @ state.mean, s @ state.cov @ s.T)
 

@@ -28,10 +28,6 @@ def shannon_entropy(dist) -> float:
     return float(-_xlog2x(np.clip(p, 0.0, None)).sum())
 
 
-def binary_entropy(p: float) -> float:
-    return shannon_entropy([p, 1.0 - p])
-
-
 def mutual_information(joint) -> float:
     """I(X:Y) in bits from a joint probability matrix p(x, y)."""
     pxy = np.asarray(joint, dtype=float)

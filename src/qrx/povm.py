@@ -320,8 +320,18 @@ def povm_to_json(povm: Povm) -> str:
 
 
 def povm_from_json(text: str) -> Povm:
+    """Inverse of povm_to_json; malformed input raises a ValueError that
+    names the field."""
     data = json.loads(text)
-    elements = [
-        np.array([[complex(re, im) for re, im in row] for row in e]) for e in data["elements"]
-    ]
+    if not isinstance(data, dict) or not isinstance(data.get("elements"), list):
+        raise ValueError("POVM JSON must be an object with an 'elements' list")
+    if not isinstance(data.get("labels", []), list):
+        raise ValueError("POVM JSON field 'labels' must be a list")
+    elements = []
+    for i, e in enumerate(data["elements"]):
+        try:
+            elements.append(np.array([[complex(re, im) for re, im in row] for row in e]))
+        except (TypeError, ValueError):
+            raise ValueError(f"POVM JSON field 'elements'[{i}] must be a matrix of "
+                             "[re, im] number pairs") from None
     return Povm(elements, labels=data.get("labels"))

@@ -28,6 +28,10 @@ heap is not returned to the OS and faulted back in.  For three states
 (C = 0) the reduced (c_Q, phi_Q) grid of every ordering is one array
 expression.  The sign test and |r|^2 - c^2 of B and C are computed once
 per search, not per evaluation.
+
+Cyclic-symmetric pure-state sets {U^l psi0} of any dimension have a closed
+form in the Gram spectrum (`cyclic_symmetric_perr`); the polytope
+construction cross-checks equiprobable pure qubit sets.
 """
 
 from __future__ import annotations
@@ -575,40 +579,14 @@ def polytope_ratio_psucc(r_vectors) -> float:
 
 def cyclic_symmetric_perr(psi0: np.ndarray, u: np.ndarray, m: int) -> float:
     """Minimum error probability for the cyclic-symmetric pure-state set
-    {U^l |psi0>, 1/M}: 1 - |sum_k lambda_k^{-1/2} |<d_k|psi0>|^2|^2, with
-    {|d_k>} the common eigenbasis of U and the average state (eigenvalues
-    lambda_k / M)."""
-    from scipy.linalg import schur
+    {U^l |psi0>, l = 0..M-1, priors 1/M} with U^M = 1.
 
-    psi0 = np.asarray(psi0, dtype=complex)
+    The set is geometrically uniform, so the square-root measurement is
+    optimal and P_succ = (Tr sqrt(G) / M)^2, G being the Gram matrix
+    <psi_k|psi_l> of the set (Ban et al., IJTP 36, 1269 (1997))."""
     u = np.asarray(u, dtype=complex)
-    if m == 1:
-        return 0.0
-    states = [psi0]
+    states = [np.asarray(psi0, dtype=complex)]
     for _ in range(m - 1):
         states.append(u @ states[-1])
-    rho_avg = sum(np.outer(s, s.conj()) for s in states) / m
-
-    # common eigenbasis: Schur-diagonalize U, then diagonalize the average
-    # state inside each (possibly degenerate) U-eigenspace
-    t, q = schur(u, output="complex")
-    phases = np.diag(t)
-    order = np.argsort(np.angle(phases))
-    q = q[:, order]
-    phases = phases[order]
-    total = 0.0
-    i = 0
-    d = len(psi0)
-    while i < d:
-        j = i
-        while j + 1 < d and abs(phases[j + 1] - phases[i]) < 1e-9:
-            j += 1
-        block = q[:, i : j + 1]
-        w, v = np.linalg.eigh(block.conj().T @ rho_avg @ block)
-        basis = block @ v
-        for k in range(basis.shape[1]):
-            lam = m * w[k]
-            if lam > 1e-13:
-                total += abs(np.vdot(basis[:, k], psi0)) ** 2 / np.sqrt(lam)
-        i = j + 1
-    return float(1.0 - total**2)
+    s = np.array(states)
+    return float(1.0 - (np.trace(sqrt_psd(s.conj() @ s.T)).real / m) ** 2)

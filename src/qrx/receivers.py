@@ -21,7 +21,6 @@ free parameters its optimizer returns, `DOLINAR_BASES` the kinds that
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import erf, exp, factorial, inf, lgamma, log, sqrt
 
 import numpy as np
@@ -35,25 +34,6 @@ PARAMS = {"helstrom": (), "homodyne": (), "kennedy": (), "opt_kennedy": ("beta",
           "ts": ("beta", "r")}
 #: receiver kinds that dolinar_multistep can repeat over copies
 DOLINAR_BASES = ("kennedy", "opt_kennedy", "nhpa", "dephaser")
-
-
-@dataclass(frozen=True)
-class ReceiverSpec:
-    kind: str
-    params: dict = field(default_factory=dict)
-    p_plus: float = 0.5
-
-    def __post_init__(self):
-        if self.kind not in PARAMS:
-            raise ValueError(f"unknown receiver kind {self.kind!r}")
-        if not 0.0 <= self.p_plus <= 1.0:
-            raise ValueError("p_plus must lie in [0, 1]")
-        g = self.params.get("g")
-        if g is not None and g < 1:
-            raise ValueError("gain g must be >= 1")
-        n = self.params.get("n")
-        if n is not None and (int(n) != n or n < 1):
-            raise ValueError("cutoff n must be a positive integer")
 
 
 # ------------------------------------------------------------------ baselines
@@ -290,14 +270,13 @@ def cavity_psucc(alpha: float, beta, rho: fock.FockOperator = None):
     broadcasts over real beta.  `rho` is a field from
     `_cavity_field(alpha, beta_max)` with beta_max >= |beta|, shared between
     probes; built here if omitted."""
-    from scipy.special import gammaln
-
     beta = np.asarray(beta, dtype=float)
     if rho is None:
         rho = _cavity_field(alpha, float(np.max(np.abs(beta))))
     ks = np.arange(rho.cutoff + 1)
     b = beta[..., None]
-    coh = b**ks * np.exp(-0.5 * b**2 - 0.5 * gammaln(ks + 1.0))  # <k|beta>
+    # <k|beta>
+    coh = b**ks * np.exp(-0.5 * b**2 - 0.5 * fock._log_factorials(rho.cutoff))
     deficit = 1.0 - np.sum(coh**2, axis=-1)
     if np.any(deficit > fock.TRUNCATION_TOL):
         raise fock.TruncationError(
@@ -330,14 +309,13 @@ def ts_psucc(alpha: float, beta: float, r: float, n: int = 2, k_max: int = None)
     1 - 4 alpha^2/(k_max + 2); a TruncationError is raised when that bound
     exceeds fock.TRUNCATION_TOL.
     """
-    from scipy.special import gammaln
-
     if k_max is None:
         k_max = fock.auto_cutoff(4.0 * alpha**2 + beta**2 + np.sinh(r) ** 2 + 1.0)
     amps = fock.squeezed_displaced_state(beta, r, cutoff=k_max).amps
     p0_minus = abs(amps[0]) ** 2
     ks = np.arange(k_max + 1)
-    bra2a = np.exp(-2.0 * alpha**2 + ks * np.log(2.0 * alpha) - 0.5 * gammaln(ks + 1.0)) \
+    bra2a = np.exp(-2.0 * alpha**2 + ks * np.log(2.0 * alpha)
+                   - 0.5 * fock._log_factorials(k_max)) \
         if alpha > 0 else np.where(ks == 0, exp(-2.0 * alpha**2), 0.0)
     mu = 4.0 * alpha**2
     tail = 0.0 if mu == 0.0 else 1.0 if mu >= k_max + 2 else min(
@@ -380,32 +358,32 @@ def _step_probs(a: float, beta, g, n: int, orient) -> tuple:
 #: posteriors per optimizer call in dolinar_multistep; bounds the arrays of
 #: one call (256 x 28 configurations x 81 points) whatever the step count
 _DOLINAR_CHUNK = 256
+#: finite gains the nhpa base of dolinar_multistep chooses from, besides g = inf
+_DOLINAR_GAINS = np.geomspace(1.0, 100.0, 13)
 
 
-def dolinar_multistep(alpha: float, n_steps: int, base: ReceiverSpec = None) -> float:
+def dolinar_multistep(alpha: float, n_steps: int, base: str = "opt_kennedy") -> float:
     """Greedy multi-copy receiver: split |+-alpha> into n_steps copies of
     amplitude alpha/sqrt(n_steps); at each step re-optimize the base receiver
-    for the current Bayes priors (also choosing which state to null), update
-    the priors on the outcome, and MAP-decide at the end.
+    (one of DOLINAR_BASES, dephaser and nhpa at cutoff n = 2) for the current
+    Bayes priors (also choosing which state to null), update the priors on
+    the outcome, and MAP-decide at the end.
 
     The tree of outcomes is solved breadth first: the beta searches of the
     posteriors of a step, for both orientations and every gain, are one
     optimizer call per _DOLINAR_CHUNK posteriors; the result sums leaf
     weight x max(p, 1 - p)."""
-    if base is None:
-        base = ReceiverSpec("opt_kennedy")
-    if base.kind not in DOLINAR_BASES:
-        raise ValueError(f"unsupported Dolinar base {base.kind!r}, need one of {DOLINAR_BASES}")
+    if base not in DOLINAR_BASES:
+        raise ValueError(f"unsupported Dolinar base {base!r}, need one of {DOLINAR_BASES}")
     if int(n_steps) != n_steps or n_steps < 1:
         raise ValueError("n_steps must be a positive integer")
     a = alpha / sqrt(n_steps)
-    if base.kind in ("kennedy", "opt_kennedy"):
+    if base in ("kennedy", "opt_kennedy"):
         g_choices, n_cut = (1.0,), 1
-    elif base.kind == "dephaser":
-        g_choices, n_cut = (inf,), int(base.params.get("n", 2))
+    elif base == "dephaser":
+        g_choices, n_cut = (inf,), 2
     else:
-        g_choices = tuple(base.params.get("g_grid", np.geomspace(1.0, 100.0, 13))) + (inf,)
-        n_cut = int(base.params.get("n", 2))
+        g_choices, n_cut = tuple(_DOLINAR_GAINS) + (inf,), 2
     # configurations (orient, g), orient-major: the order of preference on ties
     cfg_o = np.repeat([-1.0, 1.0], len(g_choices))
     cfg_g = np.tile(np.array(g_choices, dtype=float), 2)
@@ -440,33 +418,6 @@ def dolinar_multistep(alpha: float, n_steps: int, base: ReceiverSpec = None) -> 
 
 
 # -------------------------------------------------------------- dispatching
-
-
-def receiver_psucc(spec: ReceiverSpec, alpha: float) -> float:
-    """Success probability of the given receiver at amplitude alpha,
-    optimizing any free parameters deterministically."""
-    p = spec.params
-    if spec.kind == "helstrom":
-        return 1.0 - helstrom_bpsk(alpha, spec.p_plus)
-    if spec.kind == "kennedy" and "beta" in p:
-        return kennedy_psucc(alpha, p["beta"])
-    if spec.kind == "nhpa" and "g" in p:
-        if "beta" in p:
-            return nhpa_psucc(alpha, p["beta"], p["g"], p.get("n", 2))
-        return nhpa_optimize_beta(alpha, p["g"], p.get("n", 2))[0]
-    if spec.kind == "dephaser":
-        n, kind = p.get("n", 2), p.get("variant", "amp_inf")
-        if "beta" in p:
-            return dephaser_psucc(alpha, p["beta"], n, kind)
-        return dephaser_optimize(alpha, n, kind)[0]
-    if spec.kind == "cavity" and "beta" in p:
-        return cavity_psucc(alpha, p["beta"])
-    if spec.kind == "ts":
-        n = p.get("n", 2)
-        if "beta" in p and "r" in p:
-            return ts_psucc(alpha, p["beta"], p["r"], n)
-        return ts_optimize(alpha, n)[0]
-    return optimize(spec.kind, alpha)[0]
 
 
 def optimize(kind: str, alpha: float) -> tuple:

@@ -116,8 +116,7 @@ def test_bpsk_sweep_steps_run_on_every_dolinar_base(tmp_path, receiver):
     assert code == 0
     header, rows = parse_csv(text)
     assert header == ["alpha_sq", "p_succ", "p_helstrom", "gap"]
-    spec = receivers.ReceiverSpec(receiver)
-    assert float(rows[0][1]) == receivers.dolinar_multistep(0.4, 2, spec)
+    assert float(rows[0][1]) == receivers.dolinar_multistep(0.4, 2, receiver)
 
 
 def test_bpsk_sweep_rejects_bad_grid(tmp_path):
@@ -333,6 +332,31 @@ def test_gaussian_check_rejects_bad_json(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, payload, field", [
+    ("tree-decompose", {}, "'elements'"),
+    ("tree-decompose", [1, 2], "'elements'"),
+    ("tree-decompose", {"elements": [[[1]]]}, "'elements'[0]"),
+    ("gaussian-check", {"state": 5}, "'state'"),
+    ("gaussian-check", {"channel": [1]}, "'channel'"),
+])
+def test_wrong_json_types_are_config_errors(tmp_path, capsys, command, payload, field):
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(payload))
+    code, _ = run_cli([command, "--in", str(src)], tmp_path)
+    assert code == 2
+    assert field in capsys.readouterr().err
+
+
+def test_gaussian_check_missing_keys_stay_unphysical(tmp_path):
+    src = tmp_path / "g.json"
+    src.write_text(json.dumps({"state": {"mean": [0.0, 0.0]}, "channel": {}}))
+    code, text = run_cli(["gaussian-check", "--in", str(src)], tmp_path)
+    assert code == 0
+    report = json.loads(text)
+    assert report["state"] == {"physical": False, "reason": "'cov'"}
+    assert report["channel"] == {"physical": False, "reason": "'A'"}
+
+
 # ----------------------------------------------------------------- config
 
 
@@ -430,7 +454,9 @@ def test_import_cli_loads_no_scipy_or_numba():
     ["hadamard-rates", "--M", "4", "--N", "2,4,...,64", "--kernel", "realistic",
      "--E-grid", "log:0.001:1:6"],
     ["bpsk-sweep", "--receiver", "nhpa", "--alpha-grid", "0.05:1.0:10"],
-], ids=["hadamard-rates", "bpsk-sweep-nhpa"])
+    ["bpsk-sweep", "--receiver", "ts", "--alpha-grid", "0.05:1.0:4"],
+    ["bpsk-sweep", "--receiver", "cavity", "--alpha-grid", "0.05:1.0:10"],
+], ids=["hadamard-rates", "bpsk-sweep-nhpa", "bpsk-sweep-ts", "bpsk-sweep-cavity"])
 def test_fresh_request_loads_no_scipy(tmp_path, args):
     fresh = tmp_path / "fresh"
     argv = args + ["--out", str(fresh)]
@@ -440,6 +466,46 @@ def test_fresh_request_loads_no_scipy(tmp_path, args):
     assert (code, loaded) == (0, [])
     assert run_cli(args, tmp_path, "in_process")[0] == 0
     assert fresh.read_bytes() == (tmp_path / "in_process").read_bytes()
+
+
+def test_everything_runs_with_scipy_blocked(tmp_path):
+    # every CLI command and the kernels that once called scipy, in a fresh
+    # interpreter where `import scipy` fails; CLI outputs match in-process runs
+    povm_json = tmp_path / "p.json"
+    povm_json.write_text(povm.povm_to_json(povm.Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])))
+    gauss_json = tmp_path / "g.json"
+    gauss_json.write_text(json.dumps({"state": {"mean": [0.0, 0.0], "cov": [[0.5, 0], [0, 0.5]]}}))
+    commands = [
+        ["bpsk-sweep", "--receiver", "ts", "--alpha-grid", "0.3:0.6:2"],
+        ["bpsk-sweep", "--receiver", "cavity", "--alpha-grid", "0.3:0.6:2"],
+        ["bpsk-sweep", "--receiver", "nhpa", "--steps", "2", "--alpha-grid", "0.4:0.4:1"],
+        ["hadamard-rates", "--M", "4", "--N", "2,4", "--kernel", "realistic",
+         "--E-grid", "log:0.01:0.1:2"],
+        ["qubit-disc", "--in", str(trine_csv(tmp_path))],
+        ["tree-decompose", "--in", str(povm_json)],
+        ["gaussian-check", "--in", str(gauss_json)],
+    ]
+    blocked = [args + ["--out", str(tmp_path / f"blocked{i}")] for i, args in enumerate(commands)]
+    blocked.append(["figures", "--points", "2", "--outdir", str(tmp_path / "blocked_figures")])
+    out = run_fresh(f"""
+import json, sys
+sys.modules["scipy"] = None
+import numpy as np
+from qrx import cli, fock, qubit_disc
+codes = [cli.main(argv) for argv in {blocked!r}]
+axis = np.linspace(-3.0, 3.0, 7)
+fock.wigner(fock.coherent_state(0.5 + 0.2j, 20).to_operator(), axis, axis)
+fock.squeezed_state(0.3, 40)
+fock.loss_kraus(0.7, 6)
+swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+print(json.dumps([codes, qubit_disc.cyclic_symmetric_perr(np.array([1.0, 0.0]), swap, 2)]))
+""")
+    codes, perr = json.loads(out.splitlines()[-1])  # figures lists its files first
+    assert codes == [0] * len(blocked) and abs(perr) < 1e-12
+    for i, args in enumerate(commands):
+        assert run_cli(args, tmp_path, f"in_process{i}")[0] == 0
+        assert (tmp_path / f"blocked{i}").read_bytes() == (tmp_path / f"in_process{i}").read_bytes()
+    assert len(os.listdir(tmp_path / "blocked_figures")) == 4
 
 
 def test_tracer_hooks_exist():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
-from scipy.special import gammaln
+from scipy.special import eval_genlaguerre, gammaln
 
 from qrx import ConvergenceError, TruncationError, fock, povm
 
@@ -20,6 +20,35 @@ def squeeze_operator(r, cutoff):
     exponential of the truncated generator."""
     a = fock.annihilation(cutoff).matrix
     return expm(-0.5 * r * (a.conj().T @ a.conj().T - a @ a))
+
+
+def displacement_operator(beta, cutoff):
+    """Oracle: D(beta) = exp(beta a^dag - beta* a) as a dense matrix
+    exponential of the truncated (anti-Hermitian) generator, so exactly
+    unitary on the truncated space."""
+    a = fock.annihilation(cutoff).matrix
+    return fock.FockOperator(expm(beta * a.conj().T - np.conj(beta) * a), cutoff)
+
+
+def laguerre_wigner(rho, q_axis, p_axis):
+    """Oracle: the displaced-parity Wigner sum of `fock.wigner`, with each
+    L_m^{(n-m)} from scipy's eval_genlaguerre and the diagonal and
+    off-diagonal terms summed in separate loops."""
+    qg, pg = np.meshgrid(q_axis, p_axis, indexing="ij")
+    m_rho = rho.matrix
+    dim = m_rho.shape[0]
+    beta = np.sqrt(2.0) * (qg + 1j * pg)
+    x = np.abs(beta) ** 2
+    lf = gammaln(np.arange(dim) + 1.0)
+    total = np.zeros(qg.shape)
+    for m in range(dim):
+        total += (-1.0) ** m * m_rho[m, m].real * eval_genlaguerre(m, 0, x)
+    acc = np.zeros(qg.shape, dtype=complex)
+    for j in range(1, dim):
+        for m in range(dim - j):
+            acc += ((-1.0) ** m * m_rho[m, m + j] * np.exp(0.5 * (lf[m] - lf[m + j]))
+                    * beta**j * eval_genlaguerre(m, j, x))
+    return (total + 2.0 * acc.real) * np.exp(-0.5 * x) / np.pi
 
 
 def matrix_squeezed_displaced_state(beta, r, cutoff):
@@ -111,22 +140,22 @@ def test_coherent_truncation_error():
 
 
 def test_displacement_identity_at_zero():
-    d = fock.displacement_operator(0.0, cutoff=6)
+    d = displacement_operator(0.0, cutoff=6)
     assert np.allclose(d.matrix, np.eye(7))
 
 
 def test_weyl_composition_rule():
     # D(a)D(b) = exp((a b* - a* b)/2) D(a+b)
     a, b, c = 0.5, 0.2j, 80
-    lhs = fock.displacement_operator(a, c).matrix @ fock.displacement_operator(b, c).matrix
+    lhs = displacement_operator(a, c).matrix @ displacement_operator(b, c).matrix
     phase = np.exp(0.5 * (a * np.conj(b) - np.conj(a) * b))
-    rhs = phase * fock.displacement_operator(a + b, c).matrix
+    rhs = phase * displacement_operator(a + b, c).matrix
     assert np.max(np.abs(lhs[:40, :40] - rhs[:40, :40])) < 1e-8
 
 
 def test_displacement_vs_coherent_constructor():
     beta = 1.2
-    d = fock.displacement_operator(beta, 60)
+    d = displacement_operator(beta, 60)
     v = d.apply(fock.coherent_state(0.0, 60))
     w = fock.coherent_state(beta, 60)
     fid = abs(w.inner(v)) ** 2
@@ -134,9 +163,16 @@ def test_displacement_vs_coherent_constructor():
 
 
 def test_displacement_unitary_on_subspace():
-    d = fock.displacement_operator(0.8 + 0.1j, 50).matrix
+    d = displacement_operator(0.8 + 0.1j, 50).matrix
     g = d.conj().T @ d
     assert np.max(np.abs(g[:40, :40] - np.eye(50 + 1)[:40, :40])) < 1e-8
+
+
+def test_log_factorials_match_gammaln():
+    lf, ref = fock._log_factorials(300), gammaln(np.arange(301) + 1.0)
+    assert not lf.flags.writeable  # the table is cached and shared
+    assert lf[:2].tolist() == [0.0, 0.0] == ref[:2].tolist()
+    assert np.max(np.abs(lf[2:] - ref[2:]) / ref[2:]) < 2e-15
 
 
 def test_squeezed_state_r0_is_vacuum():
@@ -319,6 +355,15 @@ class TestWigner:
         qg, pg = np.meshgrid(qs, qs, indexing="ij")
         c, s = np.sqrt(2) * alpha.real, np.sqrt(2) * alpha.imag
         assert np.max(np.abs(w.values - np.exp(-((qg - c) ** 2 + (pg - s) ** 2)) / np.pi)) < 1e-8
+
+    def test_recurrence_matches_laguerre_oracle(self):
+        rng = np.random.default_rng(11)
+        qs = np.linspace(-6, 6, 49)
+        for dim in (1, 2, 5, 17, 40):
+            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            rho = fock.FockOperator(a @ a.conj().T / np.trace(a @ a.conj().T), dim - 1)
+            got = fock.wigner(rho, qs, qs[::2]).values
+            assert np.max(np.abs(got - laguerre_wigner(rho, qs, qs[::2]))) < 1e-14
 
     def test_grid_normalization(self):
         # >= 6 sigma coverage, integral within 2% of the trace

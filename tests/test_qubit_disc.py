@@ -373,6 +373,83 @@ def test_cyclic_matches_srm_in_higher_dim():
     assert perr == pytest.approx(1 - p_succ, abs=1e-10)
 
 
+def random_cyclic_set(seed, m=None, eigenvalues=None):
+    """(psi0, U, M, -1 is a degenerate eigenvalue of U) for a seeded
+    cyclic-symmetric set: U = Q diag(eigenvalues) Q^dag with a random
+    unitary Q and, by default, random M-th roots of unity as eigenvalues, so
+    U^M = 1; psi0 is a random unit vector."""
+    rng = np.random.default_rng(seed)
+    if eigenvalues is None:
+        d, m = int(rng.integers(2, 6)), int(rng.integers(2, 7))
+        ks = rng.integers(0, m, size=d)
+        eigenvalues = np.exp(2j * np.pi * ks / m)
+        degenerate = m % 2 == 0 and np.sum(ks == m // 2) > 1
+    else:
+        d, degenerate = len(eigenvalues), list(eigenvalues).count(-1) > 1
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    u = (q * np.asarray(eigenvalues)) @ q.conj().T
+    psi0 = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return psi0 / np.linalg.norm(psi0), u, m, degenerate
+
+
+def schur_cyclic_perr(psi0, u, m):
+    """Oracle: the earlier route, 1 - (sum_k lambda_k^{-1/2} |<d_k|psi0>|^2)^2
+    over the common eigenbasis {d_k} of U (Schur form, eigenvalues sorted by
+    angle and grouped) and the average state (eigenvalues lambda_k / M).
+    Sorting by angle puts a degenerate eigenvalue -1 at both +pi and -pi and
+    splits its eigenspace, so it holds only where -1 is not degenerate."""
+    from scipy.linalg import schur
+
+    states = [np.asarray(psi0, dtype=complex)]
+    for _ in range(m - 1):
+        states.append(u @ states[-1])
+    rho_avg = sum(np.outer(s, s.conj()) for s in states) / m
+    t, q = schur(np.asarray(u, dtype=complex), output="complex")
+    phases = np.diag(t)
+    order = np.argsort(np.angle(phases))
+    q, phases = q[:, order], phases[order]
+    total, i, d = 0.0, 0, len(psi0)
+    while i < d:
+        j = i
+        while j + 1 < d and abs(phases[j + 1] - phases[i]) < 1e-9:
+            j += 1
+        block = q[:, i : j + 1]
+        w, v = np.linalg.eigh(block.conj().T @ rho_avg @ block)
+        basis = block @ v
+        for k in range(basis.shape[1]):
+            if m * w[k] > 1e-13:
+                total += abs(np.vdot(basis[:, k], psi0)) ** 2 / np.sqrt(m * w[k])
+        i = j + 1
+    return float(1.0 - total**2)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_cyclic_pair_with_degenerate_minus_one(seed):
+    # U = Q diag(1, -1, -1) Q^dag: the Schur route split the -1 eigenspace
+    # and returned -0.391 at seed 4; Helstrom's pair formula gives 0.00201
+    psi0, u, m, _ = random_cyclic_set(seed, m=2, eigenvalues=[1.0, -1.0, -1.0])
+    overlap = abs(np.vdot(psi0, u @ psi0)) ** 2
+    want = 0.5 * (1.0 - np.sqrt(1.0 - overlap))
+    assert cyclic_symmetric_perr(psi0, u, m) == pytest.approx(want, abs=1e-14)
+
+
+def test_cyclic_matches_srm_and_schur_oracles():
+    compared = 0
+    for seed in range(300):
+        psi0, u, m, degenerate_minus_one = random_cyclic_set(seed)
+        perr = cyclic_symmetric_perr(psi0, u, m)
+        states = [psi0]
+        for _ in range(m - 1):
+            states.append(u @ states[-1])
+        meas = povm_mod.srm([np.outer(s, s.conj()) for s in states])
+        p_srm = sum(np.vdot(s, e @ s).real for e, s in zip(meas.elements, states)) / m
+        assert perr == pytest.approx(1.0 - p_srm, abs=1e-14)
+        if not degenerate_minus_one:
+            assert perr == pytest.approx(schur_cyclic_perr(psi0, u, m), abs=1e-14)
+            compared += 1
+    assert compared > 200
+
+
 # ------------------------------------------------------ coarse-grid oracles
 #
 # The coarse grids are evaluated as arrays over the feasible points only,

@@ -297,7 +297,7 @@ def test_ts_optimize_builds_no_dense_operator(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("expm called")
 
-    # fock imports expm from scipy.linalg at call time, so this covers it too
+    # a dense squeeze or displacement operator would come from expm
     monkeypatch.setattr(scipy.linalg, "expm", refuse)
     p, beta, r = rc.ts_optimize(0.5, 2)
     assert 0.5 < p <= 1 - rc.helstrom_bpsk(0.5)
@@ -350,9 +350,9 @@ def test_dolinar_monotone_and_bounded():
 
 def test_dolinar_chunks_keep_the_result(monkeypatch):
     # posteriors are solved in chunks of _DOLINAR_CHUNK per optimizer call
-    whole = [rc.dolinar_multistep(0.5, 5, rc.ReceiverSpec(b)) for b in ("nhpa", "opt_kennedy")]
+    whole = [rc.dolinar_multistep(0.5, 5, b) for b in ("nhpa", "opt_kennedy")]
     monkeypatch.setattr(rc, "_DOLINAR_CHUNK", 3)
-    chunked = [rc.dolinar_multistep(0.5, 5, rc.ReceiverSpec(b)) for b in ("nhpa", "opt_kennedy")]
+    chunked = [rc.dolinar_multistep(0.5, 5, b) for b in ("nhpa", "opt_kennedy")]
     assert chunked == pytest.approx(whole, abs=1e-12)
 
 
@@ -360,7 +360,7 @@ def test_dolinar_validation():
     with pytest.raises(ValueError):
         rc.dolinar_multistep(0.4, 0)
     with pytest.raises(ValueError):
-        rc.dolinar_multistep(0.4, 2, rc.ReceiverSpec("cavity"))
+        rc.dolinar_multistep(0.4, 2, "cavity")
 
 
 # ----------------------------------------------------------------- invariants
@@ -410,23 +410,6 @@ def test_pi_channel_never_helps_kennedy():
         assert opt_kennedy_on(rp.matrix, rm.matrix, cutoff) <= base + 1e-7
 
 
-def test_receiver_spec_validation_and_dispatch():
-    with pytest.raises(ValueError):
-        rc.ReceiverSpec("laser")
-    with pytest.raises(ValueError):
-        rc.ReceiverSpec("nhpa", {"g": 0.5})
-    a = 0.4
-    assert rc.receiver_psucc(rc.ReceiverSpec("helstrom"), a) == pytest.approx(
-        1 - rc.helstrom_bpsk(a)
-    )
-    assert rc.receiver_psucc(rc.ReceiverSpec("kennedy", {"beta": -a}), a) == pytest.approx(
-        rc.kennedy_psucc(a, -a)
-    )
-    assert rc.receiver_psucc(
-        rc.ReceiverSpec("nhpa", {"g": 3.0, "n": 2, "beta": -0.5}), a
-    ) == pytest.approx(rc.nhpa_psucc(a, -0.5, 3.0, 2))
-
-
 #: kind -> the optimizer (or closed form) that receivers.optimize names
 NAMED = {
     "helstrom": lambda a: (1.0 - rc.helstrom_bpsk(a),),
@@ -445,7 +428,6 @@ def test_optimize_returns_the_named_optimizer_output(kind):
     got = rc.optimize(kind, 0.4)
     assert len(got) == 1 + len(rc.PARAMS[kind])
     assert tuple(got) == tuple(NAMED[kind](0.4))
-    assert rc.receiver_psucc(rc.ReceiverSpec(kind), 0.4) == got[0]
 
 
 def test_receiver_table_is_complete():
@@ -614,6 +596,20 @@ def test_single_step_optimizers_match_scalar_path():
             assert beta == pytest.approx(beta_ref, abs=1e-6)
 
 
+def test_log_factorial_table_keeps_ts_and_cavity_optima(monkeypatch):
+    # fock's running-sum log k! table replaced scipy's gammaln; on the
+    # default grid both optimizers return the same bits with either
+    def gammaln_table(n):
+        return gammaln(np.arange(n + 1) + 1.0)
+
+    def optima():
+        return [(rc.ts_optimize(float(a)), rc.cavity_optimize(float(a))) for a in ALPHA_GRID]
+
+    table = optima()
+    monkeypatch.setattr(fock, "_log_factorials", gammaln_table)
+    assert optima() == table
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_ts_optimize_matches_scalar_path(n):
     # same trial points in the same order, so the same bits
@@ -637,9 +633,9 @@ def test_nhpa_optimize_matches_scalar_path():
     ("nhpa", (1.0, 10.0), range(5, 9)),
     ("dephaser", None, range(1, 5)),
 ])
-def test_dolinar_matches_recursive_path(base, g_choices, steps):
-    params = {} if g_choices is None else {"g_grid": g_choices}
-    spec = rc.ReceiverSpec(base, params)
+def test_dolinar_matches_recursive_path(monkeypatch, base, g_choices, steps):
+    if g_choices is not None:
+        monkeypatch.setattr(rc, "_DOLINAR_GAINS", np.array(g_choices))
     if base == "opt_kennedy":
         ref_g, n_cut = (1.0,), 1
     elif base == "dephaser":
@@ -648,5 +644,5 @@ def test_dolinar_matches_recursive_path(base, g_choices, steps):
         grid = np.geomspace(1.0, 100.0, 13) if g_choices is None else g_choices
         ref_g, n_cut = tuple(grid) + (math.inf,), 2
     for n_steps in steps:
-        got = rc.dolinar_multistep(0.5, n_steps, spec)
+        got = rc.dolinar_multistep(0.5, n_steps, base)
         assert got == pytest.approx(scalar_dolinar(0.5, n_steps, ref_g, n_cut), abs=1e-9)
