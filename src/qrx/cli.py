@@ -382,16 +382,13 @@ def _fig_helstrom_rates(energies) -> tuple:
     return header, rows
 
 
-def _fig_envelope_gains(energies, j_steps=None) -> tuple:
+def _fig_envelope_gains(energies) -> tuple:
     header = ["E", "M", "kind", "relative_gain"]
     lengths = [2**i for i in range(1, 11)]
-    ref = hadamard.envelope(lengths, 2, energies, j_steps=j_steps)
-    combos = [(m, "helstrom") for m in (3, 4)]
-    if j_steps is None:
-        combos += [(m, "realistic") for m in (3, 4)]
+    ref = hadamard.envelope(lengths, 2, energies)
     gains = {
-        (m, kind): (hadamard.envelope(lengths, m, energies, kind, j_steps) - ref) / ref
-        for m, kind in combos
+        (m, kind): (hadamard.envelope(lengths, m, energies, kind) - ref) / ref
+        for kind in ("helstrom", "realistic") for m in (3, 4)
     }
     rows = [
         (e, m, kind, gain[i]) for i, e in enumerate(energies) for (m, kind), gain in gains.items()

@@ -64,9 +64,6 @@ class FockVector:
         n = min(self.cutoff, other.cutoff) + 1
         return complex(np.vdot(self.amps[:n], other.amps[:n]))
 
-    def normalized(self) -> "FockVector":
-        return FockVector(self.amps / sqrt(self.norm_sq), self.cutoff)
-
     def to_operator(self) -> "FockOperator":
         return FockOperator(np.outer(self.amps, self.amps.conj()), self.cutoff)
 
@@ -96,9 +93,6 @@ class FockOperator:
     @property
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
-
-    def dag(self) -> "FockOperator":
-        return FockOperator(self.matrix.conj().T, self.cutoff)
 
     def apply(self, v: FockVector) -> FockVector:
         return FockVector(self.matrix @ v.amps, self.cutoff)

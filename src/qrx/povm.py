@@ -178,9 +178,6 @@ class NestedPovm:
     def is_null_leaf(self, label: int) -> bool:
         return self.n_original is not None and label >= self.n_original
 
-    def node(self, prefix) -> tuple:
-        return self.nodes[tuple(prefix)]
-
 
 def _bits(label: int, depth: int) -> tuple:
     return tuple((label >> (u - 1)) & 1 for u in range(1, depth + 1))

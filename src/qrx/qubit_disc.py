@@ -5,33 +5,33 @@ The success probability reduces to the function
     F(A, B, C) = max_Q Tr[ Q A + |sqrt(Q) B sqrt(Q)| + |sqrt(1-Q) C sqrt(1-Q)| ]
 
 over operators 0 <= Q <= 1, evaluated here in the Bloch representation
-H = c_H 1 + r_H . sigma (trace 2 c_H, eigenvalues c_H +- |r_H|).  Closed
-forms are used when they provably apply; otherwise a deterministic coarse
-grid runs over the Bloch coefficients of Q and `_search._pattern_search`
-refines its best point.
+H = c_H 1 + r_H . sigma (trace 2 c_H, eigenvalues c_H +- |r_H|).
 
-A request searches every inequivalent state ordering (3 for three states,
-12 for four), each with its own (A, B, C), and keeps the first best one.
+The exact optimum comes from the qubit form of the Yuen-Kennedy-Lax dual
+(`_dual`): the smallest ball that encloses the balls (r_k, c_k) of the
+weighted states, found by enumerating its support sets, together with the
+optimal POVM.  A request searches every inequivalent state ordering (3 for
+three states, 12 for four), each with its own (A, B, C), and starts each
+search at Q* = Pi_perm[0] + Pi_perm[2], where F equals the dual value less
+the ordering's prefactor.  `_search._pattern_search` polishes Q* over the
+Bloch coefficients of Q, closed forms are used when they provably apply,
+and the first ordering within _TIE_TOL of the best is kept.  The result
+must lie within _GAP_TOL of the dual value, or ConvergenceError names the
+states.
+
 The orderings are searched together: one objective holds the constants of
 every ordering as arrays over a lane axis, and one pattern search runs all
-lanes in lock-step, one call for the reduced M=3 lanes and one per span
-dimension of the general lanes.  Each lane makes the trials a search of its
-own would make, and its objective value does not depend on the other lanes
-(dots are plain products and sums, never BLAS).
-
-The coarse grid is evaluated as arrays.  In general it runs over
-(c_Q, r_Q in the span of r_A, r_B, r_C), once per ordering, and keeps only
-the feasible points |r_Q| <= min(c_Q, 1 - c_Q); those points are built on
-first use for each span dimension, cached read-only, and evaluated in
-chunks of _GRID_CHUNK points, so the temporaries stay in cache and the
-heap is not returned to the OS and faulted back in.  For three states
-(C = 0) the reduced (c_Q, phi_Q) grid of every ordering is one array
-expression.  The sign test and |r|^2 - c^2 of B and C are computed once
-per search, not per evaluation.
+lanes in lock-step, one call for the reduced M=3 lanes (c_Q + |r_Q| = 1,
+c_Q >= 1/2, r_Q in the plane of r_A, r_B) and one per span dimension of
+the general lanes; a C = 0 lane whose Q* is off the reduced domain runs
+with the general lanes.  Each lane makes the trials a search of its own
+would make, and its objective value does not depend on the other lanes
+(dots are plain products and sums, never BLAS).  The sign test and
+|r|^2 - c^2 of B and C are computed once per search, not per evaluation.
 
 Cyclic-symmetric pure-state sets {U^l psi0} of any dimension have a closed
 form in the Gram spectrum (`cyclic_symmetric_perr`); the polytope
-construction cross-checks equiprobable pure qubit sets.
+construction for equiprobable pure qubit sets is the same dual.
 """
 
 from __future__ import annotations
@@ -44,9 +44,14 @@ from operator import add, mul
 import numpy as np
 
 from ._search import _pattern_search
+from .errors import ConvergenceError
 from .povm import sqrt_psd
 
 _SIGN_TOL = 1e-11  # definite-sign detection threshold on eigenvalues
+_POVM_TOL = 1e-12  # largest negative weight and completeness defect of a dual POVM
+_ON_DOMAIN = 1e-12  # largest distance of a reduced M=3 start from its domain
+_GAP_TOL = 1e-9  # largest |p_succ - dual value| that _psucc returns
+_TIE_TOL = 1e-13  # orderings whose p_succ differ by less are tied
 
 _PAULI = [
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -197,6 +202,66 @@ def f_value_matrix(q: BlochOperator, a, b, c) -> float:
     )
 
 
+# ------------------------------------------------------------ qubit dual
+
+
+def _support_centres(cs, rs) -> list:
+    """Centres r of the balls (r, c) that touch every ball (r_k, c_k) given,
+    c - c_k = |r - r_k|, with r in the affine hull of the r_k.  For r = r_0 + d
+    and s = c - c_0, the differences of these conditions are linear,
+    2 u_k . d - 2 s e_k = |u_k|^2 - e_k^2 with u_k = r_k - r_0, e_k = c_k - c_0:
+    one solve gives d = d0 + s d1, and |d|^2 = s^2 is a quadratic in s."""
+    if len(cs) == 1:
+        return [rs[0]]
+    u, e = rs[1:] - rs[0], cs[1:] - cs[0]
+    rhs = np.column_stack([0.5 * ((u * u).sum(axis=1) - e * e), e])
+    d0, d1 = (u.T @ np.linalg.lstsq(u @ u.T, rhs, rcond=None)[0]).T
+    qa, qb, qc = float(d1 @ d1) - 1.0, 2.0 * float(d0 @ d1), float(d0 @ d0)
+    q = -0.5 * (qb + np.copysign(np.sqrt(max(qb * qb - 4.0 * qa * qc, 0.0)), qb))
+    roots = ([q / qa] if qa else []) + ([qc / q] if q else [])  # no cancellation
+    return [rs[0] + d0 + s * d1 for s in roots]
+
+
+def _dual(weighted) -> tuple:
+    """(2c, POVM) of the qubit Yuen-Kennedy-Lax dual, min Tr K over K >= sigma_k
+    (Yuen, Kennedy & Lax, IEEE TIT 21, 125 (1975); Bae, NJP 15, 073037 (2013)).
+
+    For K = c 1 + r . sigma, K >= sigma_k reads c >= c_k + |r - r_k|: c is the
+    radius of the smallest ball that encloses the balls (r_k, c_k), and each
+    support set of at most four gives candidate centres (`_support_centres`).
+    On a support, Pi_k = w_k (1 + n_k . sigma)/2, n_k = (r_k - r)/|r_k - r|,
+    sum w_k = 2 and sum w_k n_k = 0 (kept if w >= 0); a singleton gives
+    Pi_k = 1.  The candidate whose dual value max_k 2 (c_k + |r - r_k|) is
+    closest to its POVM's value sum_k Tr[Pi_k sigma_k] wins.  Returns 2c and
+    one BlochOperator per state (zero off the support)."""
+    cs = np.array([s.c for s in weighted])
+    rs = np.array([s.r for s in weighted])
+    best = (np.inf, None, None)
+    for size in range(1, min(len(cs), 4) + 1):
+        for sup in map(list, combinations(range(len(cs)), size)):
+            for r in _support_centres(cs[sup], rs[sup]):
+                dual = 2.0 * float(np.max(cs + np.linalg.norm(rs - r, axis=1)))
+                w, n = np.array([2.0]), np.zeros((1, 3))
+                if size > 1:
+                    dist = np.linalg.norm(rs[sup] - r, axis=1)
+                    if not dist.all():
+                        continue
+                    n = (rs[sup] - r) / dist[:, None]
+                    lhs, want = np.vstack([n.T, np.ones(size)]), np.array([0.0, 0.0, 0.0, 2.0])
+                    w = np.linalg.lstsq(lhs, want, rcond=None)[0]
+                    if w.min() < -_POVM_TOL or np.abs(lhs @ w - want).max() > _POVM_TOL:
+                        continue
+                    w = np.maximum(w, 0.0)
+                primal = float(w @ (cs[sup] + (n * rs[sup]).sum(axis=1)))
+                if dual - primal < best[0]:
+                    best = (dual - primal, dual, (sup, w, n))
+    _, dual, (sup, w, n) = best
+    povm = [BlochOperator(0.0, np.zeros(3))] * len(cs)
+    for k, wk, nk in zip(sup, w, n):
+        povm[k] = BlochOperator(0.5 * wk, 0.5 * wk * nk)
+    return dual, povm
+
+
 # --------------------------------------------------------- F optimization
 
 
@@ -237,41 +302,6 @@ def _span_basis(vectors, tol: float = 1e-12) -> np.ndarray:
     return vt[s > tol * max(1.0, s[0])]
 
 
-#: grid resolution per scalar dimension for the coarse stage
-_GRID_POINTS = 41
-
-#: feasible grid points per evaluation in _optimize_general: small enough
-#: that the temporaries stay in cache and in the heap
-_GRID_CHUNK = 16384
-
-#: span dimension k -> feasible coarse grid (c_Q, r_Q components), see _feasible_grid
-_GRIDS: dict = {}
-
-
-def _feasible_grid(k: int) -> tuple:
-    """Points of the coarse (c_Q, r_1, ..., r_k) grid with |r| <= min(c, 1-c).
-
-    Returns read-only arrays (c_Q of shape (n,), r components of shape
-    (n, k)) in meshgrid(indexing="ij") ravel order, c_Q outermost.  Built on
-    first use one c_Q slice at a time over a single k-D r-mesh, then cached.
-    The r components are the transpose of a (k, n) array, so each component
-    of a chunk of points is contiguous.
-    """
-    grid = _GRIDS.get(k)
-    if grid is None:
-        cs = np.linspace(0.0, 1.0, _GRID_POINTS)
-        axes = np.meshgrid(*[np.linspace(-0.5, 0.5, _GRID_POINTS)] * k, indexing="ij")
-        r = np.stack([m.ravel() for m in axes], axis=-1) if k else np.zeros((1, 0))
-        rnorm = np.sqrt((r**2).sum(axis=-1))
-        keep = [rnorm <= min(cq, 1.0 - cq) for cq in cs]
-        cq = np.repeat(cs, [m.sum() for m in keep])
-        rt = np.concatenate([r[m] for m in keep]).T.copy()
-        for arr in (cq, rt):
-            arr.setflags(write=False)
-        grid = _GRIDS[k] = (cq, rt.T)
-    return grid
-
-
 def _dot(r, v):
     """sum_i r[i] * v[i] as plain products and sums, left to right (0.0 for
     no terms): elementwise, so a lane's value does not depend on the shape
@@ -298,21 +328,6 @@ def _objective(lanes):
         return out + term_c(1.0 - cq, _dot(r, rc), rsq) if has_c else out
 
     return f
-
-
-def _optimize_general(a, b, c, basis):
-    """Coarse grid over the feasible (c_Q, r_Q components in `basis`),
-    evaluated _GRID_CHUNK points at a time.  Returns the value, c_Q and r_Q
-    components of the grid's first maximum."""
-    f = _objective([(a, b, c, basis)])
-    cq, rcomp = _feasible_grid(basis.shape[0])
-    best, at = -np.inf, 0
-    for lo in range(0, cq.size, _GRID_CHUNK):
-        vals = f(cq[lo:lo + _GRID_CHUNK], rcomp[lo:lo + _GRID_CHUNK].T)
-        i = int(np.argmax(vals))
-        if vals[i] > best:
-            best, at = float(vals[i]), lo + i
-    return best, float(cq[at]), rcomp[at]
 
 
 def _plane_basis(a: BlochOperator, b: BlochOperator) -> np.ndarray:
@@ -351,8 +366,10 @@ def _cone(x, k: int):
             scale * np.cos(th)]
 
 
-def _cone_start(cq0: float, rcomp0: np.ndarray) -> list:
-    """The (c_Q, t, angles) of _cone at a grid point (c_Q, r components)."""
+def _optimize_general(q: BlochOperator, basis: np.ndarray) -> list:
+    """The start of a general lane: the (c_Q, t, angles) of `_cone` at the
+    dual's Q, its r_Q projected onto the lane's span `basis`."""
+    cq0, rcomp0 = min(max(q.c, 0.0), 1.0), basis @ q.r
     k = rcomp0.size
     rn0 = np.linalg.norm(rcomp0)
     bound0 = max(min(cq0, 1.0 - cq0), 1e-12)
@@ -367,39 +384,50 @@ def _cone_start(cq0: float, rcomp0: np.ndarray) -> list:
     return x0[: k + 1]
 
 
-def _f_optimize_all(abcs, reduce_m3: bool = True) -> list:
-    """(value, Q*) of f_optimize for each (A, B, C) of `abcs`, with one
-    pattern search per group of like searches run as lanes in lock-step."""
+def _polar_start(q: BlochOperator, basis: np.ndarray):
+    """(c_Q, phi_Q) of the reduced M=3 search at the dual's Q, or None when
+    Q is off its domain: c_Q + |r_Q| = 1, c_Q >= 1/2, r_Q in the plane."""
+    rcomp = basis @ q.r
+    off = (0.5 - q.c, abs(q.c + np.hypot(*rcomp) - 1.0), np.linalg.norm(q.r - rcomp @ basis))
+    if max(off) > _ON_DOMAIN:
+        return None
+    return [min(max(q.c, 0.5), 1.0), np.arctan2(rcomp[1], rcomp[0])]
+
+
+def _f_optimize_all(abcs, starts, reduce_m3: bool = True) -> list:
+    """(value, Q*) of f_optimize for each (A, B, C) of `abcs`, each search
+    started at its Q of `starts`, with one pattern search per group of like
+    searches run as lanes in lock-step.  A C = 0 lane whose start is off
+    the reduced domain runs with the general lanes."""
     found = [None] * len(abcs)
     m3, general = [], {}
-    for j, (a, b, c) in enumerate(abcs):
+    for j, ((a, b, c), q) in enumerate(zip(abcs, starts)):
         if reduce_m3 and c.trace_norm() < 1e-14:
-            m3.append((j, (a, b, c, _plane_basis(a, b))))
-        else:
-            basis = _span_basis([a.r, b.r, c.r])
-            general.setdefault(basis.shape[0], []).append((j, (a, b, c, basis)))
+            basis = _plane_basis(a, b)
+            x0 = _polar_start(q, basis)
+            if x0 is not None:
+                m3.append((j, (a, b, c, basis), x0))
+                continue
+        basis = _span_basis([a.r, b.r, c.r])
+        general.setdefault(basis.shape[0], []).append((j, (a, b, c, basis), q))
 
     if m3:
         # reduced search over (c_Q, phi_Q) with c_Q + |r_Q| = 1 and r_Q in
-        # the plane of r_A, r_B; the grid of every lane is one expression
-        f = _objective([lane for _, lane in m3])
-        cs = np.linspace(0.5, 1.0, _GRID_POINTS)
-        phis = np.linspace(0.0, 2 * np.pi, 2 * _GRID_POINTS, endpoint=False)
-        cqm, phim = (m.reshape(-1, 1) for m in np.meshgrid(cs, phis, indexing="ij"))
-        first = np.argmax(f(cqm, _polar(cqm, phim)), axis=0)
+        # the plane of r_A, r_B
+        f = _objective([lane for _, lane, _ in m3])
         vals, xs = _pattern_search(
             lambda y: f(y[:, 0], _polar(*y.T)),
-            np.column_stack([cqm[first, 0], phim[first, 0]]),
+            np.array([x0 for *_, x0 in m3]),
             lower=np.array([0.5, -np.inf]),
             upper=np.array([1.0, np.inf]),
         )
-        for (j, (*_, basis)), val, (cq, phi) in zip(m3, vals, xs):
+        for (j, (*_, basis), _), val, (cq, phi) in zip(m3, vals, xs):
             rq3 = (1.0 - cq) * (np.cos(phi) * basis[0] + np.sin(phi) * basis[1])
             found[j] = (float(val), BlochOperator(cq, rq3))
 
     for k, group in sorted(general.items()):
-        x0 = [_cone_start(*_optimize_general(*lane)[1:]) for _, lane in group]
-        f = _objective([lane for _, lane in group])
+        x0 = [_optimize_general(q, lane[3]) for _, lane, q in group]
+        f = _objective([lane for _, lane, _ in group])
         vals, xs = _pattern_search(
             lambda y: f(y[:, 0], _cone(y, k)),
             np.array(x0),
@@ -407,7 +435,7 @@ def _f_optimize_all(abcs, reduce_m3: bool = True) -> list:
             upper=np.array([1.0, 1.0, np.inf, np.inf][: k + 1]),
         )
         rcomp = np.stack(_cone(xs, k), axis=-1) if k else np.zeros((len(group), 0))
-        for (j, (*_, basis)), val, x, rq in zip(group, vals, xs, rcomp):
+        for (j, (*_, basis), _), val, x, rq in zip(group, vals, xs, rcomp):
             found[j] = (float(val), BlochOperator(x[0], rq @ basis))
 
     return [_maybe_closed_form(a, b, c, *got) for (a, b, c), got in zip(abcs, found)]
@@ -416,14 +444,19 @@ def _f_optimize_all(abcs, reduce_m3: bool = True) -> list:
 def f_optimize(a: BlochOperator, b: BlochOperator, c: BlochOperator, reduce_m3: bool = True):
     """Maximize F_Q over 0 <= Q <= 1.  Returns (value, Q*).
 
-    Uses the closed form Tr[(A+|B|-|C|)_+] + ||C||_1 with its certified Q
-    when one of the sufficient conditions holds; otherwise (and always, as a
-    floor) a deterministic coarse grid plus pattern-search refinement over
-    the Bloch coefficients of Q.  For C = 0 the search is reduced to
+    The four operators (A+B, C, A-B, -C) + t 1, t the smallest shift that
+    makes all four positive, have this (A, B, C) and prefactor 2t, so the
+    search starts at Q* = Pi_0 + Pi_2 of their optimal POVM (`_dual`), where
+    F is their dual value less 2t.  A pattern search polishes Q*, and the
+    closed form Tr[(A+|B|-|C|)_+] + ||C||_1 with its certified Q is taken
+    when one of its sufficient conditions holds.  For C = 0 the search is reduced to
     (c_Q, phi_Q) with c_Q + r_Q = 1 and r_Q in span(r_A, r_B) unless
     `reduce_m3` is disabled.
     """
-    return _f_optimize_all([(a, b, c)], reduce_m3)[0]
+    ops = [a + b, c, a - b, -c]
+    t = max(op.rnorm - op.c for op in ops)
+    _, povm = _dual([op + BlochOperator(t, np.zeros(3)) for op in ops])
+    return _f_optimize_all([(a, b, c)], [povm[0] + povm[2]], reduce_m3)[0]
 
 
 def _maybe_closed_form(a, b, c, best_val, best_q):
@@ -490,15 +523,23 @@ def _orderings(n: int):
 
 
 def _psucc(weighted, reduce_m3: bool = True) -> tuple:
-    """(success probability, Q*, ordering) of the best state ordering; the
-    first ordering wins ties.  All orderings are searched together."""
+    """(success probability, Q*, ordering) of the first state ordering
+    within _TIE_TOL of the best.  The dual is solved once, and the search of
+    every ordering starts at its Q* = Pi_perm[0] + Pi_perm[2].  Raises
+    ConvergenceError when the result is not within _GAP_TOL of the dual."""
+    dual, povm = _dual(weighted)
     perms = _orderings(len(weighted))
     ops = [abc_operators([weighted[i] for i in perm]) for perm in perms]
-    found = _f_optimize_all([op[:3] for op in ops], reduce_m3)
-    best = (-np.inf, None, None)
-    for perm, op, (val, q) in zip(perms, ops, found):
-        if op[3] + val > best[0]:
-            best = (op[3] + val, q, perm)
+    found = _f_optimize_all([op[:3] for op in ops], [povm[p[0]] + povm[p[2]] for p in perms],
+                            reduce_m3)
+    totals = [op[3] + val for op, (val, _) in zip(ops, found)]
+    j = next(j for j, p in enumerate(totals) if p >= max(totals) - _TIE_TOL)
+    best = (totals[j], found[j][1], perms[j])
+    if not abs(best[0] - dual) <= _GAP_TOL:
+        rows = [[s.c, *s.r.tolist()] for s in weighted]
+        raise ConvergenceError(
+            f"qubit-disc: p_succ {best[0]!r} is {abs(best[0] - dual):.3g} from the dual value "
+            f"{dual!r} (tolerance {_GAP_TOL:g}) for the weighted states (c, rx, ry, rz) {rows}")
     return best
 
 
@@ -518,60 +559,19 @@ def psucc4(states) -> float:
     return _psucc(weighted)[0]
 
 
-# ------------------------------------------------------ geometric oracle
-
-
-def _min_enclosing_ball(points: np.ndarray):
-    """Smallest ball containing the points (exhaustive over boundary sets,
-    exact for the small M used here).  Returns (center, radius)."""
-    pts = np.asarray(points, dtype=float)
-    n = len(pts)
-    best = (None, np.inf)
-
-    def consider(center, radius):
-        nonlocal best
-        if radius < best[1] - 1e-15 and np.all(
-            np.linalg.norm(pts - center, axis=1) <= radius + 1e-12
-        ):
-            best = (center, radius)
-
-    for i in range(n):
-        consider(pts[i], 0.0)
-    for i, j in combinations(range(n), 2):
-        c = 0.5 * (pts[i] + pts[j])
-        consider(c, np.linalg.norm(pts[i] - c))
-    for idx in combinations(range(n), 3):
-        p1, p2, p3 = pts[list(idx)]
-        u, v = p2 - p1, p3 - p1
-        g = np.array([[u @ u, u @ v], [u @ v, v @ v]])
-        if abs(np.linalg.det(g)) < 1e-14:
-            continue
-        ab = np.linalg.solve(g, 0.5 * np.array([u @ u, v @ v]))
-        c = p1 + ab[0] * u + ab[1] * v
-        consider(c, np.linalg.norm(p1 - c))
-    for idx in combinations(range(n), 4):
-        p = pts[list(idx)]
-        m = 2.0 * (p[1:] - p[0])
-        if abs(np.linalg.det(m)) < 1e-14:
-            continue
-        rhs = (p[1:] ** 2).sum(axis=1) - (p[0] ** 2).sum()
-        c = np.linalg.solve(m, rhs)
-        consider(c, np.linalg.norm(p[0] - c))
-    return best
+# ------------------------------------------------------ polytope construction
 
 
 def polytope_ratio_psucc(r_vectors) -> float:
-    """Success probability 1/M + R for equiprobable pure qubit states from
-    the Bloch-polytope construction.  The dual problem reduces to the
-    smallest enclosing ball of the weighted vertices r_k/(2M):
-    P = 1/M + 2 rho*, rho* being the Chebyshev radius."""
+    """Success probability 1/M + 2 rho* for equiprobable pure qubit states
+    from the Bloch-polytope construction, rho* being the radius of the
+    smallest ball that encloses the weighted vertices r_k/(2M): the dual
+    (`_dual`) of states with c_k = 1/(2M)."""
     rs = [np.asarray(r, dtype=float) for r in r_vectors]
-    m = len(rs)
     for r in rs:
         if abs(np.linalg.norm(r) - 1.0) > 1e-9:
             raise ValueError("polytope construction requires pure states")
-    _, rho_star = _min_enclosing_ball(np.array(rs) / (2.0 * m))
-    return 1.0 / m + 2.0 * rho_star
+    return _dual([bloch_state(r, 1.0 / len(rs)) for r in rs])[0]
 
 
 # ------------------------------------------------- cyclic-symmetric sets
@@ -579,12 +579,16 @@ def polytope_ratio_psucc(r_vectors) -> float:
 
 def cyclic_symmetric_perr(psi0: np.ndarray, u: np.ndarray, m: int) -> float:
     """Minimum error probability for the cyclic-symmetric pure-state set
-    {U^l |psi0>, l = 0..M-1, priors 1/M} with U^M = 1.
+    {U^l |psi0>, l = 0..M-1, priors 1/M} with U^M = 1, up to a global phase
+    (which leaves the states unchanged); other U raise ValueError.
 
     The set is geometrically uniform, so the square-root measurement is
     optimal and P_succ = (Tr sqrt(G) / M)^2, G being the Gram matrix
     <psi_k|psi_l> of the set (Ban et al., IJTP 36, 1269 (1997))."""
     u = np.asarray(u, dtype=complex)
+    um = np.linalg.matrix_power(u, m)
+    if np.linalg.norm(um - (np.trace(um) / len(um)) * np.eye(len(um))) > 1e-9:
+        raise ValueError("U^M must be the identity (up to a global phase)")
     states = [np.asarray(psi0, dtype=complex)]
     for _ in range(m - 1):
         states.append(u @ states[-1])

@@ -508,18 +508,53 @@ print(json.dumps([codes, qubit_disc.cyclic_symmetric_perr(np.array([1.0, 0.0]), 
     assert len(os.listdir(tmp_path / "blocked_figures")) == 4
 
 
-def test_tracer_hooks_exist():
-    # perfbench's tracer wraps these private names of qrx modules by getattr,
-    # so renaming one breaks traced benchmark runs
+def load_tracing():
+    """perfbench/tracing.py, loaded from its file."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_hooks_exist():
+    # perfbench's tracer wraps these private names of qrx modules by getattr,
+    # so renaming one breaks traced benchmark runs
+    tracing = load_tracing()
     assert tracing.PRIVATE
     for layer, names in tracing.PRIVATE.items():
         module = importlib.import_module(f"qrx.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"qrx.{layer}.{name}"
+
+
+def test_tracer_installs_and_uninstalls(tmp_path):
+    # what `perfbench/run.py --trace 1` does: wrap every layer (each name of
+    # tracing.PRIVATE and hadamard.integrate are looked up), run a request
+    # traced, and put every original back
+    tracing = load_tracing()
+    modules = tracing.layer_modules()
+    before = {(layer, name): getattr(modules[layer], name)
+              for layer, names in tracing.PRIVATE.items() for name in names}
+    tracer = tracing.Tracer()
+    tracer.install(modules)
+    try:
+        assert all(getattr(modules[layer], name) is not fn for (layer, name), fn in before.items())
+        tracer.active = True
+        assert run_cli(["qubit-disc", "--in", str(trine_csv(tmp_path))], tmp_path)[0] == 0
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert all(getattr(modules[layer], name) is fn for (layer, name), fn in before.items())
+    assert tracer.per_layer()["qubit_disc.pattern_search.calls"] == 1
+
+
+def test_qubit_disc_gap_failure_exits_3(tmp_path, monkeypatch, capsys):
+    dual = qubit_disc._dual
+    monkeypatch.setattr(qubit_disc, "_dual", lambda w: (dual(w)[0] + 1e-6, dual(w)[1]))
+    code, text = run_cli(["qubit-disc", "--in", str(trine_csv(tmp_path))], tmp_path)
+    assert (code, text) == (3, "")
+    assert "from the dual value" in capsys.readouterr().err
 
 
 def test_hadamard_integrate_is_scipy_integrate():
