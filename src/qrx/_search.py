@@ -1,8 +1,7 @@
 """The two deterministic maximizers behind every optimizer in qrx (numpy only):
 `_grid_max` for batches of 1-D searches (the receivers' beta, gain and
 Dolinar searches), `_pattern_search` for batches of searches over a few
-coordinates at once (`receivers.ts_optimize` with one lane, `qubit_disc`
-with one lane per state ordering).
+coordinates at once (`receivers.ts_optimize`, with one lane).
 """
 
 from __future__ import annotations
@@ -22,7 +21,10 @@ def _grid_max(fun, lo, hi, n_grid=121, tol=1e-12):
     argmax (the first one on ties) is re-gridded with _ZOOM points, one call
     per round for the whole batch, until every bracket is narrower than tol.
     Returns (fun at the bracket midpoints, the midpoints), of batch shape.
+    Non-finite bounds raise ValueError: their brackets would never narrow.
     """
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError(f"search bounds must be finite, got lo={lo!r}, hi={hi!r}")
     a = np.asarray(lo, dtype=float)[..., None]
     width = np.asarray(hi, dtype=float)[..., None] - a
     t, zoom = np.linspace(0.0, 1.0, n_grid), np.linspace(0.0, 1.0, _ZOOM)

@@ -101,6 +101,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, num = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"bad grid numbers in {spec!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"grid endpoints must be finite, got {spec!r}")
     if num < 1:
         raise ConfigError("grid needs at least one point")
     if kind == "log":
@@ -277,12 +279,14 @@ def _cmd_qubit_disc(args) -> int:
     total_p = sum(p for _, p in states)
     if abs(total_p - 1.0) > 1e-9:
         raise ConfigError(f"probabilities must sum to 1, got {total_p!r}")
-    best_val, best_q, best_perm = qubit_disc._psucc([rho * p for rho, p in states])
+    p_succ, q_opt, dual = qubit_disc._psucc([rho * p for rho, p in states])
     report = {
         "n_states": len(states),
-        "p_succ": float(best_val),
-        "ordering": list(best_perm),
-        "q_opt": {"c": float(best_q.c), "r": [float(x) for x in best_q.r]},
+        "p_succ": float(p_succ),
+        "p_succ_dual": float(dual),
+        "gap": abs(p_succ - dual),
+        "ordering": list(range(len(states))),
+        "q_opt": {"c": float(q_opt.c), "r": [float(x) for x in q_opt.r]},
     }
     _write_json(args.out, report)
     return EXIT_OK

@@ -7,27 +7,16 @@ The success probability reduces to the function
 over operators 0 <= Q <= 1, evaluated here in the Bloch representation
 H = c_H 1 + r_H . sigma (trace 2 c_H, eigenvalues c_H +- |r_H|).
 
-The exact optimum comes from the qubit form of the Yuen-Kennedy-Lax dual
+The optimum comes from the qubit form of the Yuen-Kennedy-Lax dual
 (`_dual`): the smallest ball that encloses the balls (r_k, c_k) of the
 weighted states, found by enumerating its support sets, together with the
-optimal POVM.  A request searches every inequivalent state ordering (3 for
-three states, 12 for four), each with its own (A, B, C), and starts each
-search at Q* = Pi_perm[0] + Pi_perm[2], where F equals the dual value less
-the ordering's prefactor.  `_search._pattern_search` polishes Q* over the
-Bloch coefficients of Q, closed forms are used when they provably apply,
-and the first ordering within _TIE_TOL of the best is kept.  The result
-must lie within _GAP_TOL of the dual value, or ConvergenceError names the
-states.
-
-The orderings are searched together: one objective holds the constants of
-every ordering as arrays over a lane axis, and one pattern search runs all
-lanes in lock-step, one call for the reduced M=3 lanes (c_Q + |r_Q| = 1,
-c_Q >= 1/2, r_Q in the plane of r_A, r_B) and one per span dimension of
-the general lanes; a C = 0 lane whose Q* is off the reduced domain runs
-with the general lanes.  Each lane makes the trials a search of its own
-would make, and its objective value does not depend on the other lanes
-(dots are plain products and sums, never BLAS).  The sign test and
-|r|^2 - c^2 of B and C are computed once per search, not per evaluation.
+optimal POVM {Pi_k}.  Q* = Pi_0 + Pi_2 attains the maximum of F for the
+(A, B, C) of the states in their given order (`abc_operators`), so p_succ
+is that ordering's prefactor plus F at Q* (`f_value`): the F-function
+primal, evaluated at a certified Q rather than searched for.  The closed
+form Tr[(A+|B|-|C|)_+] + ||C||_1 and its Q replace it when one of its
+sufficient conditions holds.  p_succ must lie within _GAP_TOL of the dual
+value, or ConvergenceError names the states.
 
 Cyclic-symmetric pure-state sets {U^l psi0} of any dimension have a closed
 form in the Gram spectrum (`cyclic_symmetric_perr`); the polytope
@@ -36,10 +25,9 @@ construction for equiprobable pure qubit sets is the same dual.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import reduce
-from itertools import combinations, permutations
-from operator import add, mul
+from itertools import combinations
 
 import numpy as np
 
@@ -49,9 +37,10 @@ from .povm import sqrt_psd
 
 _SIGN_TOL = 1e-11  # definite-sign detection threshold on eigenvalues
 _POVM_TOL = 1e-12  # largest negative weight and completeness defect of a dual POVM
-_ON_DOMAIN = 1e-12  # largest distance of a reduced M=3 start from its domain
 _GAP_TOL = 1e-9  # largest |p_succ - dual value| that _psucc returns
-_TIE_TOL = 1e-13  # orderings whose p_succ differ by less are tied
+
+# perfbench/tracing.py wraps these two names by getattr; qubit_disc calls neither
+_optimize_general = _pattern_search
 
 _PAULI = [
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -147,32 +136,18 @@ def bloch_state(r_vec, p: float = 1.0) -> BlochOperator:
 # ------------------------------------------------------------ F evaluation
 
 
-def _sandwich_term(xs):
-    """Tr| sqrt(Q') X sqrt(Q') | as a function of (c_eff, r_eff . r_X,
-    |r_eff|^2), where Q' has Bloch coefficients (c_eff, r_eff), for one
-    operator X = xs[j] per lane j.  The arguments broadcast against the lane
-    axis, which is last; each lane's sign test and |r_X|^2 - c_X^2 run once
-    here.
+def _sandwich_term(x: BlochOperator, c_eff: float, rdot: float, rsq: float) -> float:
+    """Tr| sqrt(Q') X sqrt(Q') | from c_eff, r_eff . r_X and |r_eff|^2, where
+    Q' has Bloch coefficients (c_eff, r_eff).
 
     For definite-sign X the sandwich keeps the sign, so the trace-abs equals
     |Tr[Q' X]|; otherwise the printed two-square-root qubit form applies.
     """
-    definite = np.array([x.has_definite_sign() for x in xs])
-    xc = np.array([x.c for x in xs])
-    gap = np.array([float(x.r @ x.r) - x.c**2 for x in xs])
-
-    if definite.all():
-        return lambda c_eff, rdot, rsq: 2.0 * np.abs(c_eff * xc + rdot)
-    mixed = definite.any()
-
-    def term(c_eff, rdot, rsq):
-        # products, not **2: a numpy scalar's **2 calls pow(), which can
-        # differ from an array's x*x in the last bit
-        dot = c_eff * xc + rdot
-        out = 2.0 * np.sqrt(np.maximum(dot * dot + gap * (c_eff * c_eff - rsq), 0.0))
-        return np.where(definite, 2.0 * np.abs(dot), out) if mixed else out
-
-    return term
+    dot = c_eff * x.c + rdot
+    if x.has_definite_sign():
+        return 2.0 * abs(dot)
+    gap = float(x.r @ x.r) - x.c**2
+    return 2.0 * math.sqrt(max(dot * dot + gap * (c_eff * c_eff - rsq), 0.0))
 
 
 def f_value(q: BlochOperator, a: BlochOperator, b: BlochOperator, c: BlochOperator) -> float:
@@ -181,9 +156,9 @@ def f_value(q: BlochOperator, a: BlochOperator, b: BlochOperator, c: BlochOperat
         raise ValueError("Q violates 0 <= Q <= 1")
     rsq = float(q.r @ q.r)
     out = 2.0 * (q.c * a.c + float(q.r @ a.r))
-    out += _sandwich_term([b])(q.c, float(q.r @ b.r), rsq)
-    out += _sandwich_term([c])(1.0 - q.c, -float(q.r @ c.r), rsq)
-    return float(out[0])
+    out += _sandwich_term(b, q.c, float(q.r @ b.r), rsq)
+    out += _sandwich_term(c, 1.0 - q.c, -float(q.r @ c.r), rsq)
+    return out
 
 
 def f_value_matrix(q: BlochOperator, a, b, c) -> float:
@@ -293,174 +268,25 @@ def _closed_form_value(a: BlochOperator, b: BlochOperator, c: BlochOperator) -> 
     return x.pos_part_trace() + c.trace_norm()
 
 
-def _span_basis(vectors, tol: float = 1e-12) -> np.ndarray:
-    """Orthonormal basis (rows) of the span of the given 3-vectors."""
-    m = np.array([v for v in vectors if np.linalg.norm(v) > tol])
-    if m.size == 0:
-        return np.zeros((0, 3))
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    return vt[s > tol * max(1.0, s[0])]
-
-
-def _dot(r, v):
-    """sum_i r[i] * v[i] as plain products and sums, left to right (0.0 for
-    no terms): elementwise, so a lane's value does not depend on the shape
-    it is evaluated in, as BLAS's fused multiply-adds could make it."""
-    return reduce(add, map(mul, r, v)) if len(r) else 0.0
-
-
-def _objective(lanes):
-    """Array objective f(c_Q, r) = F_Q(A, B, C) for lanes of (a, b, c, basis),
-    with r_Q = sum_i r[i] basis[i] (basis rows orthonormal, k per lane).
-    c_Q and each r[i] broadcast against the lane axis, which is last.  The
-    C term is left out when C = 0 in every lane (the M=3 case)."""
-    ac = np.array([a.c for a, *_ in lanes])
-    ra, rb, rc = (list(np.array([lane[3] @ lane[i].r for lane in lanes]).T) for i in range(3))
-    rc = [-x for x in rc]  # r . (-r_C) = -(r . r_C) exactly, one operation fewer
-    term_b = _sandwich_term([b for _, b, _, _ in lanes])
-    term_c = _sandwich_term([c for _, _, c, _ in lanes])
-    has_c = any(c.c != 0.0 or c.r.any() for _, _, c, _ in lanes)
-
-    def f(cq, r):
-        rsq = _dot(r, r)
-        out = 2.0 * (cq * ac + _dot(r, ra))
-        out = out + term_b(cq, _dot(r, rb), rsq)
-        return out + term_c(1.0 - cq, _dot(r, rc), rsq) if has_c else out
-
-    return f
-
-
-def _plane_basis(a: BlochOperator, b: BlochOperator) -> np.ndarray:
-    """Two orthonormal rows spanning r_A and r_B (completed if needed)."""
-    basis = _span_basis([a.r, b.r])
-    if basis.shape[0] == 0:
-        basis = np.eye(3)[:1]
-    if basis.shape[0] == 1:
-        # need a full plane to vary phi_Q
-        extra = np.eye(3)[np.argmin(np.abs(basis[0]))]
-        e2 = extra - (extra @ basis[0]) * basis[0]
-        basis = np.vstack([basis[0], e2 / np.linalg.norm(e2)])
-    return basis[:2]
-
-
-def _polar(cq, phi):
-    """r components (1 - c_Q)(cos phi, sin phi) of the reduced M=3 search."""
-    rn = 1.0 - cq
-    return [rn * np.cos(phi), rn * np.sin(phi)]
-
-
-def _cone(x, k: int):
-    """r components of the general search point x = (c_Q, t, angles), one
-    row per lane: r = t * min(c, 1-c) * direction(angles), so the cone
-    constraint becomes the box t in [-1, 1] and the search can slide along
-    its boundary coordinate-wise."""
-    if k == 0:
-        return []
-    scale = x[:, 1] * np.minimum(x[:, 0], 1.0 - x[:, 0])
-    if k == 1:
-        return [scale]
-    if k == 2:
-        return [scale * np.cos(x[:, 2]), scale * np.sin(x[:, 2])]
-    th, ph = x[:, 2], x[:, 3]
-    return [scale * (np.sin(th) * np.cos(ph)), scale * (np.sin(th) * np.sin(ph)),
-            scale * np.cos(th)]
-
-
-def _optimize_general(q: BlochOperator, basis: np.ndarray) -> list:
-    """The start of a general lane: the (c_Q, t, angles) of `_cone` at the
-    dual's Q, its r_Q projected onto the lane's span `basis`."""
-    cq0, rcomp0 = min(max(q.c, 0.0), 1.0), basis @ q.r
-    k = rcomp0.size
-    rn0 = np.linalg.norm(rcomp0)
-    bound0 = max(min(cq0, 1.0 - cq0), 1e-12)
-    x0 = [cq0, min(rn0 / bound0, 1.0)]
-    if k == 1:
-        x0[1] *= np.sign(rcomp0[0]) if rn0 > 0 else 1.0
-    elif k == 2:
-        x0.append(np.arctan2(rcomp0[1], rcomp0[0]) if rn0 > 0 else 0.0)
-    elif k == 3:
-        x0.append(np.arccos(np.clip(rcomp0[2] / rn0, -1, 1)) if rn0 > 0 else 0.0)
-        x0.append(np.arctan2(rcomp0[1], rcomp0[0]) if rn0 > 0 else 0.0)
-    return x0[: k + 1]
-
-
-def _polar_start(q: BlochOperator, basis: np.ndarray):
-    """(c_Q, phi_Q) of the reduced M=3 search at the dual's Q, or None when
-    Q is off its domain: c_Q + |r_Q| = 1, c_Q >= 1/2, r_Q in the plane."""
-    rcomp = basis @ q.r
-    off = (0.5 - q.c, abs(q.c + np.hypot(*rcomp) - 1.0), np.linalg.norm(q.r - rcomp @ basis))
-    if max(off) > _ON_DOMAIN:
-        return None
-    return [min(max(q.c, 0.5), 1.0), np.arctan2(rcomp[1], rcomp[0])]
-
-
-def _f_optimize_all(abcs, starts, reduce_m3: bool = True) -> list:
-    """(value, Q*) of f_optimize for each (A, B, C) of `abcs`, each search
-    started at its Q of `starts`, with one pattern search per group of like
-    searches run as lanes in lock-step.  A C = 0 lane whose start is off
-    the reduced domain runs with the general lanes."""
-    found = [None] * len(abcs)
-    m3, general = [], {}
-    for j, ((a, b, c), q) in enumerate(zip(abcs, starts)):
-        if reduce_m3 and c.trace_norm() < 1e-14:
-            basis = _plane_basis(a, b)
-            x0 = _polar_start(q, basis)
-            if x0 is not None:
-                m3.append((j, (a, b, c, basis), x0))
-                continue
-        basis = _span_basis([a.r, b.r, c.r])
-        general.setdefault(basis.shape[0], []).append((j, (a, b, c, basis), q))
-
-    if m3:
-        # reduced search over (c_Q, phi_Q) with c_Q + |r_Q| = 1 and r_Q in
-        # the plane of r_A, r_B
-        f = _objective([lane for _, lane, _ in m3])
-        vals, xs = _pattern_search(
-            lambda y: f(y[:, 0], _polar(*y.T)),
-            np.array([x0 for *_, x0 in m3]),
-            lower=np.array([0.5, -np.inf]),
-            upper=np.array([1.0, np.inf]),
-        )
-        for (j, (*_, basis), _), val, (cq, phi) in zip(m3, vals, xs):
-            rq3 = (1.0 - cq) * (np.cos(phi) * basis[0] + np.sin(phi) * basis[1])
-            found[j] = (float(val), BlochOperator(cq, rq3))
-
-    for k, group in sorted(general.items()):
-        x0 = [_optimize_general(q, lane[3]) for _, lane, q in group]
-        f = _objective([lane for _, lane, _ in group])
-        vals, xs = _pattern_search(
-            lambda y: f(y[:, 0], _cone(y, k)),
-            np.array(x0),
-            lower=np.array([0.0, -1.0, -np.inf, -np.inf][: k + 1]),
-            upper=np.array([1.0, 1.0, np.inf, np.inf][: k + 1]),
-        )
-        rcomp = np.stack(_cone(xs, k), axis=-1) if k else np.zeros((len(group), 0))
-        for (j, (*_, basis), _), val, x, rq in zip(group, vals, xs, rcomp):
-            found[j] = (float(val), BlochOperator(x[0], rq @ basis))
-
-    return [_maybe_closed_form(a, b, c, *got) for (a, b, c), got in zip(abcs, found)]
-
-
-def f_optimize(a: BlochOperator, b: BlochOperator, c: BlochOperator, reduce_m3: bool = True):
+def f_optimize(a: BlochOperator, b: BlochOperator, c: BlochOperator):
     """Maximize F_Q over 0 <= Q <= 1.  Returns (value, Q*).
 
     The four operators (A+B, C, A-B, -C) + t 1, t the smallest shift that
-    makes all four positive, have this (A, B, C) and prefactor 2t, so the
-    search starts at Q* = Pi_0 + Pi_2 of their optimal POVM (`_dual`), where
-    F is their dual value less 2t.  A pattern search polishes Q*, and the
-    closed form Tr[(A+|B|-|C|)_+] + ||C||_1 with its certified Q is taken
-    when one of its sufficient conditions holds.  For C = 0 the search is reduced to
-    (c_Q, phi_Q) with c_Q + r_Q = 1 and r_Q in span(r_A, r_B) unless
-    `reduce_m3` is disabled.
+    makes all four positive, have this (A, B, C) and prefactor 2t, so F is
+    largest at Q* = Pi_0 + Pi_2 of their optimal POVM (`_dual`), where it
+    equals their dual value less 2t.  The closed form Tr[(A+|B|-|C|)_+] +
+    ||C||_1 with its certified Q is taken when one of its sufficient
+    conditions holds.
     """
     ops = [a + b, c, a - b, -c]
     t = max(op.rnorm - op.c for op in ops)
     _, povm = _dual([op + BlochOperator(t, np.zeros(3)) for op in ops])
-    return _f_optimize_all([(a, b, c)], [povm[0] + povm[2]], reduce_m3)[0]
+    q = povm[0] + povm[2]
+    return _maybe_closed_form(a, b, c, f_value(q, a, b, c), q)
 
 
 def _maybe_closed_form(a, b, c, best_val, best_q):
-    """Upgrade the numeric optimum with the closed form when it applies."""
+    """Upgrade the value at Q* with the closed form when it applies."""
     if _closed_form_applies(a, b, c):
         cf = _closed_form_value(a, b, c)
         if cf >= best_val - 1e-12:
@@ -476,7 +302,7 @@ def _maybe_closed_form(a, b, c, best_val, best_q):
             else:
                 q_cert = BlochOperator(0.5, np.zeros(3))
             # certify only when the analytic Q attains the value; otherwise
-            # keep the numerically refined optimizer
+            # keep Q*
             if abs(f_value_matrix(q_cert, a, b, c) - cf) < 1e-10:
                 return cf, q_cert
             return max(cf, best_val), best_q
@@ -506,50 +332,32 @@ def abc_operators(weighted):
     raise ValueError("need 3 or 4 weighted states")
 
 
-def _orderings(n: int):
-    """Inequivalent state orderings (success probability is invariant, but
-    the closed-form conditions may hold only for some of them)."""
-    seen, out = set(), []
-    for perm in permutations(range(n)):
-        if n == 3:
-            key = (frozenset((perm[0], perm[2])), perm[1])
-        else:
-            key = (perm[1], perm[3], frozenset((perm[0], perm[2])))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(perm)
-    return out
-
-
-def _psucc(weighted, reduce_m3: bool = True) -> tuple:
-    """(success probability, Q*, ordering) of the first state ordering
-    within _TIE_TOL of the best.  The dual is solved once, and the search of
-    every ordering starts at its Q* = Pi_perm[0] + Pi_perm[2].  Raises
-    ConvergenceError when the result is not within _GAP_TOL of the dual."""
+def _psucc(weighted) -> tuple:
+    """(success probability, Q*, dual value) of 3 or 4 weighted states in
+    their given order: the dual is solved once, and p_succ is the prefactor
+    of `abc_operators` plus F at Q* = Pi_0 + Pi_2 of the dual's POVM.
+    Raises ConvergenceError when p_succ is not within _GAP_TOL of the dual
+    value."""
     dual, povm = _dual(weighted)
-    perms = _orderings(len(weighted))
-    ops = [abc_operators([weighted[i] for i in perm]) for perm in perms]
-    found = _f_optimize_all([op[:3] for op in ops], [povm[p[0]] + povm[p[2]] for p in perms],
-                            reduce_m3)
-    totals = [op[3] + val for op, (val, _) in zip(ops, found)]
-    j = next(j for j, p in enumerate(totals) if p >= max(totals) - _TIE_TOL)
-    best = (totals[j], found[j][1], perms[j])
-    if not abs(best[0] - dual) <= _GAP_TOL:
+    a, b, c, prefactor = abc_operators(weighted)
+    q = povm[0] + povm[2]
+    val, q = _maybe_closed_form(a, b, c, f_value(q, a, b, c), q)
+    p_succ = prefactor + val
+    if not abs(p_succ - dual) <= _GAP_TOL:
         rows = [[s.c, *s.r.tolist()] for s in weighted]
         raise ConvergenceError(
-            f"qubit-disc: p_succ {best[0]!r} is {abs(best[0] - dual):.3g} from the dual value "
+            f"qubit-disc: p_succ {p_succ!r} is {abs(p_succ - dual):.3g} from the dual value "
             f"{dual!r} (tolerance {_GAP_TOL:g}) for the weighted states (c, rx, ry, rz) {rows}")
-    return best
+    return p_succ, q, dual
 
 
-def psucc3(states, reduce_m3: bool = True) -> float:
+def psucc3(states) -> float:
     """Optimal success probability for 3 weighted qubit states
     [(BlochOperator density, probability), ...]."""
     weighted = [rho * p for rho, p in states]
     if len(weighted) != 3:
         raise ValueError("psucc3 needs exactly 3 states")
-    return _psucc(weighted, reduce_m3=reduce_m3)[0]
+    return _psucc(weighted)[0]
 
 
 def psucc4(states) -> float:

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,20 +175,22 @@ def test_f_recursion_identity():
     for _ in range(5):
         a = random_bloch_op(rng, scale=0.4)
         b = random_bloch_op(rng, scale=0.4)
-        lhs, _ = f_optimize(a, b, zero, reduce_m3=False)
-        inner, _ = f_optimize(-3 * b - a, b - a, zero, reduce_m3=False)
+        lhs, _ = f_optimize(a, b, zero)
+        inner, _ = f_optimize(-3 * b - a, b - a, zero)
         assert lhs == pytest.approx(0.5 * inner + (a + b).trace, abs=5e-7)
 
 
 def test_m3_reduction_matches_full_search():
+    # the old path's reduced M=3 search and its full search both reach F at
+    # the dual's Q*
     rng = np.random.default_rng(29)
     zero = BlochOperator(0.0, np.zeros(3))
     for _ in range(5):
         a = random_bloch_op(rng, scale=0.3)
         b = random_bloch_op(rng, scale=0.3)
-        reduced, _ = f_optimize(a, b, zero, reduce_m3=True)
-        full, _ = f_optimize(a, b, zero, reduce_m3=False)
-        assert reduced == pytest.approx(full, abs=5e-7)
+        val, _ = f_optimize(a, b, zero)
+        for reduce_m3 in (True, False):
+            assert oracle_f_optimize(a, b, zero, reduce_m3)[0] == pytest.approx(val, abs=5e-7)
 
 
 # -------------------------------------------------------------- M=3 states
@@ -466,14 +470,39 @@ def test_cyclic_matches_srm_and_schur_oracles():
 
 # ------------------------------------------------ the old grid-plus-search path
 #
-# Before the searches started from the dual's Q*, each ordering started from
-# the best point of a coarse grid: for general lanes the feasible points of
-# the (c_Q, r_1..r_k) mesh with GRID_POINTS per axis, for the reduced M=3
-# lanes a (c_Q, phi_Q) grid, followed by one scalar pattern search per
-# ordering.  The functions below are that path, kept as the oracle: the dual
-# start must never do worse than it.
+# Before p_succ was read off the dual's POVM, every inequivalent state
+# ordering was searched: each started from the best point of a coarse grid
+# (for general orderings the feasible points of the (c_Q, r_1..r_k) mesh
+# with GRID_POINTS per axis, for the reduced M=3 domain a (c_Q, phi_Q)
+# grid), followed by one scalar pattern search, and the best ordering won.
+# The functions below are that path, kept as the oracle: F at the dual's Q*
+# must never do worse than it.
 
 GRID_POINTS = 41
+
+
+def span_basis(vectors, tol=1e-12):
+    """Orthonormal basis (rows) of the span of the given 3-vectors."""
+    m = np.array([v for v in vectors if np.linalg.norm(v) > tol])
+    if m.size == 0:
+        return np.zeros((0, 3))
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    return vt[s > tol * max(1.0, s[0])]
+
+
+def orderings(n):
+    """Inequivalent state orderings: p_succ is invariant, but the closed-form
+    conditions may hold only for some of them."""
+    seen, out = set(), []
+    for perm in permutations(range(n)):
+        if n == 3:
+            key = (frozenset((perm[0], perm[2])), perm[1])
+        else:
+            key = (perm[1], perm[3], frozenset((perm[0], perm[2])))
+        if key not in seen:
+            seen.add(key)
+            out.append(perm)
+    return out
 
 
 def scalar_pattern_search(fun, x0, lower, upper, step0=0.05, step_min=1e-9):
@@ -498,7 +527,7 @@ def scalar_pattern_search(fun, x0, lower, upper, step0=0.05, step_min=1e-9):
 
 
 def oracle_plane_basis(a, b):
-    basis = qd._span_basis([a.r, b.r])
+    basis = span_basis([a.r, b.r])
     if basis.shape[0] == 0:
         basis = np.eye(3)[:1]
     if basis.shape[0] == 1:
@@ -521,7 +550,7 @@ def ensemble(rng, n, dim, pure):
 
 
 def abc_of_orderings(weighted, limit=None):
-    perms = qd._orderings(len(weighted))[:limit]
+    perms = orderings(len(weighted))[:limit]
     return [abc_operators([weighted[i] for i in perm])[:3] for perm in perms]
 
 
@@ -589,7 +618,7 @@ def oracle_f_optimize(a, b, c, reduce_m3=True):
                                                np.array([0.5, -np.inf]), np.array([1.0, np.inf]))
         rq3 = (1.0 - cq) * (np.cos(phi) * basis[0] + np.sin(phi) * basis[1])
         return qd._maybe_closed_form(a, b, c, val, BlochOperator(cq, rq3))
-    basis = qd._span_basis([a.r, b.r, c.r])
+    basis = span_basis([a.r, b.r, c.r])
     _, cq0, rcomp0, f_components = oracle_optimize_general(a, b, c, basis)
     k = basis.shape[0]
     if k == 0:
@@ -630,7 +659,7 @@ def oracle_psucc(weighted, reduce_m3=True):
     """(best p_succ, Q*, ordering) of the old path; the first ordering wins
     ties."""
     best = (-np.inf, None, None)
-    for perm in qd._orderings(len(weighted)):
+    for perm in orderings(len(weighted)):
         a, b, c, pref = abc_operators([weighted[i] for i in perm])
         val, q = oracle_f_optimize(a, b, c, reduce_m3)
         if pref + val > best[0]:
@@ -642,23 +671,22 @@ def oracle_psucc(weighted, reduce_m3=True):
 
 
 def assert_dual_certified(weighted, reduce_m3=True):
-    """The dual's POVM is a POVM whose value is the dual value; every
-    ordering's search reaches the dual value from Q* = Pi_perm[0] +
-    Pi_perm[2] (gap <= 1e-12); the result is no worse than the old path and
-    its Q is an effect.  Returns the dual value."""
+    """The dual's POVM is a POVM whose value is the dual value; in every
+    ordering F at Q* = Pi_perm[0] + Pi_perm[2] plus the prefactor is the dual
+    value (gap <= 1e-12); p_succ is no worse than the old path (its reduced
+    M=3 search when `reduce_m3`), and its Q is an effect.  Returns the dual
+    value."""
     dual, povm = qd._dual(weighted)
     total = sum(povm, BlochOperator(0.0, np.zeros(3)))
     assert abs(total.c - 1.0) <= 1e-12 and total.rnorm <= 1e-12
     assert all(min(pi.eigenvalues) >= -1e-12 for pi in povm)
     assert abs(sum(2.0 * (pi.c * s.c + pi.r @ s.r) for pi, s in zip(povm, weighted)) - dual) \
         <= 1e-12
-    perms = qd._orderings(len(weighted))
-    ops = [abc_operators([weighted[i] for i in perm]) for perm in perms]
-    starts = [povm[p[0]] + povm[p[2]] for p in perms]
-    for op, (val, _) in zip(ops, qd._f_optimize_all([op[:3] for op in ops], starts, reduce_m3)):
-        assert abs(op[3] + val - dual) <= 1e-12
-    val, q, _ = qd._psucc(weighted, reduce_m3)
-    assert abs(val - dual) <= 1e-12
+    for perm in orderings(len(weighted)):
+        a, b, c, pref = abc_operators([weighted[i] for i in perm])
+        assert abs(pref + f_value(povm[perm[0]] + povm[perm[2]], a, b, c) - dual) <= 1e-12
+    val, q, dual_out = qd._psucc(weighted)
+    assert dual_out == dual and abs(val - dual) <= 1e-12
     assert val >= oracle_psucc(weighted, reduce_m3)[0] - 1e-12
     assert -1e-12 <= q.c <= 1.0 + 1e-12 and q.rnorm <= min(q.c, 1.0 - q.c) + 1e-12
     return dual
@@ -697,12 +725,13 @@ def test_dual_start_certifies_the_edge_cases():
     weighted = [bloch_state(np.zeros(3), 0.7)] + ensemble(rng, 3, 3, True)
     weighted[1:] = [s * 0.3 for s in weighted[1:]]
     assert assert_dual_certified(weighted) == pytest.approx(0.7, abs=1e-15)
-    # three states with the dominant one second: the M=3 lanes whose Q* is 0
-    # are off the reduced domain and run as general lanes
+    # three states with the dominant one second: Q* is 0, off the old path's
+    # reduced M=3 domain (c_Q + |r_Q| = 1)
     dominant = [weighted[1], weighted[0], weighted[2]]
     dominant = [s * (1.0 / sum(x.trace for x in dominant)) for s in dominant]
     _, povm = qd._dual(dominant)
-    assert qd._polar_start(povm[0] + povm[2], np.eye(3)[:2]) is None
+    q = povm[0] + povm[2]
+    assert q.c == 0.0 and not q.r.any()
     assert_dual_certified(dominant)
     # four coplanar pure states on the enclosing circle, around the origin:
     # the ball touches all four (P = 1/4 + 2/8), and three of them (or a
@@ -735,11 +764,11 @@ def test_f_optimize_matches_its_embedding_and_the_old_path():
         ops = [a + b, c, a - b, -c]
         t = max(op.rnorm - op.c for op in ops)
         dual = qd._dual([op + BlochOperator(t, np.zeros(3)) for op in ops])[0]
+        val, q = f_optimize(a, b, c)
+        assert abs(val - (dual - 2.0 * t)) <= 1e-12
         for reduce_m3 in (True, False):
-            val, q = f_optimize(a, b, c, reduce_m3)
-            assert abs(val - (dual - 2.0 * t)) <= 1e-12
             assert val >= oracle_f_optimize(a, b, c, reduce_m3)[0] - 1e-12
-            assert f_value(q, a, b, c) == pytest.approx(val, abs=1e-12)
+        assert f_value(q, a, b, c) == pytest.approx(val, abs=1e-12)
 
 
 def test_psucc_matches_the_per_ordering_oracle():
@@ -752,7 +781,7 @@ def test_psucc_matches_the_per_ordering_oracle():
     dims, definite = set(), set()
     for weighted, reduce_m3 in cases:
         for a, b, c in abc_of_orderings(weighted):
-            dims.add(qd._span_basis([a.r, b.r, c.r]).shape[0])
+            dims.add(span_basis([a.r, b.r, c.r]).shape[0])
             definite.add(b.has_definite_sign())
         assert_dual_certified(weighted, reduce_m3)
     assert dims == {0, 1, 2, 3} and definite == {True, False}
@@ -764,35 +793,3 @@ def test_gap_check_names_the_states(monkeypatch):
     monkeypatch.setattr(qd, "_dual", lambda w: (dual(w)[0] + 1e-6, dual(w)[1]))
     with pytest.raises(qd.ConvergenceError, match=r"dual value.*\(c, rx, ry, rz\)"):
         qd._psucc(weighted)
-
-
-def test_psucc_calls_the_grid_per_ordering_and_the_search_per_group(monkeypatch):
-    # perfbench's tracer wraps these two module globals (it reports the time
-    # in _optimize_general, now the dual start of a general lane, as
-    # qubit_disc.grid.s); every call must go through them
-    calls = {"_optimize_general": 0, "_pattern_search": 0}
-
-    def counting(name):
-        inner = getattr(qd, name)
-
-        def stub(*args, **kwargs):
-            calls[name] += 1
-            return inner(*args, **kwargs)
-
-        return stub
-
-    for name in calls:
-        monkeypatch.setattr(qd, name, counting(name))
-    rng = np.random.default_rng(67)
-    for n, dim, groups in ((4, 2, 1), (4, 3, 1), (3, 3, 1)):
-        weighted = ensemble(rng, n, dim, False)
-        calls.update(dict.fromkeys(calls, 0))
-        qd._psucc(weighted)
-        assert calls == {"_optimize_general": 12 if n == 4 else 0, "_pattern_search": groups}
-    # two equal states: C = 0 in 2 of the 12 orderings, so two search
-    # groups (reduced M=3 lanes and k = 2 lanes)
-    weighted = ensemble(rng, 4, 3, False)
-    weighted[3] = weighted[1]
-    calls.update(dict.fromkeys(calls, 0))
-    qd._psucc(weighted)
-    assert calls == {"_optimize_general": 10, "_pattern_search": 2}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qrx._search import _pattern_search
+from qrx._search import _grid_max, _pattern_search
 
 
 def quadratic_lanes(centers, weights, coupling):
@@ -79,3 +79,18 @@ def test_stopped_lane_keeps_its_point():
     assert [(val, x) for val, x, _ in alone] == list(zip(vals, xs.tolist()))
     assert xs.tolist() == [[0.25], [3.0]]
     assert [count for *_, count in alone] == [7, 17] and len(evals) == 17
+
+
+@pytest.mark.parametrize("lo, hi", [(np.nan, 0.0), (-np.inf, 0.0), (0.0, np.inf),
+                                    (np.array([-1.0, np.nan]), 0.0)])
+def test_grid_max_rejects_non_finite_bounds(lo, hi):
+    # such a bracket never narrows below tol; the objective stops a regression
+    def fun(x):
+        calls.append(1)
+        assert len(calls) < 100, "_grid_max did not stop"
+        return -x * x
+
+    calls = []
+    with pytest.raises(ValueError, match="search bounds must be finite"):
+        _grid_max(fun, lo, hi)
+    assert calls == []
