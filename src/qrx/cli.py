@@ -198,6 +198,8 @@ def _cmd_bpsk_sweep(args) -> int:
     if steps < 1:
         raise ConfigError("--steps must be >= 1")
     alphas = _parse_grid(args.alpha_grid)
+    if (alphas < 0).any():
+        raise ConfigError(f"alpha grid must not go below 0, got {args.alpha_grid!r}")
     header = ["alpha_sq", "p_succ", "p_helstrom", "gap"]
     if steps == 1:
         header += list(receivers.PARAMS[args.receiver])

@@ -10,9 +10,17 @@ the amplifying/dephasing stage acts, a final displacement D(-beta) is
 applied and an on/off detector fires on any photon; "no click" is read as
 "-alpha".  All closed forms are written for real alpha, beta; optimal
 operating points sit at beta < 0, exactly as the printed contour region.
+Every formula here holds for alpha >= 0 only, and `optimize`,
+`dolinar_multistep` and `ts_psucc` reject a negative alpha.
+
 Objectives take arrays and broadcast, so one call of `_search._grid_max`
-maximizes a whole batch of 1-D searches; `ts_optimize` refines its (beta, r)
-grid with `_search._pattern_search`.  All optimizations are deterministic.
+maximizes a whole batch of 1-D beta searches (nhpa's over its whole gain
+grid, Dolinar's over all posteriors of a step), and one call of
+`_search._grid_max2` refines (beta, log g) for every cutoff n of
+`nhpa_optimize` at once.  The exception is
+`ts_psucc`: one point per call in Python floats, since `ts_optimize`'s
+`_search._pattern_search` tries one point at a time.  All optimizations
+are deterministic.
 
 This module is the receiver catalogue: `PARAMS` names every kind and the
 free parameters its optimizer returns, `DOLINAR_BASES` the kinds that
@@ -21,12 +29,13 @@ free parameters its optimizer returns, `DOLINAR_BASES` the kinds that
 
 from __future__ import annotations
 
-from math import erf, exp, factorial, inf, lgamma, log, sqrt
+from functools import lru_cache
+from math import cosh, erf, exp, factorial, inf, lgamma, log, sinh, sqrt, tanh
 
 import numpy as np
 
 from . import fock
-from ._search import _ZOOM, _grid_max, _pattern_search
+from ._search import _grid_max, _grid_max2, _pattern_search
 
 #: receiver kind -> the free parameters `optimize` returns after p_succ
 PARAMS = {"helstrom": (), "homodyne": (), "kennedy": (), "opt_kennedy": ("beta",),
@@ -34,6 +43,13 @@ PARAMS = {"helstrom": (), "homodyne": (), "kennedy": (), "opt_kennedy": ("beta",
           "ts": ("beta", "r")}
 #: receiver kinds that dolinar_multistep can repeat over copies
 DOLINAR_BASES = ("kennedy", "opt_kennedy", "nhpa", "dephaser")
+
+
+def _check_alpha(alpha: float) -> None:
+    """The formulas here hold for alpha >= 0 only; NaN passes, and the
+    searches reject it by their non-finite bounds."""
+    if alpha < 0:
+        raise ValueError(f"amplitude alpha must be >= 0, got {alpha!r}")
 
 
 # ------------------------------------------------------------------ baselines
@@ -121,12 +137,19 @@ def nhpa_optimize_beta(alpha: float, g, n, lo: float = -2.0, hi: float = 0.0) ->
                      np.full(batch, lo), hi)
 
 
+#: one cell of nhpa_optimize_beta's coarse beta grid (121 points on [-2, 0])
+_BETA_CELL = 2.0 / 120
+
+
 def nhpa_optimize(alpha: float, n_values=(1, 2, 3), g_max: float = 200.0) -> tuple:
     """Deterministic sweep over n, log-spaced g in [1, g_max] plus g=inf,
-    with inner 1D beta optimization and a local refinement of g on a log
-    scale for every n whose best grid gain has two finite neighbours.
-    Candidates are taken n ascending, then the g grid, then its refinement;
-    the first strict maximum wins.  Returns (psucc, beta*, g*, n*)."""
+    with inner 1D beta optimization, then, for every n whose best grid gain
+    has two finite neighbours, one joint zoom over (beta, log g): its box is
+    beta* of that gain +- one coarse beta cell (clipped to [-2, 0]) times
+    the log g span of the two neighbours, and one `_grid_max2` call refines
+    all such n at once down to widths (1e-12, 1e-10).  Candidates are taken
+    n ascending, then the g grid, then its refinement; the first strict
+    maximum wins.  Returns (psucc, beta*, g*, n*)."""
     gs = np.append(np.geomspace(1.0, g_max, 41), inf)
     ns = np.asarray(n_values)[:, None]
     vals, betas = nhpa_optimize_beta(alpha, gs, ns)
@@ -134,13 +157,13 @@ def nhpa_optimize(alpha: float, n_values=(1, 2, 3), g_max: float = 200.0) -> tup
     refine = np.flatnonzero((at > 0) & (at < len(gs) - 2))
     refined = {}
     if refine.size:
-        n_r = ns[refine]
-        _, lg = _grid_max(lambda lg: nhpa_optimize_beta(alpha, np.exp(lg), n_r)[0],
-                          np.log(gs[at[refine] - 1]), np.log(gs[at[refine] + 1]),
-                          n_grid=_ZOOM, tol=1e-10)
-        g_r = np.exp(lg)
-        v_r, b_r = nhpa_optimize_beta(alpha, g_r, n_r[:, 0])
-        refined = {j: (v_r[m], b_r[m], g_r[m]) for m, j in enumerate(refine)}
+        n_r = ns[refine][:, :, None]
+        b_at = betas[refine, at[refine]]
+        v_r, b_r, lg = _grid_max2(
+            lambda b, lg: nhpa_psucc(alpha, b, np.exp(lg), n_r),
+            (np.maximum(b_at - _BETA_CELL, -2.0), np.log(gs[at[refine] - 1])),
+            (np.minimum(b_at + _BETA_CELL, 0.0), np.log(gs[at[refine] + 1])), tol=(1e-12, 1e-10))
+        refined = {j: (v_r[m], b_r[m], np.exp(lg[m])) for m, j in enumerate(refine)}
     best = (-1.0, 0.0, 1.0, 1)
     for j, n in enumerate(n_values):
         candidates = list(zip(vals[j], betas[j], gs))
@@ -296,6 +319,44 @@ def cavity_optimize(alpha: float) -> tuple:
 # ------------------------------------------------------------ TS (squeezing)
 
 
+@lru_cache(maxsize=32)  # ts_optimize meets ~15 cutoffs per alpha
+def _ts_bra(alpha: float, k_max: int) -> tuple:
+    """(<k|2 alpha> for k = 0..k_max, a bound on the Poisson tail of |2 alpha>
+    above k_max, sqrt(k) for k = 0..k_max + 1) for ts_psucc, in Python floats
+    and tuples, since every caller shares the cached result."""
+    ks = np.arange(k_max + 1)
+    bra2a = np.exp(-2.0 * alpha**2 + ks * np.log(2.0 * alpha)
+                   - 0.5 * fock._log_factorials(k_max)) \
+        if alpha > 0 else np.where(ks == 0, exp(-2.0 * alpha**2), 0.0)
+    mu = 4.0 * alpha**2
+    tail = 0.0 if mu == 0.0 else 1.0 if mu >= k_max + 2 else min(
+        exp(-mu + (k_max + 1) * log(mu) - lgamma(k_max + 2.0)) / (1.0 - mu / (k_max + 2)), 1.0)
+    return tuple(bra2a.tolist()), tail, tuple(sqrt(k) for k in range(k_max + 2))
+
+
+def _pairwise_sum(xs: list) -> float:
+    """sum(xs) in the order numpy's pairwise sum adds a complex array: four
+    interleaved running sums over the whole blocks of 4, then the rest one
+    by one; halves above 64 terms."""
+    size = len(xs)
+    if size > 64:
+        half = size // 2 - size // 2 % 4
+        return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
+    total, m = 0.0, size - size % 4
+    if m:
+        r0, r1, r2, r3 = xs[:4]
+        blocks = iter(xs[4:m])  # the builtin sum() may compensate, so add by hand
+        for x in blocks:
+            r0 += x
+            r1 += next(blocks)
+            r2 += next(blocks)
+            r3 += next(blocks)
+        total = (r0 + r1) + (r2 + r3)
+    for x in xs[m:]:
+        total += x
+    return total
+
+
 def ts_psucc(alpha: float, beta: float, r: float, n: int = 2, k_max: int = None) -> float:
     """Squeezing-enhanced receiver: A_{inf,n} followed by the adjoint of
     U_sq(r) D(beta) and on/off detection.  Both hypotheses are measured in
@@ -308,28 +369,32 @@ def ts_psucc(alpha: float, beta: float, r: float, n: int = 2, k_max: int = None)
     Poisson tail of |2 alpha> above k_max, bounded by its first term over
     1 - 4 alpha^2/(k_max + 2); a TruncationError is raised when that bound
     exceeds fock.TRUNCATION_TOL.
+
+    beta and r are real, so every amplitude is real: the recurrence of
+    `fock.squeezed_displaced_state` runs here in floats, and the products
+    are summed in numpy's order, so the result has the bits of the same
+    sums over numpy arrays.
     """
+    alpha, beta, r = float(alpha), float(beta), float(r)
+    _check_alpha(alpha)
+    c, s = cosh(r), sinh(r)
     if k_max is None:
-        k_max = fock.auto_cutoff(4.0 * alpha**2 + beta**2 + np.sinh(r) ** 2 + 1.0)
-    amps = fock.squeezed_displaced_state(beta, r, cutoff=k_max).amps
-    p0_minus = abs(amps[0]) ** 2
-    ks = np.arange(k_max + 1)
-    bra2a = np.exp(-2.0 * alpha**2 + ks * np.log(2.0 * alpha)
-                   - 0.5 * fock._log_factorials(k_max)) \
-        if alpha > 0 else np.where(ks == 0, exp(-2.0 * alpha**2), 0.0)
-    mu = 4.0 * alpha**2
-    tail = 0.0 if mu == 0.0 else 1.0 if mu >= k_max + 2 else min(
-        exp(-mu + (k_max + 1) * log(mu) - lgamma(k_max + 2.0)) / (1.0 - mu / (k_max + 2)), 1.0)
-    deficit = max(1.0 - float(np.vdot(amps, amps).real), 0.0)
-    bound = 2.0 * sqrt(tail * deficit)
+        k_max = fock.auto_cutoff(4.0 * alpha**2 + beta**2 + s**2 + 1.0)
+    bra2a, tail, roots = _ts_bra(alpha, k_max)
+    psi = exp(-0.5 * beta**2 + 0.5 * tanh(r) * beta * beta) / sqrt(c)
+    p0_minus = psi**2
+    prev = norm = 0.0
+    prod = []
+    for bra, root, root_next in zip(bra2a, roots, roots[1:]):
+        norm += psi * psi
+        prod.append(bra * psi)
+        psi, prev = (beta * psi - s * root * prev) / (c * root_next), psi
+    bound = 2.0 * sqrt(tail * max(1.0 - norm, 0.0))
     if bound > fock.TRUNCATION_TOL:
         raise fock.TruncationError(
-            f"ts at alpha={float(alpha)!r}, beta={float(beta)!r}, r={float(r)!r}: cutoff "
+            f"ts at alpha={alpha!r}, beta={beta!r}, r={r!r}: cutoff "
             f"k_max={k_max} bounds the p(0|+) error by {bound:.2e} > {fock.TRUNCATION_TOL:.0e}")
-    prod = bra2a * amps
-    low = prod[:n].sum()
-    high = prod[n:].sum()
-    p0_plus = abs(high) ** 2 + abs(low) ** 2
+    p0_plus = _pairwise_sum(prod[n:]) ** 2 + _pairwise_sum(prod[:n]) ** 2
     return 0.5 * (1.0 + p0_minus - p0_plus)
 
 
@@ -375,6 +440,7 @@ def dolinar_multistep(alpha: float, n_steps: int, base: str = "opt_kennedy") -> 
     weight x max(p, 1 - p)."""
     if base not in DOLINAR_BASES:
         raise ValueError(f"unsupported Dolinar base {base!r}, need one of {DOLINAR_BASES}")
+    _check_alpha(alpha)
     if int(n_steps) != n_steps or n_steps < 1:
         raise ValueError("n_steps must be a positive integer")
     a = alpha / sqrt(n_steps)
@@ -423,6 +489,7 @@ def dolinar_multistep(alpha: float, n_steps: int, base: str = "opt_kennedy") -> 
 def optimize(kind: str, alpha: float) -> tuple:
     """(p_succ, *PARAMS[kind]) of the receiver at amplitude alpha and equal
     priors, with its free parameters at the optimum its optimizer finds."""
+    _check_alpha(alpha)
     if kind == "helstrom":
         return (1.0 - helstrom_bpsk(alpha),)
     if kind == "homodyne":

@@ -126,6 +126,20 @@ def test_bpsk_sweep_rejects_bad_grid(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("steps", ["1", "3"])
+def test_bpsk_sweep_rejects_negative_alphas(tmp_path, capsys, steps):
+    # a negative alpha once gave wrong p_succ with exit 0 (opt_kennedy 0.5000
+    # at -0.5, against 0.8652 at +0.5); alpha = 0 still runs
+    code, text = run_cli(["bpsk-sweep", "--receiver", "opt_kennedy", "--steps", steps,
+                          "--alpha-grid=-0.5:0.5:3"], tmp_path)
+    assert (code, text) == (2, "")
+    assert "alpha grid must not go below 0, got '-0.5:0.5:3'" in capsys.readouterr().err
+    code, text = run_cli(["bpsk-sweep", "--receiver", "opt_kennedy", "--steps", steps,
+                          "--alpha-grid", "0:0.5:3"], tmp_path)
+    assert code == 0
+    assert float(parse_csv(text)[1][0][1]) == pytest.approx(0.5, abs=1e-12)
+
+
 def test_non_finite_grids_exit_2_without_hanging():
     # a nan or inf endpoint made _grid_max's brackets non-finite, so the
     # search never stopped: run the requests in a fresh interpreter with a

@@ -9,6 +9,7 @@ from test_fock import matrix_squeezed_displaced_state, squeezed_displaced_overla
 
 from qrx import TruncationError, fock, povm
 from qrx import receivers as rc
+from qrx._search import _ZOOM, _grid_max
 
 CUT = 40
 
@@ -430,6 +431,23 @@ def test_optimize_returns_the_named_optimizer_output(kind):
     assert tuple(got) == tuple(NAMED[kind](0.4))
 
 
+def test_negative_alpha_is_rejected():
+    # the closed forms hold for alpha >= 0; at -0.5 opt_kennedy gave 0.5000
+    # and ts 0.816, both below Helstrom, so no other check caught them
+    for kind in rc.PARAMS:
+        with pytest.raises(ValueError, match=r"alpha must be >= 0, got -0\.5"):
+            rc.optimize(kind, -0.5)
+    with pytest.raises(ValueError, match="alpha must be >= 0"):
+        rc.dolinar_multistep(-0.5, 2, "nhpa")
+    with pytest.raises(ValueError, match="alpha must be >= 0"):
+        rc.ts_psucc(-0.5, -0.3, 0.1)
+    # at alpha = 0 both hypotheses are the vacuum: every receiver guesses
+    for kind in rc.PARAMS:
+        assert rc.optimize(kind, 0.0)[0] == pytest.approx(0.5, abs=1e-12)
+    assert rc.dolinar_multistep(0.0, 3, "nhpa") == pytest.approx(0.5, abs=1e-12)
+    assert rc.ts_psucc(0.0, -0.3, 0.1) == pytest.approx(0.5, abs=1e-12)
+
+
 def test_receiver_table_is_complete():
     assert set(NAMED) == set(rc.PARAMS)
     assert set(rc.DOLINAR_BASES) <= set(rc.PARAMS)
@@ -571,6 +589,61 @@ def scalar_ts_optimize(alpha, n=2):
     return fx, b, r
 
 
+def nested_nhpa_optimize(alpha, n_values=(1, 2, 3), g_max=200.0):
+    """nhpa_optimize's array path before the joint (beta, log g) zoom: an
+    outer _grid_max over log g whose every point runs a whole inner beta
+    _grid_max."""
+    gs = np.append(np.geomspace(1.0, g_max, 41), math.inf)
+    ns = np.asarray(n_values)[:, None]
+    vals, betas = rc.nhpa_optimize_beta(alpha, gs, ns)
+    at = np.argmax(vals, axis=1)
+    refine = np.flatnonzero((at > 0) & (at < len(gs) - 2))
+    refined = {}
+    if refine.size:
+        n_r = ns[refine]
+        _, lg = _grid_max(lambda lg: rc.nhpa_optimize_beta(alpha, np.exp(lg), n_r)[0],
+                          np.log(gs[at[refine] - 1]), np.log(gs[at[refine] + 1]),
+                          n_grid=_ZOOM, tol=1e-10)
+        g_r = np.exp(lg)
+        v_r, b_r = rc.nhpa_optimize_beta(alpha, g_r, n_r[:, 0])
+        refined = {j: (v_r[m], b_r[m], g_r[m]) for m, j in enumerate(refine)}
+    best = (-1.0, 0.0, 1.0, 1)
+    for j, n in enumerate(n_values):
+        candidates = list(zip(vals[j], betas[j], gs))
+        if j in refined:
+            candidates.append(refined[j])
+        for v, b, g in candidates:
+            if v > best[0]:
+                best = (float(v), float(b), float(g), int(n))
+    return best
+
+
+def array_ts_psucc(alpha, beta, r, n=2, k_max=None):
+    """ts_psucc before it ran in floats: |beta, r> from
+    fock.squeezed_displaced_state, and the sums over numpy arrays."""
+    if k_max is None:
+        k_max = fock.auto_cutoff(4.0 * alpha**2 + beta**2 + np.sinh(r) ** 2 + 1.0)
+    amps = fock.squeezed_displaced_state(beta, r, cutoff=k_max).amps
+    p0_minus = abs(amps[0]) ** 2
+    ks = np.arange(k_max + 1)
+    bra2a = np.exp(-2.0 * alpha**2 + ks * np.log(2.0 * alpha)
+                   - 0.5 * fock._log_factorials(k_max)) \
+        if alpha > 0 else np.where(ks == 0, math.exp(-2.0 * alpha**2), 0.0)
+    mu = 4.0 * alpha**2
+    tail = 0.0 if mu == 0.0 else 1.0 if mu >= k_max + 2 else min(
+        math.exp(-mu + (k_max + 1) * math.log(mu) - math.lgamma(k_max + 2.0))
+        / (1.0 - mu / (k_max + 2)), 1.0)
+    deficit = max(1.0 - float(np.vdot(amps, amps).real), 0.0)
+    bound = 2.0 * math.sqrt(tail * deficit)
+    if bound > fock.TRUNCATION_TOL:
+        raise fock.TruncationError(
+            f"ts at alpha={float(alpha)!r}, beta={float(beta)!r}, r={float(r)!r}: cutoff "
+            f"k_max={k_max} bounds the p(0|+) error by {bound:.2e} > {fock.TRUNCATION_TOL:.0e}")
+    prod = bra2a * amps
+    p0_plus = abs(prod[n:].sum()) ** 2 + abs(prod[:n].sum()) ** 2
+    return 0.5 * (1.0 + p0_minus - p0_plus)
+
+
 def cavity_coherent_psucc(alpha, beta, rho):
     """cavity_psucc with the probe from fock.coherent_state."""
     coh = fock.coherent_state(beta, cutoff=rho.cutoff).amps
@@ -607,7 +680,11 @@ def test_log_factorial_table_keeps_ts_and_cavity_optima(monkeypatch):
 
     table = optima()
     monkeypatch.setattr(fock, "_log_factorials", gammaln_table)
-    assert optima() == table
+    rc._ts_bra.cache_clear()  # its <k|2 alpha> rows came from the running-sum table
+    try:
+        assert optima() == table
+    finally:
+        rc._ts_bra.cache_clear()
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -625,6 +702,71 @@ def test_nhpa_optimize_matches_scalar_path():
         assert n == n_ref
         assert beta == pytest.approx(beta_ref, abs=1e-6)
         assert g == pytest.approx(g_ref, rel=1e-4)
+
+
+def test_nhpa_joint_zoom_matches_nested_path():
+    # one (beta, log g) zoom replaced the log g search whose every point ran
+    # a beta search; on 188 alphas p agrees to 4.4e-16, beta to 2.3e-8 and
+    # g to 1.3e-5 relative
+    refined = 0
+    for alpha in np.linspace(0.01, 1.5, 188):
+        p, beta, g, n = rc.nhpa_optimize(float(alpha))
+        p_ref, beta_ref, g_ref, n_ref = nested_nhpa_optimize(float(alpha))
+        assert abs(p - p_ref) <= 1e-15
+        assert n == n_ref
+        assert beta == pytest.approx(beta_ref, abs=1e-6)
+        assert g == pytest.approx(g_ref, rel=1e-4)
+        refined += g not in np.geomspace(1.0, 200.0, 41)
+    assert refined > 150  # the optimum comes from the zoom, not the g grid
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_ts_psucc_matches_array_path(n):
+    # the float recurrence and numpy-ordered sums give the array path's bits,
+    # on ts_optimize's grid and at cutoffs whose sums split into halves (> 64)
+    points = [(float(a), b, r) for a in ALPHA_GRID
+              for b in np.linspace(-1.6, 0.0, 17) for r in np.linspace(-0.8, 0.2, 11)]
+    points += [(1.0, -5.0, 0.5), (2.0, -3.0, 1.0), (0.7, 3.0, -1.2), (0.0, -0.4, 0.3)]
+    for alpha, beta, r in points:
+        assert rc.ts_psucc(alpha, beta, r, n) == array_ts_psucc(alpha, beta, r, n)
+
+
+def test_ts_truncation_message_matches_array_path():
+    messages = []
+    for ts_psucc in (rc.ts_psucc, array_ts_psucc):
+        with pytest.raises(TruncationError) as info:
+            ts_psucc(0.8, -1.0, -0.5, 2, k_max=5)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def counted(monkeypatch, name):
+    """Replace receivers.<name> by a wrapper that logs each call."""
+    calls, fn = [], getattr(rc, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(rc, name, wrapper)
+    return calls
+
+
+def test_optimizers_make_few_objective_calls(monkeypatch):
+    # no timing: objective calls per alpha.  The nested nhpa search (a beta
+    # search at every log g point) made ~169; ts makes its 187 grid points,
+    # the pattern search's start point and its trials
+    nhpa_calls, ts_calls = counted(monkeypatch, "nhpa_psucc"), counted(monkeypatch, "ts_psucc")
+    for alpha in ALPHA_GRID[::3]:
+        nhpa_calls.clear()
+        rc.nhpa_optimize(float(alpha))
+        assert len(nhpa_calls) <= 40
+        ts_calls.clear()
+        rc.ts_optimize(float(alpha))
+        used = len(ts_calls)
+        ts_calls.clear()
+        scalar_ts_optimize(float(alpha))
+        assert used <= len(ts_calls) + 1
 
 
 @pytest.mark.parametrize("base, g_choices, steps", [
