@@ -2,9 +2,9 @@
 only): `_grid_max` for batches of 1-D searches (the receivers' beta
 searches, nhpa's over its whole gain grid, and Dolinar's), its 2-D sibling
 `_grid_max2` for batches of box searches (the joint (beta, log g)
-refinement of `receivers.nhpa_optimize`), and `_pattern_search` for
-batches of searches over a few coordinates at once (`receivers.ts_optimize`,
-with one lane).
+refinement of `receivers.nhpa_optimize`), and `_pattern_search`, one
+unbounded coordinate search of a scalar function (the (beta, r) refinement
+of `receivers.ts_optimize`).
 """
 
 from __future__ import annotations
@@ -82,42 +82,26 @@ def _grid_max2(fun, lo, hi, tol):
     return fun(x[..., None], y[..., None])[..., 0, 0][()], x[..., 0][()], y[..., 0][()]
 
 
-def _pattern_search(fun, x0, lower, upper, step0=0.05, step_min=1e-9):
-    """A batch of coordinate pattern searches (maximization) run in lock-step.
+def _pattern_search(fun, x0, step0, step_min):
+    """Coordinate pattern search (maximization) of a scalar `fun(*x)` from x0.
 
-    `x0` has shape (B, n), one start per lane, and `fun` maps points of
-    shape (B, n) to values of shape (B,), lane by lane.  In each sweep every
-    lane tries x_i + step, then x_i - step, for every i, clipped to [lower,
-    upper] (shape (n,)), and keeps a trial that gains more than 1e-15; a
-    lane's step halves after a sweep without gain, and the lane stops once
-    its step is <= step_min.  So each lane follows the trials a search of
-    its own would make, and a stopped lane's point no longer moves.
-    Returns (values of shape (B,), points of shape (B, n)).
+    Each sweep tries x_i + step, then x_i - step, for every coordinate i in
+    turn, and keeps a trial that gains more than 1e-15; the step halves after
+    a sweep without gain, and the search stops once it is <= step_min.  The
+    point is a list of Python floats.  Returns (fun at that point, the point).
     """
-    x = np.array(x0, dtype=float)
-    fx = np.array(fun(x), dtype=float)
-    step = np.full(fx.shape, float(step0))
-    active = step > step_min
-    # a trial gains when it beats floor = fx + 1e-15; stopped lanes never do
-    floor = np.where(active, fx + 1e-15, np.inf)
-    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
-    bounded = (np.isfinite(lower) | np.isfinite(upper)).tolist()
-    while active.any():
-        improved = np.zeros_like(active)
-        for i in range(x.shape[1]):
+    x = [float(v) for v in x0]
+    fx = fun(*x)
+    step = float(step0)
+    while step > step_min:
+        improved = False
+        for i in range(len(x)):
             for move in (step, -step):
                 y = x.copy()
-                y[:, i] += move
-                if bounded[i]:  # clip is the identity on an unbounded coordinate
-                    y[:, i] = y[:, i].clip(lower[i], upper[i])
-                fy = fun(y)
-                gain = fy > floor
-                if np.count_nonzero(gain):
-                    np.copyto(x, y, where=gain[:, None])
-                    np.copyto(fx, fy, where=gain)
-                    np.copyto(floor, fy + 1e-15, where=gain)
-                    improved |= gain
-        step[active & ~improved] *= 0.5
-        active = step > step_min
-        floor[~active] = np.inf
+                y[i] += move
+                fy = fun(*y)
+                if fy > fx + 1e-15:
+                    x, fx, improved = y, fy, True
+        if not improved:
+            step *= 0.5
     return fx, x

@@ -13,10 +13,9 @@ weighted states, found by enumerating its support sets, together with the
 optimal POVM {Pi_k}.  Q* = Pi_0 + Pi_2 attains the maximum of F for the
 (A, B, C) of the states in their given order (`abc_operators`), so p_succ
 is that ordering's prefactor plus F at Q* (`f_value`): the F-function
-primal, evaluated at a certified Q rather than searched for.  The closed
-form Tr[(A+|B|-|C|)_+] + ||C||_1 and its Q replace it when one of its
-sufficient conditions holds.  p_succ must lie within _GAP_TOL of the dual
-value, or ConvergenceError names the states.
+primal, evaluated at a certified Q rather than searched for.  p_succ must
+lie within _GAP_TOL of the dual value, or ConvergenceError names the
+states.
 
 Cyclic-symmetric pure-state sets {U^l psi0} of any dimension have a closed
 form in the Gram spectrum (`cyclic_symmetric_perr`); the polytope
@@ -92,21 +91,6 @@ class BlochOperator:
     def trace(self) -> float:
         return 2.0 * self.c
 
-    def abs_op(self) -> "BlochOperator":
-        lo, hi = self.eigenvalues
-        return BlochOperator(
-            0.5 * (abs(hi) + abs(lo)),
-            (0.5 * (abs(hi) - abs(lo)) / self.rnorm) * self.r if self.rnorm > 0 else self.r * 0.0,
-        )
-
-    def pos_part_trace(self) -> float:
-        lo, hi = self.eigenvalues
-        return max(hi, 0.0) + max(lo, 0.0)
-
-    def trace_norm(self) -> float:
-        lo, hi = self.eigenvalues
-        return abs(hi) + abs(lo)
-
     def has_definite_sign(self, tol: float = _SIGN_TOL) -> bool:
         lo, hi = self.eigenvalues
         return lo >= -tol or hi <= tol
@@ -159,22 +143,6 @@ def f_value(q: BlochOperator, a: BlochOperator, b: BlochOperator, c: BlochOperat
     out += _sandwich_term(b, q.c, float(q.r @ b.r), rsq)
     out += _sandwich_term(c, 1.0 - q.c, -float(q.r @ c.r), rsq)
     return out
-
-
-def f_value_matrix(q: BlochOperator, a, b, c) -> float:
-    """Direct 2x2 matrix evaluation of F_Q (oracle route)."""
-    qm = q.matrix()
-    sq = sqrt_psd(qm)
-    sq1 = sqrt_psd(np.eye(2) - qm)
-
-    def tr_abs(m):
-        return float(np.abs(np.linalg.eigvalsh(0.5 * (m + m.conj().T))).sum())
-
-    return float(
-        np.trace(qm @ a.matrix()).real
-        + tr_abs(sq @ b.matrix() @ sq)
-        + tr_abs(sq1 @ c.matrix() @ sq1)
-    )
 
 
 # ------------------------------------------------------------ qubit dual
@@ -240,73 +208,19 @@ def _dual(weighted) -> tuple:
 # --------------------------------------------------------- F optimization
 
 
-def _closed_form_applies(a: BlochOperator, b: BlochOperator, c: BlochOperator) -> bool:
-    """Any of the three sufficient conditions for the closed form."""
-    # case 2: B and C have a definite sign
-    if b.has_definite_sign() and c.has_definite_sign():
-        return True
-    am, bm, cm = a.matrix(), b.matrix(), c.matrix()
-    # case 3: A, B, C all commute
-    if (
-        np.max(np.abs(am @ bm - bm @ am)) < 1e-11
-        and np.max(np.abs(am @ cm - cm @ am)) < 1e-11
-        and np.max(np.abs(bm @ cm - cm @ bm)) < 1e-11
-    ):
-        return True
-    # case 1: supp(B) within supp(A+), supp(C) within supp(A-)
-    wa, ua = np.linalg.eigh(am)
-    pa_pos = (ua * (wa > _SIGN_TOL)) @ ua.conj().T
-    pa_neg = (ua * (wa < -_SIGN_TOL)) @ ua.conj().T
-    in_pos = np.max(np.abs(pa_pos @ bm @ pa_pos - bm)) < 1e-11
-    in_neg = np.max(np.abs(pa_neg @ cm @ pa_neg - cm)) < 1e-11
-    return in_pos and in_neg
-
-
-def _closed_form_value(a: BlochOperator, b: BlochOperator, c: BlochOperator) -> float:
-    """Tr[(A + |B| - |C|)_+] + ||C||_1."""
-    x = a + b.abs_op() - c.abs_op()
-    return x.pos_part_trace() + c.trace_norm()
-
-
 def f_optimize(a: BlochOperator, b: BlochOperator, c: BlochOperator):
     """Maximize F_Q over 0 <= Q <= 1.  Returns (value, Q*).
 
     The four operators (A+B, C, A-B, -C) + t 1, t the smallest shift that
     makes all four positive, have this (A, B, C) and prefactor 2t, so F is
     largest at Q* = Pi_0 + Pi_2 of their optimal POVM (`_dual`), where it
-    equals their dual value less 2t.  The closed form Tr[(A+|B|-|C|)_+] +
-    ||C||_1 with its certified Q is taken when one of its sufficient
-    conditions holds.
+    equals their dual value less 2t.
     """
     ops = [a + b, c, a - b, -c]
     t = max(op.rnorm - op.c for op in ops)
     _, povm = _dual([op + BlochOperator(t, np.zeros(3)) for op in ops])
     q = povm[0] + povm[2]
-    return _maybe_closed_form(a, b, c, f_value(q, a, b, c), q)
-
-
-def _maybe_closed_form(a, b, c, best_val, best_q):
-    """Upgrade the value at Q* with the closed form when it applies."""
-    if _closed_form_applies(a, b, c):
-        cf = _closed_form_value(a, b, c)
-        if cf >= best_val - 1e-12:
-            # certificate Q = theta(A + |B| - |C|) (spectral step function)
-            x = a + b.abs_op() - c.abs_op()
-            lo, hi = x.eigenvalues
-            if lo > 0:
-                q_cert = BlochOperator(1.0, np.zeros(3))
-            elif hi <= 0:
-                q_cert = BlochOperator(0.0, np.zeros(3))
-            elif x.rnorm > 0:
-                q_cert = BlochOperator(0.5, 0.5 * x.r / x.rnorm)
-            else:
-                q_cert = BlochOperator(0.5, np.zeros(3))
-            # certify only when the analytic Q attains the value; otherwise
-            # keep Q*
-            if abs(f_value_matrix(q_cert, a, b, c) - cf) < 1e-10:
-                return cf, q_cert
-            return max(cf, best_val), best_q
-    return best_val, best_q
+    return f_value(q, a, b, c), q
 
 
 # --------------------------------------------------- success probabilities
@@ -341,8 +255,7 @@ def _psucc(weighted) -> tuple:
     dual, povm = _dual(weighted)
     a, b, c, prefactor = abc_operators(weighted)
     q = povm[0] + povm[2]
-    val, q = _maybe_closed_form(a, b, c, f_value(q, a, b, c), q)
-    p_succ = prefactor + val
+    p_succ = prefactor + f_value(q, a, b, c)
     if not abs(p_succ - dual) <= _GAP_TOL:
         rows = [[s.c, *s.r.tolist()] for s in weighted]
         raise ConvergenceError(

@@ -139,10 +139,12 @@ def nhpa_optimize_beta(alpha: float, g, n, lo: float = -2.0, hi: float = 0.0) ->
 
 #: one cell of nhpa_optimize_beta's coarse beta grid (121 points on [-2, 0])
 _BETA_CELL = 2.0 / 120
+#: largest finite gain of nhpa_optimize's grid
+_G_MAX = 200.0
 
 
-def nhpa_optimize(alpha: float, n_values=(1, 2, 3), g_max: float = 200.0) -> tuple:
-    """Deterministic sweep over n, log-spaced g in [1, g_max] plus g=inf,
+def nhpa_optimize(alpha: float, n_values=(1, 2, 3)) -> tuple:
+    """Deterministic sweep over n, log-spaced g in [1, _G_MAX] plus g=inf,
     with inner 1D beta optimization, then, for every n whose best grid gain
     has two finite neighbours, one joint zoom over (beta, log g): its box is
     beta* of that gain +- one coarse beta cell (clipped to [-2, 0]) times
@@ -150,7 +152,7 @@ def nhpa_optimize(alpha: float, n_values=(1, 2, 3), g_max: float = 200.0) -> tup
     all such n at once down to widths (1e-12, 1e-10).  Candidates are taken
     n ascending, then the g grid, then its refinement; the first strict
     maximum wins.  Returns (psucc, beta*, g*, n*)."""
-    gs = np.append(np.geomspace(1.0, g_max, 41), inf)
+    gs = np.append(np.geomspace(1.0, _G_MAX, 41), inf)
     ns = np.asarray(n_values)[:, None]
     vals, betas = nhpa_optimize_beta(alpha, gs, ns)
     at = np.argmax(vals, axis=1)
@@ -404,9 +406,8 @@ def ts_optimize(alpha: float, n: int = 2) -> tuple:
     grid = [(ts_psucc(alpha, b, r, n), b, r)
             for b in np.linspace(-1.6, 0.0, 17) for r in np.linspace(-0.8, 0.2, 11)]
     best = max(grid, key=lambda t: t[0])  # the first maximum
-    fx, x = _pattern_search(lambda y: np.array([ts_psucc(alpha, b, r, n) for b, r in y.tolist()]),
-                            [best[1:]], (-inf, -inf), (inf, inf), step0=0.1, step_min=1e-7)
-    return float(fx[0]), float(x[0, 0]), float(x[0, 1])
+    fx, (beta, r) = _pattern_search(lambda b, r: ts_psucc(alpha, b, r, n), best[1:], 0.1, 1e-7)
+    return float(fx), beta, r
 
 
 # ------------------------------------------------------------------- Dolinar

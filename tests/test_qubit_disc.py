@@ -14,7 +14,6 @@ from qrx.qubit_disc import (
     cyclic_symmetric_perr,
     f_optimize,
     f_value,
-    f_value_matrix,
     polytope_ratio_psucc,
     psucc3,
     psucc4,
@@ -34,6 +33,95 @@ def random_q(rng):
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction)
     return BlochOperator(c, rng.uniform(0, min(c, 1 - c)) * direction)
+
+
+# ------------------------------------------- matrix and closed-form oracles
+
+
+def abs_op(op):
+    """|H| in the Bloch form: eigenvalues |c -+ |r||, same eigenvectors."""
+    lo, hi = op.eigenvalues
+    return BlochOperator(
+        0.5 * (abs(hi) + abs(lo)),
+        (0.5 * (abs(hi) - abs(lo)) / op.rnorm) * op.r if op.rnorm > 0 else op.r * 0.0,
+    )
+
+
+def pos_part_trace(op):
+    lo, hi = op.eigenvalues
+    return max(hi, 0.0) + max(lo, 0.0)
+
+
+def trace_norm(op):
+    lo, hi = op.eigenvalues
+    return abs(hi) + abs(lo)
+
+
+def f_value_matrix(q, a, b, c):
+    """Direct 2x2 matrix evaluation of F_Q."""
+    qm = q.matrix()
+    sq = povm_mod.sqrt_psd(qm)
+    sq1 = povm_mod.sqrt_psd(np.eye(2) - qm)
+
+    def tr_abs(m):
+        return float(np.abs(np.linalg.eigvalsh(0.5 * (m + m.conj().T))).sum())
+
+    return float(
+        np.trace(qm @ a.matrix()).real
+        + tr_abs(sq @ b.matrix() @ sq)
+        + tr_abs(sq1 @ c.matrix() @ sq1)
+    )
+
+
+def closed_form_applies(a, b, c):
+    """Any of the three sufficient conditions for the closed form."""
+    # case 2: B and C have a definite sign
+    if b.has_definite_sign() and c.has_definite_sign():
+        return True
+    am, bm, cm = a.matrix(), b.matrix(), c.matrix()
+    # case 3: A, B, C all commute
+    if (
+        np.max(np.abs(am @ bm - bm @ am)) < 1e-11
+        and np.max(np.abs(am @ cm - cm @ am)) < 1e-11
+        and np.max(np.abs(bm @ cm - cm @ bm)) < 1e-11
+    ):
+        return True
+    # case 1: supp(B) within supp(A+), supp(C) within supp(A-)
+    wa, ua = np.linalg.eigh(am)
+    pa_pos = (ua * (wa > qd._SIGN_TOL)) @ ua.conj().T
+    pa_neg = (ua * (wa < -qd._SIGN_TOL)) @ ua.conj().T
+    in_pos = np.max(np.abs(pa_pos @ bm @ pa_pos - bm)) < 1e-11
+    in_neg = np.max(np.abs(pa_neg @ cm @ pa_neg - cm)) < 1e-11
+    return in_pos and in_neg
+
+
+def closed_form_value(a, b, c):
+    """Tr[(A + |B| - |C|)_+] + ||C||_1."""
+    return pos_part_trace(a + abs_op(b) - abs_op(c)) + trace_norm(c)
+
+
+def maybe_closed_form(a, b, c, best_val, best_q):
+    """The old path's upgrade of a searched (value, Q) by the closed form
+    and its certificate Q = theta(A + |B| - |C|), where the closed form
+    applies."""
+    if closed_form_applies(a, b, c):
+        cf = closed_form_value(a, b, c)
+        if cf >= best_val - 1e-12:
+            x = a + abs_op(b) - abs_op(c)
+            lo, hi = x.eigenvalues
+            if lo > 0:
+                q_cert = BlochOperator(1.0, np.zeros(3))
+            elif hi <= 0:
+                q_cert = BlochOperator(0.0, np.zeros(3))
+            elif x.rnorm > 0:
+                q_cert = BlochOperator(0.5, 0.5 * x.r / x.rnorm)
+            else:
+                q_cert = BlochOperator(0.5, np.zeros(3))
+            # certify only when the analytic Q attains the value
+            if abs(f_value_matrix(q_cert, a, b, c) - cf) < 1e-10:
+                return cf, q_cert
+            return max(cf, best_val), best_q
+    return best_val, best_q
 
 
 def dual_oracle(weighted):
@@ -79,7 +167,7 @@ def test_bloch_operator_matches_matrix_algebra(c, rx, ry, rz):
     assert np.allclose(np.trace(m).real, op.trace, atol=1e-12)
     w = np.linalg.eigvalsh(m)
     assert np.allclose(sorted(w), sorted(op.eigenvalues), atol=1e-10)
-    assert np.abs(w).sum() == pytest.approx(op.trace_norm(), abs=1e-10)
+    assert np.abs(w).sum() == pytest.approx(trace_norm(op), abs=1e-10)
     back = BlochOperator.from_matrix(m)
     assert back.c == pytest.approx(op.c, abs=1e-12)
     assert np.allclose(back.r, op.r, atol=1e-12)
@@ -91,7 +179,7 @@ def test_abs_op_matches_matrix_abs():
         op = random_bloch_op(rng)
         w, u = np.linalg.eigh(op.matrix())
         want = (u * np.abs(w)) @ u.conj().T
-        assert np.allclose(op.abs_op().matrix(), want, atol=1e-10)
+        assert np.allclose(abs_op(op).matrix(), want, atol=1e-10)
 
 
 def test_bloch_state_validates():
@@ -148,9 +236,8 @@ def test_closed_form_definite_sign_case():
         db, dc = rng.normal(size=3), rng.normal(size=3)
         b = BlochOperator(cb, rng.uniform(0, 0.95 * cb) * db / np.linalg.norm(db))
         c = BlochOperator(cc, rng.uniform(0, -0.95 * cc) * dc / np.linalg.norm(dc))
-        want = (a + b.abs_op() - c.abs_op()).pos_part_trace() + c.trace_norm()
         val, q = f_optimize(a, b, c)
-        assert val == pytest.approx(want, abs=1e-8)
+        assert abs(val - closed_form_value(a, b, c)) <= 1e-12
         # value is attained by a feasible Q
         assert f_value_matrix(q, a, b, c) == pytest.approx(val, abs=1e-7)
 
@@ -163,9 +250,8 @@ def test_commuting_case_closed_form():
         a = BlochOperator(rng.normal(), rng.normal() * axis)
         b = BlochOperator(rng.normal(), rng.normal() * axis)
         c = BlochOperator(rng.normal(), rng.normal() * axis)
-        want = (a + b.abs_op() - c.abs_op()).pos_part_trace() + c.trace_norm()
         val, _ = f_optimize(a, b, c)
-        assert val == pytest.approx(want, abs=1e-8)
+        assert abs(val - closed_form_value(a, b, c)) <= 1e-12
 
 
 def test_f_recursion_identity():
@@ -600,7 +686,7 @@ def oracle_optimize_general(a, b, c, basis):
 
 
 def oracle_f_optimize(a, b, c, reduce_m3=True):
-    if c.trace_norm() < 1e-14 and reduce_m3:
+    if trace_norm(c) < 1e-14 and reduce_m3:
         basis = oracle_plane_basis(a, b)
         ra, rb = basis @ a.r, basis @ b.r
         term_b = oracle_sandwich_term(b)
@@ -617,7 +703,7 @@ def oracle_f_optimize(a, b, c, reduce_m3=True):
         val, (cq, phi) = scalar_pattern_search(lambda y: f_angle(*y), (cs[i], phis[j]),
                                                np.array([0.5, -np.inf]), np.array([1.0, np.inf]))
         rq3 = (1.0 - cq) * (np.cos(phi) * basis[0] + np.sin(phi) * basis[1])
-        return qd._maybe_closed_form(a, b, c, val, BlochOperator(cq, rq3))
+        return maybe_closed_form(a, b, c, val, BlochOperator(cq, rq3))
     basis = span_basis([a.r, b.r, c.r])
     _, cq0, rcomp0, f_components = oracle_optimize_general(a, b, c, basis)
     k = basis.shape[0]
@@ -625,7 +711,7 @@ def oracle_f_optimize(a, b, c, reduce_m3=True):
         val, x = scalar_pattern_search(
             lambda y: float(f_components(np.array([y[0]]), np.zeros((1, 0)))[0]),
             np.array([cq0]), np.array([0.0]), np.array([1.0]))
-        return qd._maybe_closed_form(a, b, c, val, BlochOperator(x[0], np.zeros(3)))
+        return maybe_closed_form(a, b, c, val, BlochOperator(x[0], np.zeros(3)))
 
     def to_rcomp(x):
         c_val, t = x[0], x[1]
@@ -652,7 +738,7 @@ def oracle_f_optimize(a, b, c, reduce_m3=True):
     val, x = scalar_pattern_search(
         lambda x: float(f_components(x[0], to_rcomp(x).reshape(1, k))[0]), np.array(x0),
         np.array([0.0, -1.0] + [-np.inf] * n_ang), np.array([1.0, 1.0] + [np.inf] * n_ang))
-    return qd._maybe_closed_form(a, b, c, val, BlochOperator(x[0], to_rcomp(x) @ basis))
+    return maybe_closed_form(a, b, c, val, BlochOperator(x[0], to_rcomp(x) @ basis))
 
 
 def oracle_psucc(weighted, reduce_m3=True):
@@ -771,20 +857,42 @@ def test_f_optimize_matches_its_embedding_and_the_old_path():
         assert f_value(q, a, b, c) == pytest.approx(val, abs=1e-12)
 
 
-def test_psucc_matches_the_per_ordering_oracle():
+def per_ordering_cases():
+    """(weighted states, reduce_m3) over every state count, Bloch span and
+    purity, with both M=3 searches of the old path."""
     rng = np.random.default_rng(71)
     cases = [(ensemble(rng, n, dim, pure), reduce_m3)
              for n in (3, 4) for dim in (0, 1, 2, 3) for pure in (True, False)
              for reduce_m3 in ((True, False) if n == 3 else (True,))
              if dim or not pure]
     cases += [(ensemble(rng, 4, 2, pure), True) for pure in (True, False) for _ in range(3)]
+    return cases
+
+
+def test_psucc_matches_the_per_ordering_oracle():
     dims, definite = set(), set()
-    for weighted, reduce_m3 in cases:
+    for weighted, reduce_m3 in per_ordering_cases():
         for a, b, c in abc_of_orderings(weighted):
             dims.add(span_basis([a.r, b.r, c.r]).shape[0])
             definite.add(b.has_definite_sign())
         assert_dual_certified(weighted, reduce_m3)
     assert dims == {0, 1, 2, 3} and definite == {True, False}
+
+
+def test_psucc_matches_the_closed_form_where_it_applies():
+    # the closed form Tr[(A+|B|-|C|)_+] + ||C||_1 once upgraded the dual's
+    # value whenever one of its conditions held; the dual alone agrees
+    checked = 0
+    for weighted, reduce_m3 in per_ordering_cases():
+        if not reduce_m3:
+            continue  # the same states as the case before
+        for perm in orderings(len(weighted)):
+            ordered = [weighted[i] for i in perm]
+            a, b, c, pref = abc_operators(ordered)
+            if closed_form_applies(a, b, c):
+                assert abs(qd._psucc(ordered)[0] - (pref + closed_form_value(a, b, c))) <= 1e-14
+                checked += 1
+    assert checked >= 60
 
 
 def test_gap_check_names_the_states(monkeypatch):
