@@ -3,7 +3,7 @@ PSK/Hadamard code rates on truncated Fock spaces.
 
 Modules
 -------
-fock        truncated Fock-space states, operators, Wigner functions
+fock        truncated Fock-space kets and operators as numpy arrays, Wigner function
 gaussian    phase-space (mean, covariance) calculus
 povm        measurements, Helstrom optimum, binary-tree decomposition
 qubit_disc  minimum-error discrimination of 3-4 qubit states

@@ -6,6 +6,9 @@ W(q, p) = (1/pi) exp(-(q^2 + p^2)) with integral normalization
 int dq dp W = Tr[rho].  A coherent amplitude alpha sits at
 (q, p) = (sqrt(2) Re alpha, sqrt(2) Im alpha).
 
+States are plain complex numpy arrays: a ket is 1-D of length cutoff + 1,
+an operator or density matrix is 2-D, and a cutoff is read as len - 1.
+
 Everything here runs on numpy alone: log k! comes from one running-sum
 table (`_log_factorials`) and Laguerre polynomials from their recurrence.
 """
@@ -13,7 +16,6 @@ table (`_log_factorials`) and Laguerre polynomials from their recurrence.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import ceil, cosh, sinh, sqrt, tanh
 
@@ -41,113 +43,31 @@ def _log_factorials(n: int) -> np.ndarray:
     return lf
 
 
-@dataclass(frozen=True)
-class FockVector:
-    """A ket in the photon-number basis 0..cutoff."""
-
-    amps: np.ndarray
-    cutoff: int
-
-    def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=complex)
-        if amps.shape != (self.cutoff + 1,):
-            raise ValueError("amps must have length cutoff+1")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amps", amps)
-
-    @property
-    def norm_sq(self) -> float:
-        return float(np.vdot(self.amps, self.amps).real)
-
-    def inner(self, other: "FockVector") -> complex:
-        """<self|other>, padding the shorter vector with zeros."""
-        n = min(self.cutoff, other.cutoff) + 1
-        return complex(np.vdot(self.amps[:n], other.amps[:n]))
-
-    def to_operator(self) -> "FockOperator":
-        return FockOperator(np.outer(self.amps, self.amps.conj()), self.cutoff)
-
-    def pad(self, cutoff: int) -> "FockVector":
-        if cutoff < self.cutoff:
-            raise ValueError("cannot pad to a smaller cutoff")
-        amps = np.zeros(cutoff + 1, dtype=complex)
-        amps[: self.cutoff + 1] = self.amps
-        return FockVector(amps, cutoff)
-
-
-@dataclass(frozen=True)
-class FockOperator:
-    """An operator on the truncated Fock space as a dense complex matrix."""
-
-    matrix: np.ndarray
-    cutoff: int
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        d = self.cutoff + 1
-        if m.shape != (d, d):
-            raise ValueError("matrix must be square of side cutoff+1")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
-
-    def apply(self, v: FockVector) -> FockVector:
-        return FockVector(self.matrix @ v.amps, self.cutoff)
-
-    def expect(self, rho: "FockOperator") -> complex:
-        """Tr[self . rho]"""
-        return complex(np.trace(self.matrix @ rho.matrix))
-
-    def pad(self, cutoff: int) -> "FockOperator":
-        if cutoff < self.cutoff:
-            raise ValueError("cannot pad to a smaller cutoff")
-        m = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-        m[: self.cutoff + 1, : self.cutoff + 1] = self.matrix
-        return FockOperator(m, cutoff)
-
-
-@dataclass(frozen=True)
-class WignerGrid:
-    q_axis: np.ndarray
-    p_axis: np.ndarray
-    values: np.ndarray = field(repr=False)
-
-    def integral(self) -> float:
-        """Trapezoid-rule integral of W over the grid."""
-        return float(np.trapezoid(np.trapezoid(self.values, self.p_axis, axis=1), self.q_axis))
-
-
 # ---------------------------------------------------------------- operators
 
 
-def annihilation(cutoff: int) -> FockOperator:
+def annihilation(cutoff: int) -> np.ndarray:
     d = cutoff + 1
     m = np.zeros((d, d), dtype=complex)
     ns = np.arange(1, d)
     m[ns - 1, ns] = np.sqrt(ns)
-    return FockOperator(m, cutoff)
+    return m
 
 
-def number_operator(cutoff: int) -> FockOperator:
-    return FockOperator(np.diag(np.arange(cutoff + 1, dtype=complex)), cutoff)
+def number_operator(cutoff: int) -> np.ndarray:
+    return np.diag(np.arange(cutoff + 1, dtype=complex))
 
 
-def quadrature_operator(cutoff: int, phi: float = 0.0) -> FockOperator:
+def quadrature_operator(cutoff: int, phi: float = 0.0) -> np.ndarray:
     """q_phi = (a e^{-i phi} + a^dag e^{i phi})/sqrt(2); phi=0 gives q."""
-    a = annihilation(cutoff).matrix
-    m = (a * np.exp(-1j * phi) + a.conj().T * np.exp(1j * phi)) / sqrt(2.0)
-    return FockOperator(m, cutoff)
+    a = annihilation(cutoff)
+    return (a * np.exp(-1j * phi) + a.conj().T * np.exp(1j * phi)) / sqrt(2.0)
 
 
 # ------------------------------------------------------------------- states
 
 
-def coherent_state(
-    alpha: complex, cutoff: int | None = None, truncation_tol: float = TRUNCATION_TOL
-) -> FockVector:
+def coherent_state(alpha: complex, cutoff: int | None = None) -> np.ndarray:
     """|alpha> with amps[n] = e^{-|alpha|^2/2} alpha^n / sqrt(n!)."""
     alpha = complex(alpha)
     if cutoff is None:
@@ -161,13 +81,13 @@ def coherent_state(
         # log-domain magnitude to stay finite past n ~ 170
         logmag = -0.5 * abs(alpha) ** 2 + n * np.log(abs(alpha)) - 0.5 * lf
         amps = np.exp(logmag) * np.exp(1j * n * np.angle(alpha))
-    v = FockVector(amps, cutoff)
-    if 1.0 - v.norm_sq > truncation_tol:
+    deficit = 1.0 - np.vdot(amps, amps).real
+    if deficit > TRUNCATION_TOL:
         raise TruncationError(
-            f"cutoff {cutoff} leaves norm deficit {1.0 - v.norm_sq:.3e} "
-            f"> {truncation_tol:.1e} for |alpha|^2 = {abs(alpha) ** 2:.4g}"
+            f"cutoff {cutoff} leaves norm deficit {deficit:.3e} "
+            f"> {TRUNCATION_TOL:.1e} for |alpha|^2 = {abs(alpha) ** 2:.4g}"
         )
-    return v
+    return amps
 
 
 def coherent_overlap(alpha: complex, beta: complex) -> complex:
@@ -190,7 +110,7 @@ def _squeezed_coeffs(r: float, n_pairs: int) -> np.ndarray:
     return mag * signs / sqrt(np.cosh(r))
 
 
-def squeezed_state(r: float, cutoff: int, truncation_tol: float = TRUNCATION_TOL) -> FockVector:
+def squeezed_state(r: float, cutoff: int) -> np.ndarray:
     """Single-mode squeezed vacuum U_sq(r)|0>, supported on even photon numbers."""
     if cutoff < 2 and r != 0.0:
         raise ValueError("cutoff must be >= 2 for a squeezed state")
@@ -198,15 +118,15 @@ def squeezed_state(r: float, cutoff: int, truncation_tol: float = TRUNCATION_TOL
     c = _squeezed_coeffs(float(r), n_pairs)
     amps = np.zeros(cutoff + 1, dtype=complex)
     amps[0 : 2 * n_pairs + 1 : 2] = c
-    v = FockVector(amps, cutoff)
-    if 1.0 - v.norm_sq > truncation_tol:
+    deficit = 1.0 - np.vdot(amps, amps).real
+    if deficit > TRUNCATION_TOL:
         raise TruncationError(
-            f"cutoff {cutoff} too small for squeezing r={r}: deficit {1.0 - v.norm_sq:.3e}"
+            f"cutoff {cutoff} too small for squeezing r={r}: deficit {deficit:.3e}"
         )
-    return v
+    return amps
 
 
-def squeezed_displaced_state(beta: complex, r: float, cutoff: int) -> FockVector:
+def squeezed_displaced_state(beta: complex, r: float, cutoff: int) -> np.ndarray:
     """|beta, r> = U_sq(r) D(beta) |0>, with U_sq(r) = exp(-r/2 (a^dag^2 - a^2))
     (r > 0 squeezes the q quadrature), on photon numbers 0..cutoff.
 
@@ -224,10 +144,10 @@ def squeezed_displaced_state(beta: complex, r: float, cutoff: int) -> FockVector
     for n in range(cutoff):
         psi.append((b * psi[n] - s * sqrt(n) * prev) / (c * sqrt(n + 1.0)))
         prev = psi[n]
-    return FockVector(np.array(psi), cutoff)
+    return np.array(psi, dtype=complex)
 
 
-def quadrature_eigenvector(q: float, phi: float, cutoff: int) -> FockVector:
+def quadrature_eigenvector(q: float, phi: float, cutoff: int) -> np.ndarray:
     """Improper eigenket |q_phi> of q_phi, expanded over Fock states as
     pi^{-1/4} e^{-q^2/2} H_n(q) / (2^{n/2} sqrt(n!)) e^{-i n phi}.
 
@@ -241,10 +161,10 @@ def quadrature_eigenvector(q: float, phi: float, cutoff: int) -> FockVector:
     for n in range(2, cutoff + 1):
         psi[n] = q * sqrt(2.0 / n) * psi[n - 1] - sqrt((n - 1.0) / n) * psi[n - 2]
     phase = np.exp(-1j * phi * np.arange(cutoff + 1))
-    return FockVector(psi * phase, cutoff)
+    return psi * phase
 
 
-def thermal_state(nbar: float, cutoff: int, truncation_tol: float = TRUNCATION_TOL) -> FockOperator:
+def thermal_state(nbar: float, cutoff: int) -> np.ndarray:
     """Thermal state: diagonal p_n = nbar^n / (nbar+1)^{n+1}."""
     if nbar < 0:
         raise ValueError("nbar must be nonnegative")
@@ -253,17 +173,17 @@ def thermal_state(nbar: float, cutoff: int, truncation_tol: float = TRUNCATION_T
         p = np.where(n == 0, 1.0, 0.0)
     else:
         p = np.exp(n * np.log(nbar) - (n + 1) * np.log(nbar + 1.0))
-    if 1.0 - p.sum() > truncation_tol:
+    if 1.0 - p.sum() > TRUNCATION_TOL:
         raise TruncationError(
             f"cutoff {cutoff} leaves thermal trace deficit {1.0 - p.sum():.3e} at nbar={nbar}"
         )
-    return FockOperator(np.diag(p.astype(complex)), cutoff)
+    return np.diag(p.astype(complex))
 
 
 # ----------------------------------------------------------------- channels
 
 
-def loss_kraus(eta: float, cutoff: int) -> list[FockOperator]:
+def loss_kraus(eta: float, cutoff: int) -> list[np.ndarray]:
     """Kraus family of the quantum-limited attenuator,
     K_k = sum_n sqrt(C(n,k) (1-eta)^k eta^(n-k)) |n-k><n|."""
     if not 0.0 <= eta <= 1.0:
@@ -282,31 +202,31 @@ def loss_kraus(eta: float, cutoff: int) -> list[FockOperator]:
             else:
                 val = np.exp(0.5 * (logc + k * np.log(1.0 - eta) + (n - k) * np.log(eta)))
             m[n - k, n] = val
-        ops.append(FockOperator(m, cutoff))
+        ops.append(m)
     return ops
 
 
-def apply_loss(rho: FockOperator, eta: float) -> FockOperator:
+def apply_loss(rho: np.ndarray, eta: float) -> np.ndarray:
     """Quantum-limited loss channel E_eta acting in the Fock basis."""
-    out = np.zeros_like(rho.matrix)
-    for kop in loss_kraus(eta, rho.cutoff):
-        out = out + kop.matrix @ rho.matrix @ kop.matrix.conj().T
-    return FockOperator(out, rho.cutoff)
+    out = np.zeros_like(rho)
+    for kop in loss_kraus(eta, len(rho) - 1):
+        out = out + kop @ rho @ kop.conj().T
+    return out
 
 
-def apply_amplifier(rho: FockOperator, kappa: float, out_cutoff: int | None = None) -> FockOperator:
+def apply_amplifier(rho: np.ndarray, kappa: float, out_cutoff: int | None = None) -> np.ndarray:
     """Quantum-limited amplifier A_kappa via two-mode-squeezer Kraus operators
     L_k = sum_n sqrt(C(n+k,k)) kappa^{-(n+1)/2} (1-1/kappa)^{k/2} |n+k><n|."""
     if kappa < 1.0:
         raise ValueError("kappa must be >= 1")
-    cin = rho.cutoff
+    cin = len(rho) - 1
     if out_cutoff is None:
         out_cutoff = auto_cutoff(kappa * (cin + 1.0))
     lf = _log_factorials(out_cutoff)
     t = 1.0 - 1.0 / kappa
     out = np.zeros((out_cutoff + 1, out_cutoff + 1), dtype=complex)
     rin = np.zeros_like(out)
-    rin[: cin + 1, : cin + 1] = rho.matrix
+    rin[: cin + 1, : cin + 1] = rho
     k = 0
     while True:
         m = np.zeros((out_cutoff + 1, out_cutoff + 1), dtype=complex)
@@ -323,21 +243,22 @@ def apply_amplifier(rho: FockOperator, kappa: float, out_cutoff: int | None = No
         k += 1
         if t == 0.0 or k > out_cutoff or top < 1e-14:
             break
-    return FockOperator(out, out_cutoff)
+    return out
 
 
 # ---------------------------------------------------------- operator calculus
 
 
-def purity(rho: FockOperator) -> float:
-    return float(np.trace(rho.matrix @ rho.matrix).real)
+def purity(rho: np.ndarray) -> float:
+    return float(np.trace(rho @ rho).real)
 
 
 # ------------------------------------------------------------------- Wigner
 
 
-def wigner(rho: FockOperator, q_axis, p_axis) -> WignerGrid:
-    """Wigner function on a rectangular grid via the displaced-parity form
+def wigner(rho: np.ndarray, q_axis, p_axis) -> np.ndarray:
+    """Wigner function on the grid q_axis x p_axis, of shape
+    (len(q_axis), len(p_axis)), via the displaced-parity form
 
         W(q,p) = (1/pi) Tr[rho D(2 alpha) Pi],   alpha = (q + i p)/sqrt(2),
 
@@ -353,8 +274,7 @@ def wigner(rho: FockOperator, q_axis, p_axis) -> WignerGrid:
     q_axis = np.asarray(q_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
     qg, pg = np.meshgrid(q_axis, p_axis, indexing="ij")
-    m_rho = rho.matrix
-    dim = m_rho.shape[0]
+    dim = len(rho)
     beta = np.sqrt(2.0) * (qg + 1j * pg)
     x = np.abs(beta) ** 2
     lf = _log_factorials(dim - 1)
@@ -367,9 +287,9 @@ def wigner(rho: FockOperator, q_axis, p_axis) -> WignerGrid:
         for m in range(dim - j):
             if m > 0:
                 lag_prev, lag = lag, ((2 * m - 1 + j - x) * lag - (m - 1 + j) * lag_prev) / m
-            r_mn = m_rho[m, m + j]
+            r_mn = rho[m, m + j]
             if r_mn != 0.0:
                 band += ((-1.0) ** m * np.exp(0.5 * (lf[m] - lf[m + j])) * r_mn) * lag
         total += (2.0 if j else 1.0) * betaj * band
         betaj = betaj * beta
-    return WignerGrid(q_axis, p_axis, total.real * np.exp(-0.5 * x) / np.pi)
+    return total.real * np.exp(-0.5 * x) / np.pi

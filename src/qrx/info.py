@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fock import FockOperator
+from .hadamard import classical_capacity
 
 #: eigenvalues below this are dropped from entropy sums (log singularity,
 #: negligible mass)
@@ -43,15 +43,14 @@ def spectrum_entropy(eigs) -> float:
     return float(-_xlog2x(w).sum())
 
 
-def von_neumann_entropy(rho: FockOperator | np.ndarray) -> float:
-    m = rho.matrix if isinstance(rho, FockOperator) else np.asarray(rho, dtype=complex)
+def von_neumann_entropy(rho: np.ndarray) -> float:
+    m = np.asarray(rho, dtype=complex)
     return spectrum_entropy(np.linalg.eigvalsh(0.5 * (m + m.conj().T)))
 
 
 def holevo_chi(ensemble) -> float:
     """chi = S(sum_x p_x rho_x) - sum_x p_x S(rho_x) for [(rho, p), ...]."""
-    mats = [(r.matrix if isinstance(r, FockOperator) else np.asarray(r, complex), p)
-            for r, p in ensemble]
+    mats = [(np.asarray(r, complex), p) for r, p in ensemble]
     d = max(m.shape[0] for m, _ in mats)
     avg = np.zeros((d, d), dtype=complex)
     s_avg = 0.0
@@ -61,18 +60,12 @@ def holevo_chi(ensemble) -> float:
     return von_neumann_entropy(avg) - s_avg
 
 
-def g_thermal(nbar: float) -> float:
-    """Entropy of a thermal state: g(n) = (1+n)log2(1+n) - n log2 n."""
-    if nbar <= 0.0:
-        return 0.0
-    return float((1 + nbar) * np.log2(1 + nbar) - nbar * np.log2(nbar))
-
-
 def pi_capacity(eta: float, nbar: float, E: float) -> float:
     """Classical capacity of the phase-insensitive Gaussian channel with gain
     eta and environment photon number nbar, at input energy E:
-    C = g(e(E)) - g(e(0)), e(E) = eta E + max(0, eta-1) + nbar |eta-1|."""
+    C = g(e(E)) - g(e(0)), e(E) = eta E + max(0, eta-1) + nbar |eta-1|, with
+    g the thermal-state entropy `hadamard.classical_capacity`."""
     def e(x):
         return eta * x + max(0.0, eta - 1.0) + nbar * abs(eta - 1.0)
 
-    return g_thermal(e(E)) - g_thermal(e(0.0))
+    return classical_capacity(e(E)) - classical_capacity(e(0.0))

@@ -1,8 +1,7 @@
 """Measurements: POVM statistics, distances, the Helstrom optimum, and the
 binary-tree decomposition with SRM / sequential-measurement builders.
 
-Operators are plain complex matrices; `FockOperator` / `FockVector` inputs
-are accepted anywhere a state is expected.  Binary outcome strings use
+Operators are plain complex matrices.  Binary outcome strings use
 little-endian bit order: label l = sum_u 2^(u-1) k_u, k_1 being the first
 measured bit.
 """
@@ -16,8 +15,6 @@ from math import ceil, log2
 
 import numpy as np
 
-from .fock import FockOperator, FockVector
-
 #: support-projector threshold; eigenvalues in the gray zone up to
 #: GRAY_ZONE_TOL trigger a warning because pseudo-inverse stability dominates
 #: the round-trip accuracy of the tree decomposition
@@ -26,24 +23,20 @@ GRAY_ZONE_TOL = 1e-9
 
 
 def _as_matrix(x) -> np.ndarray:
-    if isinstance(x, FockOperator):
-        return x.matrix
-    if isinstance(x, FockVector):
-        return np.outer(x.amps, x.amps.conj())
     return np.asarray(x, dtype=complex)
 
 
-def _eigh_clamped(m: np.ndarray, clamp: float = CLAMP_TOL, warn: bool = True):
+def _eigh_clamped(m: np.ndarray, warn: bool = True):
     w, u = np.linalg.eigh(0.5 * (m + m.conj().T))
     if warn:
-        gray = (np.abs(w) >= clamp) & (np.abs(w) < GRAY_ZONE_TOL)
+        gray = (np.abs(w) >= CLAMP_TOL) & (np.abs(w) < GRAY_ZONE_TOL)
         if np.any(gray):
             warnings.warn(
                 f"support detection ambiguous: {gray.sum()} eigenvalue(s) in "
-                f"[{clamp:.0e}, {GRAY_ZONE_TOL:.0e})",
+                f"[{CLAMP_TOL:.0e}, {GRAY_ZONE_TOL:.0e})",
                 stacklevel=3,
             )
-    w = np.where(np.abs(w) < clamp, 0.0, w)
+    w = np.where(np.abs(w) < CLAMP_TOL, 0.0, w)
     return w, u
 
 
@@ -74,7 +67,7 @@ class Povm:
     labels: list = None
 
     def __post_init__(self):
-        els = [np.asarray(_as_matrix(e), dtype=complex) for e in self.elements]
+        els = [_as_matrix(e) for e in self.elements]
         if not els:
             raise ValueError("empty POVM")
         d = els[0].shape[0]

@@ -230,30 +230,29 @@ def _rabi(k: int):
     return -1j * np.sin(w / 2.0), np.cos(w / 2.0), -1j * np.sin(3.0 * w / 2.0), np.cos(3.0 * w / 2.0)
 
 
-def cavity_output(alpha: float, omega_tau: float = 0.0, cutoff: int = None) -> fock.FockOperator:
-    """Field state after the double-Rabi + random-dephasing cavity stage.
+def cavity_output(alpha: float, cutoff: int = None) -> np.ndarray:
+    """Density matrix of the field after the double-Rabi + random-dephasing
+    cavity stage.
 
     Tracing the atom and averaging the dephasing angle leaves the preserved
     superposition |alpha_T> = |0> + alpha e^{-2 i omega tau} |1> plus
     photon-number diagonal terms and residual nearest-neighbour coherences.
-    omega_tau = 0 is the phase-compensated working point.
+    The stage runs at omega tau = 0, the phase-compensated working point.
     """
     a2 = abs(alpha) ** 2
     if cutoff is None:
         cutoff = max(int(fock.auto_cutoff(a2)), 6)
     d = cutoff + 2
     rho = np.zeros((d, d), dtype=complex)
-    ph1 = np.exp(-2j * omega_tau)  # phase on the |1> component of alpha_T
-    ph4 = np.exp(-4j * omega_tau)  # e^{-i 2 pi omega / gamma}
     at = np.zeros(d, dtype=complex)
     at[0] = 1.0
-    at[1] = alpha * ph1
+    at[1] = alpha
     rho += np.outer(at, at.conj())
 
     e1, d1, te1, td1 = _rabi(1)
     e2, d2, te2, td2 = _rabi(2)
     big_d = abs(e1 * np.conj(td1)) ** 2 + abs(te1 * d1) ** 2
-    big_e = ph4 / sqrt(3.0) * e2 * np.conj(td2) * np.conj(d1) * np.conj(te1)
+    big_e = 1.0 / sqrt(3.0) * e2 * np.conj(td2) * np.conj(d1) * np.conj(te1)
     rho[1, 1] += a2**2 / 2.0 * big_d
     rho[2, 1] += a2**2 / 2.0 * alpha * big_e
     rho[1, 2] += np.conj(a2**2 / 2.0 * alpha * big_e)
@@ -269,9 +268,9 @@ def cavity_output(alpha: float, omega_tau: float = 0.0, cutoff: int = None) -> f
             + abs(dm1 * tdm1) ** 2
             + a2 / (k + 1.0) * (abs(ek * np.conj(tdk)) ** 2 + abs(tek * dk) ** 2)
         )
-        ek_coef = ph4 / sqrt(k + 1.0) * ek * tek * np.conj(dm1) * np.conj(tdm1) + (
+        ek_coef = 1.0 / sqrt(k + 1.0) * ek * tek * np.conj(dm1) * np.conj(tdm1) + (
             a2 / (k + 1.0)
-        ) * ph4 / sqrt(k + 2.0) * ep1 * np.conj(tdp1) * np.conj(dk) * np.conj(tek)
+        ) * (1.0 / sqrt(k + 2.0)) * ep1 * np.conj(tdp1) * np.conj(dk) * np.conj(tek)
         rho[k, k] += w * dk_coef
         rho[k + 1, k] += w * alpha * ek_coef
         rho[k, k + 1] += np.conj(w * alpha * ek_coef)
@@ -280,17 +279,17 @@ def cavity_output(alpha: float, omega_tau: float = 0.0, cutoff: int = None) -> f
     tr = np.trace(rho).real
     if abs(tr - 1.0) > 1e-8:
         raise fock.TruncationError(f"cavity series trace deficit {abs(tr - 1.0):.2e}")
-    return fock.FockOperator(rho, cutoff=d - 1)
+    return rho
 
 
-def _cavity_field(alpha: float, beta_max: float) -> fock.FockOperator:
+def _cavity_field(alpha: float, beta_max: float) -> np.ndarray:
     """cavity_output(2 alpha) on a cutoff that covers the signal and every
     probe |beta| <= beta_max."""
     cutoff = max(fock.auto_cutoff(4.0 * alpha**2), fock.auto_cutoff(beta_max**2), 6)
     return cavity_output(2.0 * alpha, cutoff=cutoff)
 
 
-def cavity_psucc(alpha: float, beta, rho: fock.FockOperator = None):
+def cavity_psucc(alpha: float, beta, rho: np.ndarray = None):
     """Kennedy-style inference with the cavity stage replacing the NHPA;
     broadcasts over real beta.  `rho` is a field from
     `_cavity_field(alpha, beta_max)` with beta_max >= |beta|, shared between
@@ -298,17 +297,18 @@ def cavity_psucc(alpha: float, beta, rho: fock.FockOperator = None):
     beta = np.asarray(beta, dtype=float)
     if rho is None:
         rho = _cavity_field(alpha, float(np.max(np.abs(beta))))
-    ks = np.arange(rho.cutoff + 1)
+    cutoff = len(rho) - 1
+    ks = np.arange(cutoff + 1)
     b = beta[..., None]
     # <k|beta>
-    coh = b**ks * np.exp(-0.5 * b**2 - 0.5 * fock._log_factorials(rho.cutoff))
+    coh = b**ks * np.exp(-0.5 * b**2 - 0.5 * fock._log_factorials(cutoff))
     deficit = 1.0 - np.sum(coh**2, axis=-1)
     if np.any(deficit > fock.TRUNCATION_TOL):
         raise fock.TruncationError(
-            f"cavity at alpha={alpha!r}: cutoff {rho.cutoff} leaves probe norm deficit "
+            f"cavity at alpha={alpha!r}: cutoff {cutoff} leaves probe norm deficit "
             f"{np.max(deficit):.3e} at beta={float(beta.flat[np.argmax(deficit)])!r}")
     # rho is Hermitian and coh real, so only Re(rho) contributes
-    p0_plus = np.sum((coh @ rho.matrix.real) * coh, axis=-1)
+    p0_plus = np.sum((coh @ rho.real) * coh, axis=-1)
     return 0.5 * (1.0 + np.exp(-(beta**2)) - p0_plus)
 
 

@@ -282,8 +282,8 @@ def test_12_property_suites():
     for alpha, beta in ((0.4, -0.3), (0.8, -0.6)):
         p_closed = receivers.kennedy_psucc(alpha, beta)
         probe = fock.coherent_state(beta, cutoff=cut)
-        p0_minus = abs(probe.inner(fock.coherent_state(-alpha, cutoff=cut))) ** 2
-        p0_plus = abs(probe.inner(fock.coherent_state(alpha, cutoff=cut))) ** 2
+        p0_minus = abs(np.vdot(probe, fock.coherent_state(-alpha, cutoff=cut))) ** 2
+        p0_plus = abs(np.vdot(probe, fock.coherent_state(alpha, cutoff=cut))) ** 2
         fock_ok &= abs(p_closed - 0.5 * (1.0 + p0_minus - p0_plus)) < 1e-7
     checks.append(("closed-form vs fock", fock_ok))
 

@@ -542,7 +542,8 @@ import numpy as np
 from qrx import cli, fock, qubit_disc
 codes = [cli.main(argv) for argv in {blocked!r}]
 axis = np.linspace(-3.0, 3.0, 7)
-fock.wigner(fock.coherent_state(0.5 + 0.2j, 20).to_operator(), axis, axis)
+ket = fock.coherent_state(0.5 + 0.2j, 20)
+fock.wigner(np.outer(ket, ket.conj()), axis, axis)
 fock.squeezed_state(0.3, 40)
 fock.loss_kraus(0.7, 6)
 swap = np.array([[0.0, 1.0], [1.0, 0.0]])

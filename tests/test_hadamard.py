@@ -335,7 +335,7 @@ def test_psk_helstrom_matches_square_root_measurement():
     m, e = 4, 0.5
     cutoff = 30
     states = [
-        fock.coherent_state(math.sqrt(e) * np.exp(2j * np.pi * k / m), cutoff=cutoff).amps
+        fock.coherent_state(math.sqrt(e) * np.exp(2j * np.pi * k / m), cutoff=cutoff)
         for k in range(m)
     ]
     ops = [np.outer(s, s.conj()) for s in states]

@@ -39,7 +39,7 @@ def test_projective_measure_on_vacuum():
     e0 = np.zeros((d, d), complex); e0[0, 0] = 1
     p = povm.Povm([e0, np.eye(d) - e0])
     vac = fock.coherent_state(0, d - 1)
-    assert np.allclose(povm.measure(p, vac), [1.0, 0.0])
+    assert np.allclose(povm.measure(p, np.outer(vac, vac.conj())), [1.0, 0.0])
 
 
 def test_on_off_click_probability():
@@ -47,7 +47,8 @@ def test_on_off_click_probability():
     d = c + 1
     e0 = np.zeros((d, d), complex); e0[0, 0] = 1
     p = povm.Povm([e0, np.eye(d) - e0])
-    probs = povm.measure(p, fock.coherent_state(alpha, c))
+    v = fock.coherent_state(alpha, c)
+    probs = povm.measure(p, np.outer(v, v.conj()))
     assert probs[0] == pytest.approx(np.exp(-alpha**2), abs=1e-10)
 
 
@@ -88,8 +89,8 @@ def test_orthogonal_pure_states():
 
 
 def test_coherent_fidelity():
-    r0 = fock.coherent_state(0, 40).to_operator()
-    r1 = fock.coherent_state(1.0, 40).to_operator()
+    v0, v1 = fock.coherent_state(0, 40), fock.coherent_state(1.0, 40)
+    r0, r1 = np.outer(v0, v0.conj()), np.outer(v1, v1.conj())
     assert povm.fidelity(r0, r1) == pytest.approx(np.exp(-1.0), abs=1e-9)
 
 
@@ -120,8 +121,8 @@ def test_helstrom_trivial_cases():
 def test_helstrom_bpsk_closed_form():
     # pure equiprobable states with overlap c: p_err = (1 - sqrt(1 - c^2))/2
     alpha = 1.0
-    r0 = fock.coherent_state(alpha, 40).to_operator()
-    r1 = fock.coherent_state(-alpha, 40).to_operator()
+    v0, v1 = fock.coherent_state(alpha, 40), fock.coherent_state(-alpha, 40)
+    r0, r1 = np.outer(v0, v0.conj()), np.outer(v1, v1.conj())
     c = np.exp(-2 * alpha**2)
     want = 0.5 * (1 - np.sqrt(1 - c**2))
     p_err, meas = povm.helstrom_binary(r0, r1, 0.5)
