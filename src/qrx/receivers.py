@@ -14,11 +14,10 @@ Every formula here holds for alpha >= 0 only, and `optimize`,
 `dolinar_multistep` and `ts_psucc` reject a negative alpha.
 
 Objectives take arrays and broadcast, so one call of `_search._grid_max`
-maximizes a whole batch of 1-D beta searches (nhpa's over its whole gain
-grid, Dolinar's over all posteriors of a step), and one call of
-`_search._grid_max2` refines (beta, log g) for every cutoff n of
-`nhpa_optimize` at once.  The exception is
-`ts_psucc`: one point per call in Python floats, since `ts_optimize`'s
+maximizes a whole batch of box searches: beta over nhpa's whole gain grid
+or over all posteriors of a Dolinar step, and (beta, log g) for every
+cutoff n of `nhpa_optimize` at once.  The exception is `ts_psucc`: one
+point per call in Python floats, since `ts_optimize`'s
 `_search._pattern_search` tries one point at a time.  All optimizations
 are deterministic.
 
@@ -30,12 +29,12 @@ free parameters its optimizer returns, `DOLINAR_BASES` the kinds that
 from __future__ import annotations
 
 from functools import lru_cache
-from math import cosh, erf, exp, factorial, inf, lgamma, log, sinh, sqrt, tanh
+from math import cosh, erf, exp, factorial, fsum, inf, isfinite, lgamma, log, sinh, sqrt, tanh
 
 import numpy as np
 
 from . import fock
-from ._search import _grid_max, _grid_max2, _pattern_search
+from ._search import _grid_max, _pattern_search
 
 #: receiver kind -> the free parameters `optimize` returns after p_succ
 PARAMS = {"helstrom": (), "homodyne": (), "kennedy": (), "opt_kennedy": ("beta",),
@@ -43,11 +42,16 @@ PARAMS = {"helstrom": (), "homodyne": (), "kennedy": (), "opt_kennedy": ("beta",
           "ts": ("beta", "r")}
 #: receiver kinds that dolinar_multistep can repeat over copies
 DOLINAR_BASES = ("kennedy", "opt_kennedy", "nhpa", "dephaser")
+#: nhpa_optimize_beta's beta interval and coarse grid (opt_kennedy's and the
+#: dephaser's beta searches start on as many points), and one cell of it
+_BETA_LO, _BETA_HI, _BETA_GRID = -2.0, 0.0, 121
+_BETA_CELL = (_BETA_HI - _BETA_LO) / (_BETA_GRID - 1)
 
 
 def _check_alpha(alpha: float) -> None:
-    """The formulas here hold for alpha >= 0 only; NaN passes, and the
-    searches reject it by their non-finite bounds."""
+    """The formulas here hold for finite alpha >= 0 only."""
+    if not isfinite(alpha):
+        raise ValueError(f"amplitude alpha must be finite, got {alpha!r}")
     if alpha < 0:
         raise ValueError(f"amplitude alpha must be >= 0, got {alpha!r}")
 
@@ -80,7 +84,8 @@ def kennedy_psucc(alpha, beta):
 def optimized_kennedy(alpha: float) -> tuple:
     """max over real beta of kennedy_psucc; the optimum over-nulls (|beta*|
     slightly above alpha, on the nulling side)."""
-    val, beta = _grid_max(lambda b: kennedy_psucc(alpha, b), -3.0 * abs(alpha) - 2.0, 0.0)
+    val, beta = _grid_max(lambda b: kennedy_psucc(alpha, b), (-3.0 * abs(alpha) - 2.0,), (0.0,),
+                          (1e-12,), n_grid=_BETA_GRID)
     return float(val), float(beta)
 
 
@@ -128,17 +133,15 @@ def nhpa_psucc(alpha, beta, g, n):
     return 0.5 * (1.0 + np.exp(-(beta**2)) - (ms + mf))
 
 
-def nhpa_optimize_beta(alpha: float, g, n, lo: float = -2.0, hi: float = 0.0) -> tuple:
-    """(max over beta in [lo, hi] of nhpa_psucc, beta*) for every (g, n) of
-    the broadcast of g and n, in one optimizer call."""
+def nhpa_optimize_beta(alpha: float, g, n) -> tuple:
+    """(max over beta in [_BETA_LO, _BETA_HI] of nhpa_psucc, beta*) for every
+    (g, n) of the broadcast of g and n, in one optimizer call."""
     g, n = np.asarray(g, dtype=float), np.asarray(n)
     batch = np.broadcast_shapes(g.shape, n.shape)
     return _grid_max(lambda b: nhpa_psucc(alpha, b, g[..., None], n[..., None]),
-                     np.full(batch, lo), hi)
+                     (np.full(batch, _BETA_LO),), (_BETA_HI,), (1e-12,), n_grid=_BETA_GRID)
 
 
-#: one cell of nhpa_optimize_beta's coarse beta grid (121 points on [-2, 0])
-_BETA_CELL = 2.0 / 120
 #: largest finite gain of nhpa_optimize's grid
 _G_MAX = 200.0
 
@@ -147,11 +150,11 @@ def nhpa_optimize(alpha: float, n_values=(1, 2, 3)) -> tuple:
     """Deterministic sweep over n, log-spaced g in [1, _G_MAX] plus g=inf,
     with inner 1D beta optimization, then, for every n whose best grid gain
     has two finite neighbours, one joint zoom over (beta, log g): its box is
-    beta* of that gain +- one coarse beta cell (clipped to [-2, 0]) times
-    the log g span of the two neighbours, and one `_grid_max2` call refines
-    all such n at once down to widths (1e-12, 1e-10).  Candidates are taken
-    n ascending, then the g grid, then its refinement; the first strict
-    maximum wins.  Returns (psucc, beta*, g*, n*)."""
+    beta* of that gain +- one coarse beta cell (clipped to [_BETA_LO,
+    _BETA_HI]) times the log g span of the two neighbours, and one 2-D
+    `_grid_max` call refines all such n at once down to widths (1e-12,
+    1e-10).  Candidates are taken n ascending, then the g grid, then its
+    refinement; the first strict maximum wins.  Returns (psucc, beta*, g*, n*)."""
     gs = np.append(np.geomspace(1.0, _G_MAX, 41), inf)
     ns = np.asarray(n_values)[:, None]
     vals, betas = nhpa_optimize_beta(alpha, gs, ns)
@@ -161,10 +164,10 @@ def nhpa_optimize(alpha: float, n_values=(1, 2, 3)) -> tuple:
     if refine.size:
         n_r = ns[refine][:, :, None]
         b_at = betas[refine, at[refine]]
-        v_r, b_r, lg = _grid_max2(
+        v_r, b_r, lg = _grid_max(
             lambda b, lg: nhpa_psucc(alpha, b, np.exp(lg), n_r),
-            (np.maximum(b_at - _BETA_CELL, -2.0), np.log(gs[at[refine] - 1])),
-            (np.minimum(b_at + _BETA_CELL, 0.0), np.log(gs[at[refine] + 1])), tol=(1e-12, 1e-10))
+            (np.maximum(b_at - _BETA_CELL, _BETA_LO), np.log(gs[at[refine] - 1])),
+            (np.minimum(b_at + _BETA_CELL, _BETA_HI), np.log(gs[at[refine] + 1])), (1e-12, 1e-10))
         refined = {j: (v_r[m], b_r[m], np.exp(lg[m])) for m, j in enumerate(refine)}
     best = (-1.0, 0.0, 1.0, 1)
     for j, n in enumerate(n_values):
@@ -216,7 +219,8 @@ def dephaser_psucc(alpha: float, beta, n: int = 2, kind: str = "amp_inf"):
 
 
 def dephaser_optimize(alpha: float, n: int = 2, kind: str = "amp_inf") -> tuple:
-    val, beta = _grid_max(lambda b: dephaser_psucc(alpha, b, n, kind), -2.0, 0.0)
+    val, beta = _grid_max(lambda b: dephaser_psucc(alpha, b, n, kind), (-2.0,), (0.0,), (1e-12,),
+                          n_grid=_BETA_GRID)
     return float(val), float(beta)
 
 
@@ -314,7 +318,8 @@ def cavity_psucc(alpha: float, beta, rho: np.ndarray = None):
 
 def cavity_optimize(alpha: float) -> tuple:
     rho = _cavity_field(alpha, 2.0)
-    val, beta = _grid_max(lambda b: cavity_psucc(alpha, b, rho), -2.0, 0.0, n_grid=61, tol=1e-10)
+    val, beta = _grid_max(lambda b: cavity_psucc(alpha, b, rho), (-2.0,), (0.0,), (1e-10,),
+                          n_grid=61)
     return float(val), float(beta)
 
 
@@ -336,29 +341,6 @@ def _ts_bra(alpha: float, k_max: int) -> tuple:
     return tuple(bra2a.tolist()), tail, tuple(sqrt(k) for k in range(k_max + 2))
 
 
-def _pairwise_sum(xs: list) -> float:
-    """sum(xs) in the order numpy's pairwise sum adds a complex array: four
-    interleaved running sums over the whole blocks of 4, then the rest one
-    by one; halves above 64 terms."""
-    size = len(xs)
-    if size > 64:
-        half = size // 2 - size // 2 % 4
-        return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
-    total, m = 0.0, size - size % 4
-    if m:
-        r0, r1, r2, r3 = xs[:4]
-        blocks = iter(xs[4:m])  # the builtin sum() may compensate, so add by hand
-        for x in blocks:
-            r0 += x
-            r1 += next(blocks)
-            r2 += next(blocks)
-            r3 += next(blocks)
-        total = (r0 + r1) + (r2 + r3)
-    for x in xs[m:]:
-        total += x
-    return total
-
-
 def ts_psucc(alpha: float, beta: float, r: float, n: int = 2, k_max: int = None) -> float:
     """Squeezing-enhanced receiver: A_{inf,n} followed by the adjoint of
     U_sq(r) D(beta) and on/off detection.  Both hypotheses are measured in
@@ -374,8 +356,8 @@ def ts_psucc(alpha: float, beta: float, r: float, n: int = 2, k_max: int = None)
 
     beta and r are real, so every amplitude is real: the recurrence of
     `fock.squeezed_displaced_state` runs here in floats, and the products
-    are summed in numpy's order, so the result has the bits of the same
-    sums over numpy arrays.
+    are summed by math.fsum, correctly rounded (within 2.2e-16 of the same
+    sums over numpy arrays).
     """
     alpha, beta, r = float(alpha), float(beta), float(r)
     _check_alpha(alpha)
@@ -396,7 +378,7 @@ def ts_psucc(alpha: float, beta: float, r: float, n: int = 2, k_max: int = None)
         raise fock.TruncationError(
             f"ts at alpha={alpha!r}, beta={beta!r}, r={r!r}: cutoff "
             f"k_max={k_max} bounds the p(0|+) error by {bound:.2e} > {fock.TRUNCATION_TOL:.0e}")
-    p0_plus = _pairwise_sum(prod[n:]) ** 2 + _pairwise_sum(prod[:n]) ** 2
+    p0_plus = fsum(prod[n:]) ** 2 + fsum(prod[:n]) ** 2
     return 0.5 * (1.0 + p0_minus - p0_plus)
 
 
@@ -464,8 +446,8 @@ def dolinar_multistep(alpha: float, n_steps: int, base: str = "opt_kennedy") -> 
             return (np.maximum(p * q_p, (1.0 - p) * q_m)
                     + np.maximum(p * (1.0 - q_p), (1.0 - p) * (1.0 - q_m)))
 
-        vals, betas = _grid_max(bayes_gain, np.full((prior.size, cfg_o.size), -2.0), 2.0,
-                                n_grid=81, tol=1e-10)
+        vals, betas = _grid_max(bayes_gain, (np.full((prior.size, cfg_o.size), -2.0),), (2.0,),
+                                (1e-10,), n_grid=81)
         best = np.argmax(vals, axis=1)
         return best, betas[np.arange(prior.size), best]
 

@@ -167,7 +167,25 @@ print(json.dumps([codes, errors]))
     assert codes == [2] * 6
     for spec in ("nan:1:2", "0.1:inf:2", "log:1e-3:inf:2"):
         assert result.stderr.count(f"grid endpoints must be finite, got {spec!r}") == 2
-    assert len(errors) == 2 and all("search bounds must be finite" in e for e in errors)
+    assert errors == ["amplitude alpha must be finite, got nan",
+                      "amplitude alpha must be finite, got inf"]
+
+
+@pytest.mark.parametrize("args", [
+    ["--receiver", "opt_kennedy"], ["--receiver", "nhpa"], ["--receiver", "dephaser"],
+    ["--receiver", "cavity"], ["--receiver", "nhpa", "--steps", "3"],
+])
+def test_bpsk_sweep_bytes_match_the_oracle_maximizers(tmp_path, monkeypatch, args):
+    # the d-coordinate _grid_max replaced a 1-D and a 2-D maximizer (kept in
+    # test_search as oracles); the CSV keeps their bytes
+    from test_search import oracle_grid_max
+
+    argv = ["bpsk-sweep", *args, "--alpha-grid", "0.05:1.0:10"]
+    code, text = run_cli(argv, tmp_path, "new")
+    monkeypatch.setattr(receivers, "_grid_max", oracle_grid_max)
+    assert run_cli(argv, tmp_path, "oracle")[0] == code == 0
+    assert (tmp_path / "new").read_bytes() == (tmp_path / "oracle").read_bytes()
+    assert len(parse_csv(text)[1]) == 10
 
 
 # --------------------------------------------------------------- rate table

@@ -9,7 +9,7 @@ from test_fock import matrix_squeezed_displaced_state, squeezed_displaced_overla
 
 from qrx import TruncationError, fock, povm
 from qrx import receivers as rc
-from qrx._search import _ZOOM, _grid_max
+from qrx._search import _grid_max
 
 CUT = 40
 
@@ -396,7 +396,7 @@ def test_pi_channel_never_helps_kennedy():
             p0p = float(np.real(b.conj() @ rho_p @ b))
             return 0.5 * (1 + p0m - p0p)
 
-        return rc._grid_max(np.vectorize(psucc), -2.2, 0.5, n_grid=61, tol=1e-9)[0]
+        return rc._grid_max(np.vectorize(psucc), (-2.2,), (0.5,), (1e-9,), n_grid=61)[0]
 
     for _ in range(20):
         vp = fock.coherent_state(alpha, cutoff=cutoff)
@@ -434,14 +434,20 @@ def test_optimize_returns_the_named_optimizer_output(kind):
 
 def test_negative_alpha_is_rejected():
     # the closed forms hold for alpha >= 0; at -0.5 opt_kennedy gave 0.5000
-    # and ts 0.816, both below Helstrom, so no other check caught them
-    for kind in rc.PARAMS:
-        with pytest.raises(ValueError, match=r"alpha must be >= 0, got -0\.5"):
-            rc.optimize(kind, -0.5)
-    with pytest.raises(ValueError, match="alpha must be >= 0"):
-        rc.dolinar_multistep(-0.5, 2, "nhpa")
-    with pytest.raises(ValueError, match="alpha must be >= 0"):
-        rc.ts_psucc(-0.5, -0.3, 0.1)
+    # and ts 0.816, both below Helstrom, so no other check caught them.  A
+    # nan gave nhpa p_succ -1.0 (its sentinel) and dephaser nan, and an inf
+    # an OverflowError in cavity and ts
+    for alpha, message in [(-0.5, r"alpha must be >= 0, got -0\.5"),
+                           (math.nan, "alpha must be finite, got nan"),
+                           (math.inf, "alpha must be finite, got inf")]:
+        for kind in rc.PARAMS:
+            with pytest.raises(ValueError, match=message):
+                rc.optimize(kind, alpha)
+        for base in rc.DOLINAR_BASES:
+            with pytest.raises(ValueError, match=message):
+                rc.dolinar_multistep(alpha, 2, base)
+        with pytest.raises(ValueError, match=message):
+            rc.ts_psucc(alpha, -0.3, 0.1)
     # at alpha = 0 both hypotheses are the vacuum: every receiver guesses
     for kind in rc.PARAMS:
         assert rc.optimize(kind, 0.0)[0] == pytest.approx(0.5, abs=1e-12)
@@ -603,8 +609,7 @@ def nested_nhpa_optimize(alpha, n_values=(1, 2, 3), g_max=200.0):
     if refine.size:
         n_r = ns[refine]
         _, lg = _grid_max(lambda lg: rc.nhpa_optimize_beta(alpha, np.exp(lg), n_r)[0],
-                          np.log(gs[at[refine] - 1]), np.log(gs[at[refine] + 1]),
-                          n_grid=_ZOOM, tol=1e-10)
+                          (np.log(gs[at[refine] - 1]),), (np.log(gs[at[refine] + 1]),), (1e-10,))
         g_r = np.exp(lg)
         v_r, b_r = rc.nhpa_optimize_beta(alpha, g_r, n_r[:, 0])
         refined = {j: (v_r[m], b_r[m], g_r[m]) for m, j in enumerate(refine)}
@@ -723,13 +728,14 @@ def test_nhpa_joint_zoom_matches_nested_path():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_ts_psucc_matches_array_path(n):
-    # the float recurrence and numpy-ordered sums give the array path's bits,
-    # on ts_optimize's grid and at cutoffs whose sums split into halves (> 64)
+    # the float recurrence gives the array path's amplitudes, and fsum's
+    # correctly rounded sums move p_succ from numpy's pairwise ones by at
+    # most 2**-52 (2.2e-16), on ts_optimize's grid and at cutoffs above 64 terms
     points = [(float(a), b, r) for a in ALPHA_GRID
               for b in np.linspace(-1.6, 0.0, 17) for r in np.linspace(-0.8, 0.2, 11)]
     points += [(1.0, -5.0, 0.5), (2.0, -3.0, 1.0), (0.7, 3.0, -1.2), (0.0, -0.4, 0.3)]
     for alpha, beta, r in points:
-        assert rc.ts_psucc(alpha, beta, r, n) == array_ts_psucc(alpha, beta, r, n)
+        assert abs(rc.ts_psucc(alpha, beta, r, n) - array_ts_psucc(alpha, beta, r, n)) <= 2.0**-52
 
 
 def test_ts_truncation_message_matches_array_path():
