@@ -36,7 +36,8 @@ def _grid_max(fun, lo, hi, tol, n_grid=_ZOOM):
     re-gridded with _ZOOM points, one call per round for the whole batch,
     until every box is within tol in every coordinate (all lanes go on until
     the last is done).  Returns (fun at the box centres, *the centres), of
-    batch shape.  Non-finite bounds, whose boxes never shrink, raise ValueError.
+    batch shape.  Non-finite bounds, whose boxes never shrink, and nan or
+    negative tolerances, which no box reaches, raise ValueError.
 
     The rule keeps the maximum in the box only while, over one grid cell of
     any coordinate, the best value of another moves by less than one of its
@@ -48,6 +49,8 @@ def _grid_max(fun, lo, hi, tol, n_grid=_ZOOM):
     box = np.array(np.broadcast_arrays(*lo, *hi, *tol), dtype=float)
     if not np.isfinite(box[:2 * d]).all():
         raise ValueError(f"search bounds must be finite, got lo={lo!r}, hi={hi!r}")
+    if not (box[2 * d:] >= 0).all():
+        raise ValueError(f"search tolerances must be >= 0, got tol={tol!r}")
     pad = (...,) + (None,) * d
     a, b, tol = box.reshape((3, d) + box.shape[1:])[pad]
     w = b - a

@@ -215,8 +215,6 @@ def _cmd_hadamard_rates(args) -> int:
     m = int(args.m)
     if m < 1:
         raise ConfigError("--M must be >= 1")
-    if args.kernel not in ("helstrom", "realistic"):
-        raise ConfigError(f"kernel must be helstrom or realistic, got {args.kernel!r}")
     lengths = _parse_lengths(args.n)
     for n in lengths:
         if n < 1 or n & (n - 1):

@@ -9,22 +9,25 @@ elsewhere.  All rates below are evaluated in that PPM picture, so the pulse
 energy is ``ℰ = N·E`` with ``E`` the average energy per mode.
 
 The module provides the code itself (`HadamardCode`), the Holevo-optimal rate
-(`optimal_rate`), the cyclic-symmetric Helstrom kernel (`psk_helstrom_prob`),
-a practical nulling cascade for M ∈ {3, 4} (`realistic_psk`), the
-vacuum-or-pulse detection probabilities at finite or infinite splitting steps
-(`vp_prob`), and the receiver/separable rates and their envelope over code
-lengths (`had_rate`, `separable_rate`, `envelope`).
+(`optimal_rate`), the single-mode detection kernels, named by a string:
+"helstrom" (cyclic-symmetric Helstrom) or "realistic" (a practical nulling
+cascade for M ∈ {3, 4}), as matrices (`kernel_matrix`) or entries
+(`psk_helstrom_prob`, `realistic_psk`), the vacuum-or-pulse detection
+probabilities at finite or infinite splitting steps (`vp_prob`), and the
+receiver/separable rates and their envelope over code lengths (`had_rate`,
+`separable_rate`, `envelope`).
 
 Numerical method
 ----------------
-Every rate goes through one array routine, `_vp_matrices`, which returns the
-M×M vacuum-or-pulse matrices for an array of pulse energies at once.  The
-infinite-splitting integral ∫₀^ℰ e^{−x}·P(ℓ|m; ℰ−x) dx uses Gauss–Legendre
-on two panels: ε = ℰ−x ∈ [0, min(ℰ, 1)] under ε = a·s², which removes the
-√ε branch of the kernels at zero remaining energy, and x ∈ [0, min(ℰ−1, 40)]
-(the rest weighs at most e^{−40} ≈ 4e-18).  The same rule evaluates the
-inner integral of the M = 4 nulling cascade; the M = 3 cascade has a closed
-form.  Each result is computed with ``_NODES`` and ``2·_NODES`` nodes per
+One routine, `_detection`, returns every detection matrix, for an array of
+pulse energies at once: the bare kernel, or vacuum-or-pulse detection at J
+or infinitely many steps.  The infinite-splitting integral
+∫₀^ℰ e^{−x}·P(ℓ|m; ℰ−x) dx uses Gauss–Legendre on two panels:
+ε = ℰ−x ∈ [0, min(ℰ, 1)] under ε = a·s², which removes the √ε branch of the
+kernels at zero remaining energy, and x ∈ [0, min(ℰ−1, 40)] (the rest weighs
+at most e^{−40} ≈ 4e-18).  The same rule evaluates the inner integral of the
+M = 4 nulling cascade; the M = 3 cascade has a closed form.  Each result
+that needs a rule is computed with ``_NODES`` and ``2·_NODES`` nodes per
 panel and the finer one is returned; when the two differ by more than
 ``_RULE_TOL`` anywhere, `ConvergenceError` names M, the kernel, J and the
 pulse energy.  The returned values lie within ~2e-14 of a 30-digit
@@ -45,12 +48,12 @@ import numpy as np
 from .errors import ConvergenceError
 
 __all__ = [
-    "DetectionKernel",
     "HadamardCode",
     "classical_capacity",
     "envelope",
     "had_rate",
     "hadamard_matrix",
+    "kernel_matrix",
     "optimal_rate",
     "ppm_transform_check",
     "psk_eigenvalues",
@@ -67,7 +70,7 @@ _NODES = 32
 _RULE_TOL = 1e-8
 #: click delays x beyond this carry weight e^{−x} below 4e-18 and are dropped
 _X_MAX = 40.0
-#: kernel evaluations per block of `_vp_matrices`, which bounds its temporaries
+#: kernel evaluations per block of `_detection`, which bounds its temporaries
 _BLOCK = 1 << 14
 
 
@@ -293,66 +296,97 @@ def _realistic_matrices(m: int, eps: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _checked(level, energies: np.ndarray, where: str) -> np.ndarray:
-    """Evaluate ``level(n)`` -> (K, M, M) at ``_NODES`` and ``2·_NODES`` nodes;
-    return the finer result, or raise when the two differ by > ``_RULE_TOL``."""
-    coarse, fine = level(_NODES), level(2 * _NODES)
-    err = np.max(np.abs(fine - coarse), axis=(-2, -1))
-    worst = int(np.argmax(err))
-    if err[worst] > _RULE_TOL:
-        raise ConvergenceError(
-            f"fixed-order rule did not converge for {where}, pulse energy "
-            f"{float(energies[worst])!r}: error estimate {err[worst]:.2e} "
-            f"exceeds {_RULE_TOL:.0e}"
-        )
-    return fine
+def _check_kernel(kind: str, m: int) -> None:
+    """A kernel is "helstrom" (optimal, any M >= 1) or "realistic" (the
+    nulling cascade, M in {3, 4})."""
+    if kind not in ("helstrom", "realistic"):
+        raise ValueError(f"unknown kernel kind {kind!r}")
+    if kind == "realistic" and m not in (3, 4):
+        raise ValueError("realistic kernel requires M in {3, 4}")
+    if m < 1:
+        raise ValueError("need at least one phase")
 
 
-@dataclass(frozen=True)
-class DetectionKernel:
-    """Single-mode M-PSK detection kernel: ``kind`` is "helstrom" (optimal)
-    or "realistic" (nulling cascade, M ∈ {3, 4})."""
+def _kernel(kind: str, m: int, eps: np.ndarray, n: int) -> np.ndarray:
+    """P[ℓ, m] at energies ``eps`` with an ``n``-node inner rule."""
+    if kind == "helstrom":
+        # circulant: depends on (ℓ − m) mod M only
+        idx = (np.arange(m)[:, None] - np.arange(m)) % m
+        return _helstrom_column(m, eps)[..., idx]
+    return _realistic_matrices(m, eps, n)
 
-    kind: str
-    m: int
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("helstrom", "realistic"):
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "realistic" and self.m not in (3, 4):
-            raise ValueError("realistic kernel requires M in {3, 4}")
-        if self.m < 1:
-            raise ValueError("need at least one phase")
+def _detection(kind: str, m: int, energies, j_steps=None, bare: bool = False) -> np.ndarray:
+    """Detection matrices P[ℓ, m] of shape energies.shape + (M, M).
 
-    @property
-    def closed_form(self) -> bool:
-        """False for the M = 4 cascade, whose entries need a quadrature rule."""
-        return not (self.kind == "realistic" and self.m == 4)
+    ``bare`` reads the kernel at ε = ℰ.  Otherwise the pulse of energy ℰ is
+    split J ways and the first click at step j triggers PSK detection on the
+    remaining energy ℰ(J−j)/J; ``j_steps=None`` (or inf) takes the
+    infinite-splitting limit ∫₀^ℰ e^{−x}·P(ℓ|m; ℰ−x) dx.  Each rule gives
+    nodes ε and weights w per energy, and P = Σ w·P(ε).  The J = ∞ rule and
+    the M = 4 cascade are evaluated at ``_NODES`` and ``2·_NODES`` nodes;
+    the finer result is returned, or `ConvergenceError` raised when the two
+    differ by more than ``_RULE_TOL``.
+    """
+    _check_kernel(kind, m)
+    energies = np.asarray(energies, dtype=float)
+    if np.any(energies < 0):
+        raise ValueError("energy must be non-negative")
+    cascade = kind == "realistic" and m == 4
+    where = f"M={m}, kernel={kind}"
+    if bare:
+        nodes, check = 1, cascade
 
-    def _matrices(self, eps: np.ndarray, n: int) -> np.ndarray:
-        """P[ℓ, m] at energies ``eps`` with an ``n``-node inner rule."""
-        if self.kind == "helstrom":
-            # circulant: depends on (ℓ − m) mod M only
-            idx = (np.arange(self.m)[:, None] - np.arange(self.m)) % self.m
-            return _helstrom_column(self.m, eps)[..., idx]
-        return _realistic_matrices(self.m, eps, n)
+        def rule(block, n):
+            return block[:, None], np.ones((block.size, 1))
+    elif j_steps is None or j_steps == math.inf:
+        nodes, check, where = 4 * _NODES, True, where + ", J=inf"
 
-    def prob(self, l: int, m_in: int, energy: float) -> float:
-        if self.kind == "helstrom":
-            return psk_helstrom_prob(l, m_in, self.m, energy)
-        return realistic_psk(l, m_in, self.m, energy)
+        def rule(block, n):
+            return _inf_rule(block, n)[1:]
+    else:
+        j_steps = int(j_steps)
+        if j_steps < 1:
+            raise ValueError("need at least one splitting step")
+        nodes, check, where = j_steps, cascade, f"{where}, J={j_steps}"
+        # no click in the first j-1 steps, click at step j, PSK on the rest;
+        # the click probabilities sum to exactly 1 - exp(-energy)
+        j = np.arange(1, j_steps + 1)
 
-    def matrix(self, energy) -> np.ndarray:
-        """Conditional matrix P[ℓ, m]; columns sum to ≤ 1 (= 1 for helstrom).
-        An array of energies gives an array of matrices, shape (..., M, M)."""
-        eps = np.asarray(energy, dtype=float)
-        if np.any(eps < 0):
-            raise ValueError("energy must be non-negative")
-        if self.closed_form:
-            return self._matrices(eps, _NODES)
-        flat = eps.reshape(-1)
-        out = _checked(lambda n: self._matrices(flat, n), flat, f"M={self.m}, kernel={self.kind}")
-        return out.reshape(eps.shape + (self.m, self.m))
+        def rule(block, n):
+            step = block[:, None] / j_steps
+            return step * (j_steps - j), np.exp(-step * (j - 1)) * -np.expm1(-step)
+
+    def level(block, n):
+        eps, w = rule(block, n)
+        return np.einsum("kq,kqlm->klm", w, _kernel(kind, m, eps, n))
+
+    per_node = 4 * _NODES if cascade else m * m
+    chunk = max(1, _BLOCK // (nodes * per_node))
+    flat = energies.reshape(-1)
+    blocks = []
+    for start in range(0, flat.size, chunk):
+        block = flat[start:start + chunk]
+        out = level(block, 2 * _NODES if check else _NODES)
+        if check:
+            err = np.max(np.abs(out - level(block, _NODES)), axis=(-2, -1))
+            worst = int(np.argmax(err))
+            if err[worst] > _RULE_TOL:
+                raise ConvergenceError(
+                    f"fixed-order rule did not converge for {where}, pulse energy "
+                    f"{float(block[worst])!r}: error estimate {err[worst]:.2e} "
+                    f"exceeds {_RULE_TOL:.0e}"
+                )
+        blocks.append(out)
+    return np.concatenate(blocks).reshape(energies.shape + (m, m))
+
+
+def kernel_matrix(kind: str, m: int, energy) -> np.ndarray:
+    """Single-mode M-PSK detection matrix P[ℓ, m] at per-state energy
+    ``energy``: ``kind`` is "helstrom" (optimal) or "realistic" (nulling
+    cascade, M ∈ {3, 4}).  Columns sum to ≤ 1 (= 1 for helstrom); an array
+    of energies gives an array of matrices, shape (..., M, M)."""
+    return _detection(kind, m, energy, bare=True)
 
 
 def psk_helstrom_prob(l: int, m_in: int, m: int, energy: float) -> float:
@@ -360,11 +394,7 @@ def psk_helstrom_prob(l: int, m_in: int, m: int, energy: float) -> float:
     coherent set with per-state energy ``energy`` was sent:
     |Σ_j e^{−i2πj(ℓ−m)/M}·√λ_j / M|².
     """
-    if m < 1:
-        raise ValueError("need at least one phase")
-    if energy < 0:
-        raise ValueError("energy must be non-negative")
-    return float(_helstrom_column(m, np.float64(energy))[(l - m_in) % m])
+    return float(kernel_matrix("helstrom", m, energy)[(l - m_in) % m, 0])
 
 
 def realistic_psk(l: int, m_in: int, m: int, energy: float) -> float:
@@ -374,19 +404,10 @@ def realistic_psk(l: int, m_in: int, m: int, energy: float) -> float:
     splitting-step limit; a click hands the residual energy to the next stage
     (Dolinar for the final pair, nulling the equidistant α₂ first for M = 4).
     """
-    if m not in (3, 4):
-        raise ValueError(f"realistic cascade defined for M in {{3, 4}}, got {m}")
+    mat = kernel_matrix("realistic", m, energy)
     if not (0 <= l < m and 0 <= m_in < m):
         raise ValueError("phase indices must lie in range(M)")
-    return float(DetectionKernel("realistic", m).matrix(energy)[l, m_in])
-
-
-def _as_kernel(kernel: str | DetectionKernel, m: int) -> DetectionKernel:
-    if isinstance(kernel, DetectionKernel):
-        if kernel.m != m:
-            raise ValueError("kernel phase count does not match M")
-        return kernel
-    return DetectionKernel(kernel, m)
+    return float(mat[l, m_in])
 
 
 def vp_vacuum_prob(energy: float) -> float:
@@ -395,70 +416,15 @@ def vp_vacuum_prob(energy: float) -> float:
     return math.exp(-energy)
 
 
-def _vp_matrices(
-    kernel: str | DetectionKernel,
-    m: int,
-    pulse_energies,
-    j_steps: int | float | None,
-) -> np.ndarray:
-    """Vacuum-or-pulse matrices P_vp[ℓ, m], shape pulse_energies.shape + (M, M).
-
-    The pulse of energy ℰ is split J ways; the first click at step j triggers
-    PSK detection on the remaining energy ℰ(J−j)/J.  ``j_steps=None`` (or inf)
-    takes the infinite-splitting limit ∫₀^ℰ e^{−x}·P(ℓ|m; ℰ−x) dx.
-    """
-    kern = _as_kernel(kernel, m)
-    energies = np.asarray(pulse_energies, dtype=float)
-    if np.any(energies < 0):
-        raise ValueError("energy must be non-negative")
-    infinite = j_steps is None or j_steps == math.inf
-    if not infinite:
-        j_steps = int(j_steps)
-        if j_steps < 1:
-            raise ValueError("need at least one splitting step")
-        # no click in the first j-1 steps, click at step j, PSK on the rest;
-        # the click probabilities sum to exactly 1 - exp(-energy)
-        j = np.arange(1, j_steps + 1)
-
-    def level(block, n):
-        if infinite:
-            _, eps, w = _inf_rule(block, n)
-        else:
-            step = block[:, None] / j_steps
-            eps = step * (j_steps - j)
-            w = np.exp(-step * (j - 1)) * -np.expm1(-step)
-        return np.einsum("kq,kqlm->klm", w, kern._matrices(eps, n))
-
-    where = f"M={m}, kernel={kern.kind}, J={'inf' if infinite else j_steps}"
-    nodes = 4 * _NODES if infinite else j_steps  # per energy, fine rule
-    per_node = m * m if kern.closed_form else 4 * _NODES
-    chunk = max(1, _BLOCK // (nodes * per_node))
-    flat = energies.reshape(-1)
-    blocks = []
-    for start in range(0, flat.size, chunk):
-        block = flat[start:start + chunk]
-        if infinite or not kern.closed_form:
-            blocks.append(_checked(lambda n: level(block, n), block, where))
-        else:
-            blocks.append(level(block, _NODES))
-    return np.concatenate(blocks).reshape(energies.shape + (m, m))
-
-
-def vp_prob(
-    l: int,
-    m_in: int,
-    m: int,
-    energy: float,
-    j_steps: int | float | None = None,
-    kernel: str | DetectionKernel = "helstrom",
-) -> float:
+def vp_prob(l: int, m_in: int, m: int, energy: float, j_steps: int | float | None = None,
+            kernel: str = "helstrom") -> float:
     """Vacuum-or-pulse probability of identifying phase ℓ given pulse phase m_in.
 
     The pulse of energy ℰ is split J ways; the first click at step j triggers
     PSK detection on the remaining energy ℰ(J−j)/J.  ``j_steps=None`` (or inf)
     takes the infinite-splitting limit ∫_{e^{−ℰ}}^{1} P_psk(ℓ|m; ℰ+ln t) dt.
     """
-    return float(_vp_matrices(kernel, m, energy, j_steps)[l, m_in])
+    return float(_detection(kernel, m, energy, j_steps)[l, m_in])
 
 
 def _channel_rate(cond: np.ndarray, n) -> np.ndarray:
@@ -482,13 +448,8 @@ def _scalar_or_array(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
-def had_rate(
-    n,
-    m: int,
-    energy_per_mode,
-    kernel: str | DetectionKernel = "helstrom",
-    j_steps: int | float | None = None,
-):
+def had_rate(n, m: int, energy_per_mode, kernel: str = "helstrom",
+             j_steps: int | float | None = None):
     """Rate (bits per mode) of the PSK Hadamard receiver: vacuum-or-pulse
     detection on each PPM mode with the given PSK kernel on clicks.
 
@@ -498,24 +459,19 @@ def had_rate(
     _require_power_of_two(n)
     n = np.asarray(n)
     e_tot = n * np.asarray(energy_per_mode, dtype=float)
-    cond = _vp_matrices(kernel, m, e_tot, j_steps)
+    cond = _detection(kernel, m, e_tot, j_steps)
     return _scalar_or_array(_channel_rate(cond, n))
 
 
-def separable_rate(m: int, energy_per_mode, kernel: str | DetectionKernel = "helstrom"):
+def separable_rate(m: int, energy_per_mode, kernel: str = "helstrom"):
     """Rate of the separable PSK scheme: one of M symmetric coherent states on
     each mode, read out with the given single-mode kernel."""
-    cond = _as_kernel(kernel, m).matrix(energy_per_mode)
+    cond = kernel_matrix(kernel, m, energy_per_mode)
     return _scalar_or_array(_channel_rate(cond, 1))
 
 
-def envelope(
-    n_values,
-    m: int,
-    energy_per_mode,
-    kernel: str | DetectionKernel = "helstrom",
-    j_steps: int | float | None = None,
-):
+def envelope(n_values, m: int, energy_per_mode, kernel: str = "helstrom",
+             j_steps: int | float | None = None):
     """max_N had_rate(N, M, E) over the given code lengths (per energy when
     ``energy_per_mode`` is an array)."""
     ns = np.asarray(list(n_values))

@@ -10,8 +10,8 @@ the amplifying/dephasing stage acts, a final displacement D(-beta) is
 applied and an on/off detector fires on any photon; "no click" is read as
 "-alpha".  All closed forms are written for real alpha, beta; optimal
 operating points sit at beta < 0, exactly as the printed contour region.
-Every formula here holds for alpha >= 0 only, and `optimize`,
-`dolinar_multistep` and `ts_psucc` reject a negative alpha.
+Every formula here holds for alpha >= 0 only, and `optimize`, every
+optimizer, `dolinar_multistep` and `ts_psucc` reject a negative alpha.
 
 Objectives take arrays and broadcast, so one call of `_search._grid_max`
 maximizes a whole batch of box searches: beta over nhpa's whole gain grid
@@ -84,6 +84,7 @@ def kennedy_psucc(alpha, beta):
 def optimized_kennedy(alpha: float) -> tuple:
     """max over real beta of kennedy_psucc; the optimum over-nulls (|beta*|
     slightly above alpha, on the nulling side)."""
+    _check_alpha(alpha)
     val, beta = _grid_max(lambda b: kennedy_psucc(alpha, b), (-3.0 * abs(alpha) - 2.0,), (0.0,),
                           (1e-12,), n_grid=_BETA_GRID)
     return float(val), float(beta)
@@ -136,6 +137,7 @@ def nhpa_psucc(alpha, beta, g, n):
 def nhpa_optimize_beta(alpha: float, g, n) -> tuple:
     """(max over beta in [_BETA_LO, _BETA_HI] of nhpa_psucc, beta*) for every
     (g, n) of the broadcast of g and n, in one optimizer call."""
+    _check_alpha(alpha)
     g, n = np.asarray(g, dtype=float), np.asarray(n)
     batch = np.broadcast_shapes(g.shape, n.shape)
     return _grid_max(lambda b: nhpa_psucc(alpha, b, g[..., None], n[..., None]),
@@ -155,6 +157,7 @@ def nhpa_optimize(alpha: float, n_values=(1, 2, 3)) -> tuple:
     `_grid_max` call refines all such n at once down to widths (1e-12,
     1e-10).  Candidates are taken n ascending, then the g grid, then its
     refinement; the first strict maximum wins.  Returns (psucc, beta*, g*, n*)."""
+    _check_alpha(alpha)
     gs = np.append(np.geomspace(1.0, _G_MAX, 41), inf)
     ns = np.asarray(n_values)[:, None]
     vals, betas = nhpa_optimize_beta(alpha, gs, ns)
@@ -219,6 +222,7 @@ def dephaser_psucc(alpha: float, beta, n: int = 2, kind: str = "amp_inf"):
 
 
 def dephaser_optimize(alpha: float, n: int = 2, kind: str = "amp_inf") -> tuple:
+    _check_alpha(alpha)
     val, beta = _grid_max(lambda b: dephaser_psucc(alpha, b, n, kind), (-2.0,), (0.0,), (1e-12,),
                           n_grid=_BETA_GRID)
     return float(val), float(beta)
@@ -317,6 +321,7 @@ def cavity_psucc(alpha: float, beta, rho: np.ndarray = None):
 
 
 def cavity_optimize(alpha: float) -> tuple:
+    _check_alpha(alpha)
     rho = _cavity_field(alpha, 2.0)
     val, beta = _grid_max(lambda b: cavity_psucc(alpha, b, rho), (-2.0,), (0.0,), (1e-10,),
                           n_grid=61)
@@ -415,7 +420,9 @@ def dolinar_multistep(alpha: float, n_steps: int, base: str = "opt_kennedy") -> 
     amplitude alpha/sqrt(n_steps); at each step re-optimize the base receiver
     (one of DOLINAR_BASES, dephaser and nhpa at cutoff n = 2) for the current
     Bayes priors (also choosing which state to null), update the priors on
-    the outcome, and MAP-decide at the end.
+    the outcome, and MAP-decide at the end.  The kennedy base nulls exactly
+    (beta = 0) and only chooses the state to null, so it reproduces
+    kennedy_psucc(alpha, -alpha): adaptive exact nulling gains nothing.
 
     The tree of outcomes is solved breadth first: the beta searches of the
     posteriors of a step, for both orientations and every gain, are one
@@ -446,8 +453,11 @@ def dolinar_multistep(alpha: float, n_steps: int, base: str = "opt_kennedy") -> 
             return (np.maximum(p * q_p, (1.0 - p) * q_m)
                     + np.maximum(p * (1.0 - q_p), (1.0 - p) * (1.0 - q_m)))
 
-        vals, betas = _grid_max(bayes_gain, (np.full((prior.size, cfg_o.size), -2.0),), (2.0,),
-                                (1e-10,), n_grid=81)
+        if base == "kennedy":  # exact nulling: beta = 0, only the orientation is chosen
+            vals, betas = bayes_gain(0.0)[..., 0], np.zeros((prior.size, cfg_o.size))
+        else:
+            vals, betas = _grid_max(bayes_gain, (np.full((prior.size, cfg_o.size), -2.0),),
+                                    (2.0,), (1e-10,), n_grid=81)
         best = np.argmax(vals, axis=1)
         return best, betas[np.arange(prior.size), best]
 

@@ -7,10 +7,14 @@ Oracles used here:
   * scalar adaptive scipy.integrate.quad (the path the fixed-order rule
     replaced) for the vacuum-or-pulse matrices and the M=3 closed form,
   * info.mutual_information on the full (NM)x(NM+1) channel for the rates,
-  * closed forms (with ledgered corrections) for the realistic rates.
+  * closed forms (with ledgered corrections) for the realistic rates,
+  * the detection path that `hd._detection` replaced (a kernel class read
+    unblocked, and a separate blocked vacuum-or-pulse routine), which the
+    new evaluator must match bit for bit.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -140,15 +144,109 @@ def quad_vp_matrix(kind: str, m: int, energy: float) -> np.ndarray:
 
 def loop_vp_matrix(kind: str, m: int, energy: float, j_steps: int) -> np.ndarray:
     """Finite-J vacuum-or-pulse matrix as a scalar loop over the click step."""
-    kern = hd.DetectionKernel(kind, m)
+    prob = hd.psk_helstrom_prob if kind == "helstrom" else hd.realistic_psk
     step = energy / j_steps
     total = np.zeros((m, m))
     for j in range(1, j_steps + 1):
         weight = math.exp(-step * (j - 1)) * (1.0 - math.exp(-step))
         total += weight * np.array(
-            [[kern.prob(l, mm, step * (j_steps - j)) for mm in range(m)] for l in range(m)]
+            [[prob(l, mm, m, step * (j_steps - j)) for mm in range(m)] for l in range(m)]
         )
     return total
+
+
+def oracle_checked(level, energies: np.ndarray, where: str) -> np.ndarray:
+    coarse, fine = level(hd._NODES), level(2 * hd._NODES)
+    err = np.max(np.abs(fine - coarse), axis=(-2, -1))
+    worst = int(np.argmax(err))
+    if err[worst] > hd._RULE_TOL:
+        raise ConvergenceError(
+            f"fixed-order rule did not converge for {where}, pulse energy "
+            f"{float(energies[worst])!r}: error estimate {err[worst]:.2e} "
+            f"exceeds {hd._RULE_TOL:.0e}"
+        )
+    return fine
+
+
+@dataclass(frozen=True)
+class DetectionKernel:
+    """The kernel object the old path passed around; `matrix` is the bare kernel."""
+
+    kind: str
+    m: int
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("helstrom", "realistic"):
+            raise ValueError(f"unknown kernel kind {self.kind!r}")
+        if self.kind == "realistic" and self.m not in (3, 4):
+            raise ValueError("realistic kernel requires M in {3, 4}")
+        if self.m < 1:
+            raise ValueError("need at least one phase")
+
+    @property
+    def closed_form(self) -> bool:
+        return not (self.kind == "realistic" and self.m == 4)
+
+    def _matrices(self, eps: np.ndarray, n: int) -> np.ndarray:
+        if self.kind == "helstrom":
+            idx = (np.arange(self.m)[:, None] - np.arange(self.m)) % self.m
+            return hd._helstrom_column(self.m, eps)[..., idx]
+        return hd._realistic_matrices(self.m, eps, n)
+
+    def matrix(self, energy) -> np.ndarray:
+        eps = np.asarray(energy, dtype=float)
+        if np.any(eps < 0):
+            raise ValueError("energy must be non-negative")
+        if self.closed_form:
+            return self._matrices(eps, hd._NODES)
+        flat = eps.reshape(-1)
+        out = oracle_checked(lambda n: self._matrices(flat, n), flat,
+                             f"M={self.m}, kernel={self.kind}")
+        return out.reshape(eps.shape + (self.m, self.m))
+
+
+def oracle_vp_matrices(kind: str, m: int, pulse_energies, j_steps) -> np.ndarray:
+    """The old `_vp_matrices`: vacuum-or-pulse matrices, blocked and checked."""
+    kern = DetectionKernel(kind, m)
+    energies = np.asarray(pulse_energies, dtype=float)
+    if np.any(energies < 0):
+        raise ValueError("energy must be non-negative")
+    infinite = j_steps is None or j_steps == math.inf
+    if not infinite:
+        j_steps = int(j_steps)
+        if j_steps < 1:
+            raise ValueError("need at least one splitting step")
+        j = np.arange(1, j_steps + 1)
+
+    def level(block, n):
+        if infinite:
+            _, eps, w = hd._inf_rule(block, n)
+        else:
+            step = block[:, None] / j_steps
+            eps = step * (j_steps - j)
+            w = np.exp(-step * (j - 1)) * -np.expm1(-step)
+        return np.einsum("kq,kqlm->klm", w, kern._matrices(eps, n))
+
+    where = f"M={m}, kernel={kern.kind}, J={'inf' if infinite else j_steps}"
+    nodes = 4 * hd._NODES if infinite else j_steps
+    per_node = m * m if kern.closed_form else 4 * hd._NODES
+    chunk = max(1, hd._BLOCK // (nodes * per_node))
+    flat = energies.reshape(-1)
+    blocks = []
+    for start in range(0, flat.size, chunk):
+        block = flat[start:start + chunk]
+        if infinite or not kern.closed_form:
+            blocks.append(oracle_checked(lambda n: level(block, n), block, where))
+        else:
+            blocks.append(level(block, hd._NODES))
+    return np.concatenate(blocks).reshape(energies.shape + (m, m))
+
+
+def oracle_detection(kind, m, energies, j_steps=None, bare=False):
+    """`hd._detection`'s signature over the old path."""
+    if bare:
+        return DetectionKernel(kind, m).matrix(energies)
+    return oracle_vp_matrices(kind, m, energies, j_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +499,7 @@ def test_vp_matrices_against_adaptive_quadrature(kind, m):
     N = 2..1024; the adaptive path itself is only good to ~1e-10."""
     lengths = 2 ** np.arange(1, 11)
     pulses = np.outer(np.logspace(-4, 0, 5), lengths)
-    new = hd._vp_matrices(kind, m, pulses, None)
+    new = hd._detection(kind, m, pulses, None)
     assert new.shape == pulses.shape + (m, m)
     for idx in np.ndindex(pulses.shape):
         oracle = quad_vp_matrix(kind, m, pulses[idx])
@@ -412,7 +510,7 @@ def test_vp_matrices_against_adaptive_quadrature(kind, m):
                                             ("realistic", 3, 30), ("realistic", 4, 10)])
 def test_vp_matrices_finite_j_against_scalar_loop(kind, m, j_steps):
     pulses = np.array([0.0, 2e-3, 0.3, 4.0, 60.0])
-    new = hd._vp_matrices(kind, m, pulses, j_steps)
+    new = hd._detection(kind, m, pulses, j_steps)
     for k, e in enumerate(pulses):
         oracle = loop_vp_matrix(kind, m, e, j_steps)
         np.testing.assert_allclose(new[k], oracle, rtol=0, atol=1e-13)
@@ -442,28 +540,80 @@ def test_had_rate_broadcasts_and_keeps_scalars():
 
 
 @pytest.mark.parametrize("kind,m,j_steps", [("helstrom", 3, None), ("realistic", 4, None),
-                                            ("realistic", 4, 10)])
+                                            ("realistic", 4, 10), ("realistic", 4, "bare")])
 def test_coarse_rule_raises_naming_the_point(monkeypatch, tmp_path, kind, m, j_steps):
     # 12 nodes per panel leave error estimates of ~1e-5 at this point
     monkeypatch.setattr(hd, "_NODES", 12)
     with pytest.raises(ConvergenceError) as excinfo:
-        hd.had_rate(16, m, 3.0, kernel=kind, j_steps=j_steps)
+        if j_steps == "bare":  # the separable scheme reads the kernel at 48.0 itself
+            hd.separable_rate(m, 48.0, kind)
+        else:
+            hd.had_rate(16, m, 3.0, kernel=kind, j_steps=j_steps)
     msg = str(excinfo.value)
-    j_text = "inf" if j_steps is None else str(j_steps)
-    for part in (f"M={m}", f"kernel={kind}", f"J={j_text}", "pulse energy 48.0"):
+    for part in (f"M={m}", f"kernel={kind}", "pulse energy 48.0"):
         assert part in msg
+    if j_steps == "bare":
+        assert "J=" not in msg
+        return
+    j_text = "inf" if j_steps is None else str(j_steps)
+    assert f"J={j_text}" in msg
     argv = ["hadamard-rates", "--M", str(m), "--N", "16", "--E-grid", "3:3:1",
             "--kernel", kind, "--J", j_text, "--out", str(tmp_path / "r.csv")]
     assert cli.main(argv) == cli.EXIT_CONVERGENCE
 
 
 def test_vp_validation():
-    with pytest.raises(ValueError):
-        hd.vp_prob(0, 0, 3, 0.5, j_steps=0)
+    for j_steps in (0, -3):
+        with pytest.raises(ValueError, match="need at least one splitting step"):
+            hd.vp_prob(0, 0, 3, 0.5, j_steps=j_steps)
+        with pytest.raises(ValueError, match="need at least one splitting step"):
+            hd.had_rate(4, 3, 0.5, j_steps=j_steps)
+        with pytest.raises(ValueError, match="need at least one splitting step"):
+            hd.envelope([2, 4], 3, 0.5, j_steps=j_steps)
     with pytest.raises(ValueError):
         hd.vp_prob(0, 0, 3, -0.5)
-    with pytest.raises(ValueError):
-        hd.vp_prob(0, 0, 3, 0.5, kernel=hd.DetectionKernel("helstrom", 4))
+    with pytest.raises(ValueError, match="realistic kernel requires M"):
+        hd.vp_prob(0, 0, 5, 0.5, kernel="realistic")
+
+
+@pytest.mark.parametrize("kind,m", [("helstrom", 1), ("helstrom", 2), ("helstrom", 3),
+                                    ("helstrom", 8), ("realistic", 3), ("realistic", 4)])
+@pytest.mark.parametrize("rule", ["bare", 1, 10, None])
+def test_detection_matches_the_old_path(kind, m, rule):
+    # one evaluator for the bare kernel and every vacuum-or-pulse rule, bit
+    # for bit the old class-plus-routine path; a 2-D grid of energies spans
+    # several blocks of the M = 4 cascade
+    energies = np.concatenate([[0.0], np.logspace(-6, 3, 28), [60.0]])
+    energies = np.stack([energies, energies[::-1] * 0.5])
+    if rule == "bare":
+        new = hd.kernel_matrix(kind, m, energies)
+        old = DetectionKernel(kind, m).matrix(energies)
+    else:
+        new = hd._detection(kind, m, energies, rule)
+        old = oracle_vp_matrices(kind, m, energies, rule)
+    assert new.shape == energies.shape + (m, m)
+    assert np.array_equal(new, old)
+
+
+def test_cli_bytes_match_the_old_path(monkeypatch, tmp_path):
+    def run(tag):
+        texts = []
+        for kind, m in [("helstrom", 3), ("helstrom", 8), ("realistic", 3), ("realistic", 4)]:
+            for j in ("inf", "10"):
+                out = tmp_path / f"{tag}-{kind}-{m}-{j}.csv"
+                argv = ["hadamard-rates", "--M", str(m), "--N", "1,2,4,...,1024",
+                        "--E-grid", "log:1e-4:2:9", "--kernel", kind, "--J", j, "--out", str(out)]
+                assert cli.main(argv) == cli.EXIT_OK
+                texts.append(out.read_bytes())
+        argv = ["figures", "--points", "6", "--outdir", str(tmp_path / tag)]
+        assert cli.main(argv) == cli.EXIT_OK
+        figures = sorted((tmp_path / tag).iterdir())
+        assert len(figures) == 4
+        return texts + [path.read_bytes() for path in figures]
+
+    new = run("new")
+    monkeypatch.setattr(hd, "_detection", oracle_detection)
+    assert run("old") == new
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +631,7 @@ def test_realistic_m3_printed_entries():
 @pytest.mark.parametrize("m", [3, 4])
 @pytest.mark.parametrize("e", [0.0, 0.15, 0.7, 2.5])
 def test_realistic_columns_sum_to_one(m, e):
-    mat = hd.DetectionKernel("realistic", m).matrix(e)
+    mat = hd.kernel_matrix("realistic", m, e)
     np.testing.assert_allclose(mat.sum(axis=0), np.ones(m), atol=1e-8)
     assert np.all(mat >= -1e-12)
 
@@ -539,15 +689,22 @@ def test_realistic_average_success_dominated_by_helstrom():
             assert avg_real <= hd.psk_helstrom_prob(0, 0, m, e) + 1e-10
 
 
-def test_kernel_validation():
-    with pytest.raises(ValueError):
-        hd.DetectionKernel("bogus", 3)
-    with pytest.raises(ValueError):
-        hd.DetectionKernel("realistic", 2)
-    with pytest.raises(ValueError):
+def test_kernel_validation(tmp_path, capsys):
+    with pytest.raises(ValueError, match="unknown kernel kind 'bogus'"):
+        hd.kernel_matrix("bogus", 3, 0.1)
+    with pytest.raises(ValueError, match="realistic kernel requires M"):
+        hd.kernel_matrix("realistic", 2, 0.1)
+    with pytest.raises(ValueError, match="need at least one phase"):
+        hd.kernel_matrix("helstrom", 0, 0.1)
+    with pytest.raises(ValueError, match="realistic kernel requires M"):
         hd.realistic_psk(0, 0, 5, 0.1)
     with pytest.raises(ValueError):
         hd.realistic_psk(4, 0, 4, 0.1)
+    # the kernel names live in hadamard alone; the CLI passes --kernel through
+    argv = ["hadamard-rates", "--M", "3", "--N", "2", "--kernel", "bogus",
+            "--out", str(tmp_path / "r.csv")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "unknown kernel kind 'bogus'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +730,7 @@ def test_had_rate_realistic_matches_generic_mi_oracle():
 
 def test_separable_rate_matches_mi_oracle():
     m, e = 3, 0.2
-    cond = hd.DetectionKernel("helstrom", m).matrix(e)
+    cond = hd.kernel_matrix("helstrom", m, e)
     joint = (cond / m).T  # joint[x, y] with uniform inputs
     assert hd.separable_rate(m, e) == pytest.approx(info.mutual_information(joint), abs=1e-12)
 

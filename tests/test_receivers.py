@@ -357,6 +357,15 @@ def test_dolinar_chunks_keep_the_result(monkeypatch):
     assert chunked == pytest.approx(whole, abs=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.8, 1.0])
+def test_dolinar_kennedy_base_is_kennedy(alpha):
+    # the kennedy base nulls exactly (beta = 0) and only picks the state to
+    # null; adaptive exact nulling gains nothing over one Kennedy receiver
+    for n_steps in range(1, 9):
+        got = rc.dolinar_multistep(alpha, n_steps, "kennedy")
+        assert got == pytest.approx(rc.kennedy_psucc(alpha, -alpha), abs=1e-14)
+
+
 def test_dolinar_validation():
     with pytest.raises(ValueError):
         rc.dolinar_multistep(0.4, 0)
@@ -434,15 +443,21 @@ def test_optimize_returns_the_named_optimizer_output(kind):
 
 def test_negative_alpha_is_rejected():
     # the closed forms hold for alpha >= 0; at -0.5 opt_kennedy gave 0.5000
-    # and ts 0.816, both below Helstrom, so no other check caught them.  A
-    # nan gave nhpa p_succ -1.0 (its sentinel) and dephaser nan, and an inf
-    # an OverflowError in cavity and ts
+    # and ts, nhpa, the dephaser and cavity 0.816, all below Helstrom, so no
+    # other check caught them.  A nan gave nhpa p_succ -1.0 (its sentinel),
+    # dephaser nan and cavity a conversion error, and an inf an
+    # OverflowError in cavity and ts.  Each optimizer checks on its own.
     for alpha, message in [(-0.5, r"alpha must be >= 0, got -0\.5"),
                            (math.nan, "alpha must be finite, got nan"),
                            (math.inf, "alpha must be finite, got inf")]:
         for kind in rc.PARAMS:
             with pytest.raises(ValueError, match=message):
                 rc.optimize(kind, alpha)
+            if rc.PARAMS[kind]:  # an optimizer, not a closed form
+                with pytest.raises(ValueError, match=message):
+                    NAMED[kind](alpha)
+        with pytest.raises(ValueError, match=message):
+            rc.nhpa_optimize_beta(alpha, 2.0, 2)
         for base in rc.DOLINAR_BASES:
             with pytest.raises(ValueError, match=message):
                 rc.dolinar_multistep(alpha, 2, base)

@@ -131,6 +131,22 @@ def test_grid_max_rejects_non_finite_bounds(lo, hi):
     assert calls == []
 
 
+@pytest.mark.parametrize("tol", [np.nan, -1e-9, -np.inf, (1e-12, np.nan), (-1.0, 1e-12)])
+def test_grid_max_rejects_nan_or_negative_tol(tol):
+    # no box reaches such a width (w <= nan is never true); before the check
+    # a tol of -1e-9 ran until a timeout killed it
+    def fun(x, y):
+        calls.append(1)
+        assert len(calls) < 100, "_grid_max did not stop"
+        return -x * x - y * y
+
+    calls = []
+    tol = tol if isinstance(tol, tuple) else (tol, tol)
+    with pytest.raises(ValueError, match="search tolerances must be >= 0"):
+        _grid_max(fun, (-1.0, -1.0), (1.0, 1.0), tol)
+    assert calls == []
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", range(4))
 def test_grid_max2_rejects_non_finite_bounds(bad, where):
