@@ -14,8 +14,10 @@ Conventions
 * CSV output is RFC-4180 style (CRLF line endings, header row, ``.`` decimal
   separator) with reals printed to 17 significant digits; JSON mirrors the
   same formatting.  Identical inputs produce byte-identical outputs.
-* ``--config file.json`` overrides any long flag of the chosen subcommand
-  (keys may use ``-`` or ``_``).
+* ``--config file.json`` overrides any long flag of the chosen subcommand:
+  a key is the flag's name without its dashes (``M``, ``E-grid``) or its
+  argparse dest (``m``, ``e_grid``), with ``-`` and ``_`` interchangeable,
+  and a value is the flag's text, a non-string given as its JSON text.
 * Exit codes: 0 ok, 2 configuration error, 3 numerical non-convergence,
   4 I/O error.
 """
@@ -147,15 +149,15 @@ def _parse_lengths(spec: str) -> list:
     return out
 
 
-def _parse_steps(spec: str) -> float | None:
-    if str(spec).lower() in ("inf", "none", ""):
-        return None
+def _int_flag(flag: str, value, least: int, what: str = "an integer") -> int:
+    """An integer flag >= ``least`` from its default or its text (which for
+    a config value is the value's JSON text, so 3.9 and true fail)."""
     try:
-        value = int(spec)
-    except ValueError as exc:
-        raise ConfigError(f"J must be an integer or 'inf', got {spec!r}") from exc
-    if value < 1:
-        raise ConfigError("J must be >= 1")
+        value = int(value)
+    except ValueError:
+        raise ConfigError(f"{flag} must be {what}, got {value}") from None
+    if value < least:
+        raise ConfigError(f"{flag} must be >= {least}")
     return value
 
 
@@ -169,11 +171,14 @@ def _apply_config(args: argparse.Namespace) -> None:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(overrides, dict):
         raise ConfigError("config file must contain a JSON object")
+    # a key is a flag without its dashes or the flag's dest, with "_" for "-"
+    keys = {key.replace("-", "_"): a.dest for a in args.command_parser._actions
+            if a.dest != "help" for key in (a.dest, *(s.lstrip("-") for s in a.option_strings))}
     for key, value in overrides.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        dest = keys.get(key.replace("-", "_"))
+        if dest is None:
             raise ConfigError(f"config key {key!r} is not a flag of this subcommand")
-        setattr(args, attr, value)
+        setattr(args, dest, value if isinstance(value, str) else json.dumps(value))
 
 
 # -------------------------------------------------------------- bpsk-sweep
@@ -194,9 +199,7 @@ def _cmd_bpsk_sweep(args) -> int:
     if args.receiver not in receivers.PARAMS:
         raise ConfigError(
             f"receiver must be one of {tuple(receivers.PARAMS)}, got {args.receiver!r}")
-    steps = int(args.steps)
-    if steps < 1:
-        raise ConfigError("--steps must be >= 1")
+    steps = _int_flag("--steps", args.steps, 1)
     alphas = _parse_grid(args.alpha_grid)
     if (alphas < 0).any():
         raise ConfigError(f"alpha grid must not go below 0, got {args.alpha_grid!r}")
@@ -212,15 +215,14 @@ def _cmd_bpsk_sweep(args) -> int:
 
 
 def _cmd_hadamard_rates(args) -> int:
-    m = int(args.m)
-    if m < 1:
-        raise ConfigError("--M must be >= 1")
+    m = _int_flag("--M", args.m, 1)
     lengths = _parse_lengths(args.n)
     for n in lengths:
         if n < 1 or n & (n - 1):
             raise ConfigError(f"code lengths must be powers of two, got {n}")
     energies = _parse_grid(args.e_grid)
-    j_steps = _parse_steps(args.j)
+    j_steps = (None if str(args.j).lower() in ("inf", "none", "")
+               else _int_flag("--J", args.j, 1, "an integer or 'inf'"))
     rates = hadamard.had_rate(
         np.array(lengths), m, energies[:, None], kernel=args.kernel, j_steps=j_steps
     )
@@ -237,8 +239,8 @@ def _cmd_hadamard_rates(args) -> int:
 
 
 def _bloch_row(row: list, line: int) -> tuple:
-    """(BlochOperator, p) from one (c, rx, ry, rz, p) row, which must give a
-    density operator (2c = 1, |r| <= c) and a prior p >= 0 (NaN fails every check)."""
+    """(array (c, rx, ry, rz), p) from one (c, rx, ry, rz, p) row, which must give
+    a density operator (2c = 1, |r| <= c) and a prior p >= 0 (NaN fails every check)."""
     if len(row) != 5:
         raise ConfigError(f"line {line}: need 5 fields (c, rx, ry, rz, p), got {len(row)}")
     values = []
@@ -247,7 +249,7 @@ def _bloch_row(row: list, line: int) -> tuple:
             values.append(float(x))
         except ValueError:
             raise ConfigError(f"line {line}: field {name} is not a number: {x!r}") from None
-    c, r, p = values[0], np.array(values[1:4]), values[4]
+    c, r, p = values[0], values[1:4], values[4]
     if not abs(2.0 * c - 1.0) <= 1e-9:
         raise ConfigError(f"line {line}: field c must be 0.5 (unit trace), got {c!r}")
     if not math.hypot(*r) <= c + 1e-9:
@@ -255,7 +257,7 @@ def _bloch_row(row: list, line: int) -> tuple:
                           f"> c = {c!r}, not a density operator")
     if not p >= 0.0:
         raise ConfigError(f"line {line}: field p must be >= 0, got {p!r}")
-    return qubit_disc.BlochOperator(c, r), p
+    return np.array(values[:4]), p
 
 
 def _read_bloch_states(path: str) -> list:
@@ -286,7 +288,7 @@ def _cmd_qubit_disc(args) -> int:
         "p_succ_dual": float(dual),
         "gap": abs(p_succ - dual),
         "ordering": list(range(len(states))),
-        "q_opt": {"c": float(q_opt.c), "r": [float(x) for x in q_opt.r]},
+        "q_opt": {"c": float(q_opt[0]), "r": [float(x) for x in q_opt[1:]]},
     }
     _write_json(args.out, report)
     return EXIT_OK
@@ -418,9 +420,7 @@ def _fig_finite_steps(energies) -> tuple:
 
 
 def _cmd_figures(args) -> int:
-    points = int(args.points)
-    if points < 2:
-        raise ConfigError("--points must be >= 2")
+    points = _int_flag("--points", args.points, 2)
     wanted = set(args.only.split(",")) if args.only else None
     produced = []
     jobs = {
@@ -493,6 +493,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON file whose keys override flags")
     p.set_defaults(func=_cmd_figures)
 
+    for p in sub.choices.values():
+        p.set_defaults(command_parser=p)
     return parser
 
 

@@ -8,8 +8,8 @@ pulse-position-modulated one: a single pulse ``√N·α_m`` on one mode, vacuum
 elsewhere.  All rates below are evaluated in that PPM picture, so the pulse
 energy is ``ℰ = N·E`` with ``E`` the average energy per mode.
 
-The module provides the code itself (`HadamardCode`), the Holevo-optimal rate
-(`optimal_rate`), the single-mode detection kernels, named by a string:
+The module provides the codewords (`hadamard_codewords`), the Holevo-optimal
+rate (`optimal_rate`), the single-mode detection kernels, named by a string:
 "helstrom" (cyclic-symmetric Helstrom) or "realistic" (a practical nulling
 cascade for M ∈ {3, 4}), as matrices (`kernel_matrix`) or entries
 (`psk_helstrom_prob`, `realistic_psk`), the vacuum-or-pulse detection
@@ -30,28 +30,32 @@ M = 4 nulling cascade; the M = 3 cascade has a closed form.  Each result
 that needs a rule is computed with ``_NODES`` and ``2·_NODES`` nodes per
 panel and the finer one is returned; when the two differ by more than
 ``_RULE_TOL`` anywhere, `ConvergenceError` names M, the kernel, J and the
-pulse energy.  The returned values lie within ~2e-14 of a 30-digit
-reference for M ≤ 4 (3e-12 for M = 8, where the float64 eigenvalues λ_ℓ of
-the kernel itself limit), and within ~1e-10 of the adaptive-quadrature path
-they replaced (whose requested tolerance was 1e-10), which the tests keep
-as their oracle.
+pulse energy.  The returned values lie within ~1e-10 of the
+adaptive-quadrature path they replaced (requested tolerance 1e-10), which
+the tests keep as their oracle.  The kernels' own accuracy is that of the
+eigenvalues λ_ℓ(ε): `_psk_lambda` takes an FFT of O(1) terms, so the
+λ_ℓ ≪ 1 of small ε cancel.  Against 60-digit mpmath at ε = 1e-4, 1e-3, …,
+10, the relative error of λ reached 1.7e-5 for M = 4 (at ε = 1e-4) and 1.0
+for M = 8 (at ε = 0.01), and the Helstrom kernel entries were off by up to
+1.6e-14 absolute for M ≤ 3, 1.8e-12 for M = 4 and 1.1e-9 for M = 8.  ~1e-14
+holds for M ≤ 3, for M = 4 at ε ≥ 0.01 and for M = 8 at ε ≥ 1; direction 4
+of ROADMAP.md (a positive-series λ) is the fix.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError
 
 __all__ = [
-    "HadamardCode",
     "classical_capacity",
     "envelope",
     "had_rate",
+    "hadamard_codewords",
     "hadamard_matrix",
     "kernel_matrix",
     "optimal_rate",
@@ -107,48 +111,23 @@ def hadamard_matrix(n: int) -> np.ndarray:
     return 1 - 2 * parity
 
 
-@dataclass(frozen=True)
-class HadamardCode:
-    """Order-``m`` PSK Hadamard code of length ``n`` and base amplitude ``alpha``.
-
-    Codeword (k, m') has per-mode amplitudes ``α_{m'}·H_n[:, k]`` with
-    ``α_{m'} = α·e^{i2πm'/m}``; the mean energy per mode is ``E = |α|²``.
-    """
-
-    n: int
-    m: int
-    alpha: complex
-
-    def __post_init__(self) -> None:
-        _require_power_of_two(self.n)
-        if not (isinstance(self.m, (int, np.integer)) and self.m >= 1):
-            raise ValueError(f"number of phases must be a positive integer, got {self.m!r}")
-
-    @property
-    def energy(self) -> float:
-        return abs(self.alpha) ** 2
-
-    @property
-    def phase_amplitudes(self) -> np.ndarray:
-        """The ``m`` rotated amplitudes α_{m'}."""
-        return self.alpha * np.exp(2j * np.pi * np.arange(self.m) / self.m)
-
-    @property
-    def codewords(self) -> np.ndarray:
-        """N×(N·M) amplitude matrix; column m'·N + k is α_{m'}·H_N[:, k]."""
-        h = hadamard_matrix(self.n).astype(complex)
-        return np.hstack([a_m * h for a_m in self.phase_amplitudes])
+def hadamard_codewords(n: int, m: int, alpha: complex) -> np.ndarray:
+    """N×(N·M) amplitude matrix of the order-``m`` PSK Hadamard code of
+    length ``n`` and base amplitude ``alpha``: column m'·N + k is codeword
+    (k, m'), the per-mode amplitudes α_{m'}·H_N[:, k] with α_{m'} = α·e^{i2πm'/m}.
+    The mean energy per mode is E = |α|²."""
+    _require_power_of_two(n)
+    if not (isinstance(m, (int, np.integer)) and m >= 1):
+        raise ValueError(f"number of phases must be a positive integer, got {m!r}")
+    return np.kron(alpha * np.exp(2j * np.pi * np.arange(m) / m), hadamard_matrix(n))
 
 
-def ppm_transform_check(code: HadamardCode) -> float:
+def ppm_transform_check(n: int, m: int, alpha: complex) -> float:
     """Max deviation of (H_N/√N)·codeword from a single pulse √N·α_{m'} on slot k."""
-    h = hadamard_matrix(code.n)
-    transformed = (h / math.sqrt(code.n)) @ code.codewords
-    target = np.zeros_like(transformed)
-    for m_idx, a_m in enumerate(code.phase_amplitudes):
-        cols = slice(m_idx * code.n, (m_idx + 1) * code.n)
-        target[:, cols] = math.sqrt(code.n) * a_m * np.eye(code.n)
-    return float(np.max(np.abs(transformed - target)))
+    codewords = hadamard_codewords(n, m, alpha)
+    # row 0 of H_N is all ones, so row 0 of the codewords holds each α_{m'} N times
+    pulses = math.sqrt(n) * np.kron(codewords[0, ::n], np.eye(n))
+    return float(np.max(np.abs((hadamard_matrix(n) / math.sqrt(n)) @ codewords - pulses)))
 
 
 def _psk_lambda(m: int, eps: np.ndarray) -> np.ndarray:

@@ -5,7 +5,8 @@ The success probability reduces to the function
     F(A, B, C) = max_Q Tr[ Q A + |sqrt(Q) B sqrt(Q)| + |sqrt(1-Q) C sqrt(1-Q)| ]
 
 over operators 0 <= Q <= 1, evaluated here in the Bloch representation
-H = c_H 1 + r_H . sigma (trace 2 c_H, eigenvalues c_H +- |r_H|).
+H = c_H 1 + r_H . sigma (trace 2 c_H, eigenvalues c_H +- |r_H|), stored as
+the float array (c_H, rx, ry, rz); a set of n operators is an (n, 4) array.
 
 The optimum comes from the qubit form of the Yuen-Kennedy-Lax dual
 (`_dual`): the smallest ball that encloses the balls (r_k, c_k) of the
@@ -25,7 +26,6 @@ construction for equiprobable pure qubit sets is the same dual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -41,108 +41,56 @@ _GAP_TOL = 1e-9  # largest |p_succ - dual value| that _psucc returns
 # perfbench/tracing.py wraps these two names by getattr; qubit_disc calls neither
 _optimize_general = _pattern_search
 
-_PAULI = [
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-]
+
+def _rnorm(x) -> float:
+    """|r| of the operator x = (c, rx, ry, rz)."""
+    return float(np.linalg.norm(x[1:]))
 
 
-@dataclass(frozen=True)
-class BlochOperator:
-    """Hermitian qubit operator H = c 1 + r . sigma."""
-
-    c: float
-    r: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
-        if r.shape != (3,):
-            raise ValueError("r must be a real 3-vector")
-        r.setflags(write=False)
-        object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "r", r)
-
-    # -- algebra -------------------------------------------------------
-    def __add__(self, other):
-        return BlochOperator(self.c + other.c, self.r + other.r)
-
-    def __sub__(self, other):
-        return BlochOperator(self.c - other.c, self.r - other.r)
-
-    def __mul__(self, s: float):
-        return BlochOperator(self.c * s, self.r * s)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return BlochOperator(-self.c, -self.r)
-
-    # -- spectral helpers ----------------------------------------------
-    @property
-    def rnorm(self) -> float:
-        return float(np.linalg.norm(self.r))
-
-    @property
-    def eigenvalues(self) -> tuple:
-        return (self.c - self.rnorm, self.c + self.rnorm)
-
-    @property
-    def trace(self) -> float:
-        return 2.0 * self.c
-
-    def has_definite_sign(self, tol: float = _SIGN_TOL) -> bool:
-        lo, hi = self.eigenvalues
-        return lo >= -tol or hi <= tol
-
-    def matrix(self) -> np.ndarray:
-        m = self.c * np.eye(2, dtype=complex)
-        for ri, sig in zip(self.r, _PAULI):
-            m = m + ri * sig
-        return m
-
-    @staticmethod
-    def from_matrix(m: np.ndarray) -> "BlochOperator":
-        m = np.asarray(m, dtype=complex)
-        c = 0.5 * np.trace(m).real
-        r = np.array([0.5 * np.trace(m @ sig).real for sig in _PAULI])
-        return BlochOperator(c, r)
+def _has_definite_sign(x, tol: float = _SIGN_TOL) -> bool:
+    """Whether both eigenvalues c -+ |r| of x = (c, rx, ry, rz) share a sign."""
+    c, rn = x[0], _rnorm(x)
+    return c - rn >= -tol or c + rn <= tol
 
 
-def bloch_state(r_vec, p: float = 1.0) -> BlochOperator:
-    """Weighted state sigma = p * (1 + r.sigma)/2 for a Bloch vector |r|<=1."""
+def bloch_state(r_vec, p: float = 1.0) -> np.ndarray:
+    """Weighted state sigma = p * (1 + r.sigma)/2 for a Bloch vector |r|<=1,
+    as the array (c, rx, ry, rz) = p/2 (1, r)."""
     r = np.asarray(r_vec, dtype=float)
+    if r.shape != (3,):
+        raise ValueError("r must be a real 3-vector")
     if np.linalg.norm(r) > 1 + 1e-10:
         raise ValueError("Bloch vector outside the sphere")
-    return BlochOperator(0.5 * p, 0.5 * p * r)
+    return 0.5 * p * np.concatenate(([1.0], r))
 
 
 # ------------------------------------------------------------ F evaluation
 
 
-def _sandwich_term(x: BlochOperator, c_eff: float, rdot: float, rsq: float) -> float:
+def _sandwich_term(x: np.ndarray, c_eff: float, rdot: float, rsq: float) -> float:
     """Tr| sqrt(Q') X sqrt(Q') | from c_eff, r_eff . r_X and |r_eff|^2, where
     Q' has Bloch coefficients (c_eff, r_eff).
 
     For definite-sign X the sandwich keeps the sign, so the trace-abs equals
     |Tr[Q' X]|; otherwise the printed two-square-root qubit form applies.
     """
-    dot = c_eff * x.c + rdot
-    if x.has_definite_sign():
+    dot = c_eff * x[0] + rdot
+    if _has_definite_sign(x):
         return 2.0 * abs(dot)
-    gap = float(x.r @ x.r) - x.c**2
+    gap = float(x[1:] @ x[1:]) - x[0]**2
     return 2.0 * math.sqrt(max(dot * dot + gap * (c_eff * c_eff - rsq), 0.0))
 
 
-def f_value(q: BlochOperator, a: BlochOperator, b: BlochOperator, c: BlochOperator) -> float:
+def f_value(q: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
     """F_Q(A, B, C) via the Bloch closed forms; Q must satisfy 0 <= Q <= 1."""
-    if not (-1e-9 <= q.c <= 1 + 1e-9 and q.rnorm <= min(q.c, 1 - q.c) + 1e-9):
+    qc, qr = float(q[0]), q[1:]
+    if not (-1e-9 <= qc <= 1 + 1e-9 and _rnorm(q) <= min(qc, 1 - qc) + 1e-9):
         raise ValueError("Q violates 0 <= Q <= 1")
-    rsq = float(q.r @ q.r)
-    out = 2.0 * (q.c * a.c + float(q.r @ a.r))
-    out += _sandwich_term(b, q.c, float(q.r @ b.r), rsq)
-    out += _sandwich_term(c, 1.0 - q.c, -float(q.r @ c.r), rsq)
-    return out
+    rsq = float(qr @ qr)
+    out = 2.0 * (qc * a[0] + float(qr @ a[1:]))
+    out += _sandwich_term(b, qc, float(qr @ b[1:]), rsq)
+    out += _sandwich_term(c, 1.0 - qc, -float(qr @ c[1:]), rsq)
+    return float(out)
 
 
 # ------------------------------------------------------------ qubit dual
@@ -176,9 +124,9 @@ def _dual(weighted) -> tuple:
     sum w_k = 2 and sum w_k n_k = 0 (kept if w >= 0); a singleton gives
     Pi_k = 1.  The candidate whose dual value max_k 2 (c_k + |r - r_k|) is
     closest to its POVM's value sum_k Tr[Pi_k sigma_k] wins.  Returns 2c and
-    one BlochOperator per state (zero off the support)."""
-    cs = np.array([s.c for s in weighted])
-    rs = np.array([s.r for s in weighted])
+    the (n, 4) array of the Pi_k (zero rows off the support)."""
+    weighted = np.asarray(weighted, dtype=float)
+    cs, rs = weighted[:, 0], weighted[:, 1:]
     best = (np.inf, None, None)
     for size in range(1, min(len(cs), 4) + 1):
         for sup in map(list, combinations(range(len(cs)), size)):
@@ -199,16 +147,15 @@ def _dual(weighted) -> tuple:
                 if dual - primal < best[0]:
                     best = (dual - primal, dual, (sup, w, n))
     _, dual, (sup, w, n) = best
-    povm = [BlochOperator(0.0, np.zeros(3))] * len(cs)
-    for k, wk, nk in zip(sup, w, n):
-        povm[k] = BlochOperator(0.5 * wk, 0.5 * wk * nk)
+    povm = np.zeros_like(weighted)
+    povm[sup] = 0.5 * w[:, None] * np.column_stack([np.ones(len(sup)), n])
     return dual, povm
 
 
 # --------------------------------------------------------- F optimization
 
 
-def f_optimize(a: BlochOperator, b: BlochOperator, c: BlochOperator):
+def f_optimize(a: np.ndarray, b: np.ndarray, c: np.ndarray):
     """Maximize F_Q over 0 <= Q <= 1.  Returns (value, Q*).
 
     The four operators (A+B, C, A-B, -C) + t 1, t the smallest shift that
@@ -216,9 +163,9 @@ def f_optimize(a: BlochOperator, b: BlochOperator, c: BlochOperator):
     largest at Q* = Pi_0 + Pi_2 of their optimal POVM (`_dual`), where it
     equals their dual value less 2t.
     """
-    ops = [a + b, c, a - b, -c]
-    t = max(op.rnorm - op.c for op in ops)
-    _, povm = _dual([op + BlochOperator(t, np.zeros(3)) for op in ops])
+    ops = np.array([a + b, c, a - b, -c])
+    t = max(_rnorm(op) - op[0] for op in ops)
+    _, povm = _dual(ops + [t, 0.0, 0.0, 0.0])
     q = povm[0] + povm[2]
     return f_value(q, a, b, c), q
 
@@ -228,7 +175,7 @@ def f_optimize(a: BlochOperator, b: BlochOperator, c: BlochOperator):
 
 def abc_operators(weighted):
     """(A, B, C, prefactor) for the conventional ordering of 3 or 4 weighted
-    states [(sigma = p rho as BlochOperator), ...] indexed by the binary
+    states [sigma = p rho as (c, rx, ry, rz), ...] indexed by the binary
     labels l = k1 + 2 k2 (k1 = LSB): sigma_00, sigma_10, sigma_01, sigma_11.
     """
     s = list(weighted)
@@ -236,13 +183,13 @@ def abc_operators(weighted):
         s00, s10, s01 = s
         a = 0.5 * (s00 + s01) - s10
         b = 0.5 * (s00 - s01)
-        return a, b, BlochOperator(0.0, np.zeros(3)), s10.trace
+        return a, b, np.zeros(4), 2.0 * s10[0]
     if len(s) == 4:
         s00, s10, s01, s11 = s
         a = 0.5 * (s00 + s01 - s10 - s11)
         b = 0.5 * (s00 - s01)
         c = 0.5 * (s10 - s11)
-        return a, b, c, 0.5 * (s10.trace + s11.trace)
+        return a, b, c, 0.5 * (2.0 * s10[0] + 2.0 * s11[0])
     raise ValueError("need 3 or 4 weighted states")
 
 
@@ -257,16 +204,16 @@ def _psucc(weighted) -> tuple:
     q = povm[0] + povm[2]
     p_succ = prefactor + f_value(q, a, b, c)
     if not abs(p_succ - dual) <= _GAP_TOL:
-        rows = [[s.c, *s.r.tolist()] for s in weighted]
         raise ConvergenceError(
             f"qubit-disc: p_succ {p_succ!r} is {abs(p_succ - dual):.3g} from the dual value "
-            f"{dual!r} (tolerance {_GAP_TOL:g}) for the weighted states (c, rx, ry, rz) {rows}")
+            f"{dual!r} (tolerance {_GAP_TOL:g}) for the weighted states (c, rx, ry, rz) "
+            f"{np.asarray(weighted).tolist()}")
     return p_succ, q, dual
 
 
 def psucc3(states) -> float:
     """Optimal success probability for 3 weighted qubit states
-    [(BlochOperator density, probability), ...]."""
+    [(density (c, rx, ry, rz), probability), ...]."""
     weighted = [rho * p for rho, p in states]
     if len(weighted) != 3:
         raise ValueError("psucc3 needs exactly 3 states")
@@ -288,10 +235,9 @@ def polytope_ratio_psucc(r_vectors) -> float:
     from the Bloch-polytope construction, rho* being the radius of the
     smallest ball that encloses the weighted vertices r_k/(2M): the dual
     (`_dual`) of states with c_k = 1/(2M)."""
-    rs = [np.asarray(r, dtype=float) for r in r_vectors]
-    for r in rs:
-        if abs(np.linalg.norm(r) - 1.0) > 1e-9:
-            raise ValueError("polytope construction requires pure states")
+    rs = np.asarray(r_vectors, dtype=float)
+    if np.any(np.abs(np.linalg.norm(rs, axis=1) - 1.0) > 1e-9):
+        raise ValueError("polytope construction requires pure states")
     return _dual([bloch_state(r, 1.0 / len(rs)) for r in rs])[0]
 
 

@@ -280,10 +280,10 @@ def test_qubit_disc_trine(tmp_path):
     assert report["p_succ_dual"] == pytest.approx(2.0 / 3.0, abs=1e-14)
     assert report["gap"] == abs(report["p_succ"] - report["p_succ_dual"]) <= 1e-9
     assert report["ordering"] == [0, 1, 2]
-    q = qubit_disc.BlochOperator(report["q_opt"]["c"], np.array(report["q_opt"]["r"]))
-    # the reported optimizer is a valid effect (0 <= Q <= 1)
-    lo, hi = q.eigenvalues
-    assert -1e-9 <= lo and hi <= 1.0 + 1e-9
+    # the reported optimizer is a valid effect (0 <= Q <= 1): its eigenvalues
+    # are c -+ |r|
+    c, r = report["q_opt"]["c"], np.linalg.norm(report["q_opt"]["r"])
+    assert -1e-9 <= c - r and c + r <= 1.0 + 1e-9
 
 
 def test_qubit_disc_validates_probabilities(tmp_path):
@@ -299,6 +299,53 @@ def test_qubit_disc_header_and_blank_rows_are_optional(tmp_path):
     path.write_text("\n" + "\n\n".join(rows[1:]) + "\n")
     assert run_cli(["qubit-disc", "--in", str(path)], tmp_path, "plain") == \
         run_cli(["qubit-disc", "--in", str(trine_csv(tmp_path))], tmp_path, "header")
+
+
+#: (input CSV, p_succ, p_succ_dual, gap, q_opt c, q_opt r) of six fixed
+#: ensembles; the numbers are the program's own, pinned to the last bit
+PINNED_DISC = {
+    "trine": (
+        "0.5,0.0,0.0,0.5,0.3333333333333333\n"
+        "0.5,0.4330127018922193,0.0,-0.25,0.3333333333333333\n"
+        "0.5,-0.4330127018922193,0.0,-0.25,0.3333333333333334\n",
+        0.6666666666666665, 0.6666666666666669, 3.3306690738754696e-16,
+        0.6666666666666665, [-0.28867513459481275, 0.0, 0.16666666666666655]),
+    "tetrahedron-unequal-priors": (
+        "0.5,0.0,0.0,0.5,0.4\n"
+        "0.5,0.47140452079103173,0.0,-0.16666666666666666,0.3\n"
+        "0.5,-0.23570226039551587,0.408248290463863,-0.16666666666666666,0.2\n"
+        "0.5,-0.23570226039551587,-0.408248290463863,-0.16666666666666666,0.1\n",
+        0.6372281323269015, 0.6372281323269015, 0.0,
+        0.5, [-0.2461829819586655, 0.0, 0.4351941398892446]),
+    "coplanar-mixed-4": (
+        "0.5,0.4,0.0,0.1,0.25\n0.5,-0.1,0.0,0.35,0.35\n"
+        "0.5,-0.3,0.0,-0.2,0.15\n0.5,0.05,0.0,-0.45,0.25\n",
+        0.5397524765252697, 0.5397524765252697, 0.0, 0.0, [0.0, 0.0, 0.0]),
+    "zero-prior": (
+        "0.5,0.0,0.0,0.5,0.5\n0.5,0.4,0.0,0.0,0\n"
+        "0.5,0.0,0.3,-0.2,0.3\n0.5,-0.3,0.1,0.1,0.2\n",
+        0.7228002478313794, 0.7228002478313795, 1.1102230246251565e-16,
+        0.9999999999999998, [0.0, 2.7755575615628914e-17, 0.0]),
+    "dominant-single-support": (
+        "0.5,0.0,0.0,0.15,0.1\n0.5,0.0,0.0,0.0,0.8\n0.5,0.1,0.0,0.0,0.1\n",
+        0.8, 0.8, 0.0, 0.0, [0.0, 0.0, 0.0]),
+    "non-coplanar-3": (
+        "0.5,0.5,0.0,0.0,0.5\n0.5,0.0,0.4,0.0,0.3\n0.5,0.0,0.0,0.3,0.2\n",
+        0.677308492477241, 0.677308492477241, 0.0,
+        0.5000000000000001, [0.45076152873413694, -0.21636553379238568, 0.0]),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_DISC)
+def test_qubit_disc_bytes_are_pinned(tmp_path, name):
+    text, p_succ, dual, gap, qc, qr = PINNED_DISC[name]
+    path = tmp_path / "states.csv"
+    path.write_text(text)
+    n = text.count("\n")
+    want = {"gap": gap, "n_states": n, "ordering": list(range(n)), "p_succ": p_succ,
+            "p_succ_dual": dual, "q_opt": {"c": qc, "r": qr}}
+    assert run_cli(["qubit-disc", "--in", str(path)], tmp_path) == \
+        (0, json.dumps(want, indent=2, sort_keys=True) + "\n")
 
 
 #: three valid rows whose priors sum to 1, so that a dropped fourth row
@@ -447,6 +494,98 @@ def test_config_rejects_unknown_key(tmp_path):
     assert code == 2
 
 
+RATES_ARGV = ["hadamard-rates", "--M", "2", "--N", "2", "--E-grid", "0.1:0.1:1"]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("M", "4"), ("N", "2,4"), ("E-grid", "0.1:0.2:2"), ("kernel", "realistic"), ("J", "10"),
+])
+def test_config_accepts_every_hadamard_rates_flag(tmp_path, flag, value):
+    # a key is the flag without its dashes or its dest, with - and _
+    # interchangeable; each gives the bytes of the flag on the command line
+    argv = RATES_ARGV + (["--M", "3"] if flag == "kernel" else [])
+    code, want = run_cli(argv + [f"--{flag}", value], tmp_path, "flag")
+    assert code == 0
+    dest = flag.lower().replace("-", "_")
+    for key in {flag, flag.replace("-", "_"), dest, dest.replace("_", "-")}:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run_cli(argv + ["--config", str(cfg)], tmp_path, "config") == (0, want), key
+
+
+@pytest.mark.parametrize("key", ["bogus", "func", "command", "command_parser", "help", "Kernel"])
+def test_config_rejects_names_that_are_not_flags(tmp_path, capsys, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 1}))
+    assert run_cli(RATES_ARGV + ["--config", str(cfg)], tmp_path) == (2, "")
+    assert f"config key {key!r} is not a flag of this subcommand" in capsys.readouterr().err
+
+
+INT_FLAG_ARGV = {
+    "--M": RATES_ARGV,
+    "--J": RATES_ARGV,
+    "--steps": ["bpsk-sweep", "--receiver", "kennedy", "--alpha-grid", "0.4:0.4:1"],
+    "--points": ["figures", "--only", "optimal-rates"],
+}
+
+
+@pytest.mark.parametrize("flag, value, text", [
+    ("--M", 3.9, "3.9"), ("--M", True, "true"), ("--M", "3.5", "3.5"), ("--M", [3], "[3]"),
+    ("--M", 4.0, "4.0"), ("--steps", 2.5, "2.5"), ("--steps", "1.5", "1.5"),
+    ("--points", 2.9, "2.9"), ("--points", "2.9", "2.9"), ("--J", 1.5, "1.5"),
+    ("--J", "x", "x"), ("--J", False, "false"), ("--J", None, "null"),
+])
+def test_integer_flags_reject_non_integers(tmp_path, capsys, flag, value, text):
+    # int() once truncated 3.9 to M = 3 and told a bad string only that it
+    # was an "invalid literal for int()"; a config value is its JSON text
+    argv = INT_FLAG_ARGV[flag] + ["--outdir" if flag == "--points" else "--out",
+                                  str(tmp_path / "out")]
+    if isinstance(value, str):
+        code = cli.main(argv + [flag, value])
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag[2:]: value}))
+        code = cli.main(argv + ["--config", str(cfg)])
+    assert code == 2
+    what = "an integer or 'inf'" if flag == "--J" else "an integer"
+    assert f"error: {flag} must be {what}, got {text}\n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, value, least", [
+    ("--M", "0", 1), ("--J", "0", 1), ("--steps", "-1", 1), ("--points", "1", 2),
+])
+def test_integer_flags_name_their_lower_bound(tmp_path, capsys, flag, value, least):
+    argv = INT_FLAG_ARGV[flag] + ["--outdir" if flag == "--points" else "--out",
+                                  str(tmp_path / "out"), flag, value]
+    assert cli.main(argv) == 2
+    assert f"error: {flag} must be >= {least}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--M", 4), ("--M", "4"), ("--J", 10)])
+def test_integer_flags_accept_integers(tmp_path, flag, value):
+    # an integer string, or an integer in a config file
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag[2:]: value}))
+    code, text = run_cli(RATES_ARGV + ["--config", str(cfg)], tmp_path, "config")
+    assert (code, text) == run_cli(RATES_ARGV + [flag, str(value)], tmp_path, "flag")
+    assert text != run_cli(RATES_ARGV, tmp_path, "default")[1]
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (RATES_ARGV, {"E-grid": 5}, "grid must be [lin:|log:]a:b:n, got '5'"),
+    (RATES_ARGV, {"kernel": 3}, "unknown kernel kind '3'"),
+    (["figures", "--outdir", "figs"], {"only": 5}, "unknown figure dataset(s): ['5']"),
+])
+def test_config_values_of_other_json_types_are_their_text(tmp_path, capsys, argv, config,
+                                                          message):
+    # a number for a text flag once reached str.split and ended in a traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(argv + ["--config", str(cfg)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- figures
 
 
@@ -573,6 +712,21 @@ print(json.dumps([codes, qubit_disc.cyclic_symmetric_perr(np.array([1.0, 0.0]), 
         assert run_cli(args, tmp_path, f"in_process{i}")[0] == 0
         assert (tmp_path / f"blocked{i}").read_bytes() == (tmp_path / f"in_process{i}").read_bytes()
     assert len(os.listdir(tmp_path / "blocked_figures")) == 4
+
+
+def test_every_exported_name_resolves():
+    # a public name that is renamed or deleted must leave __all__ too
+    import pkgutil
+
+    import qrx
+
+    names = ["qrx"] + [f"qrx.{m.name}" for m in pkgutil.iter_modules(qrx.__path__)]
+    modules = [importlib.import_module(name) for name in names]
+    exported = {mod.__name__: mod.__all__ for mod in modules if hasattr(mod, "__all__")}
+    assert {"qrx", "qrx.hadamard"} <= set(exported)
+    for name, public in exported.items():
+        assert len(set(public)) == len(public), name
+        assert [n for n in public if not hasattr(sys.modules[name], n)] == [], name
 
 
 def load_tracing():

@@ -275,36 +275,38 @@ def test_hadamard_matrix_rejects_non_powers_of_two(bad):
 
 
 def test_code_columns_follow_hadamard_pattern():
-    code = hd.HadamardCode(4, 3, 0.3 + 0.1j)
+    alpha = 0.3 + 0.1j
+    codewords = hd.hadamard_codewords(4, 3, alpha)
+    assert codewords.shape == (4, 12)
     h = hd.hadamard_matrix(4)
-    for m_idx, a_m in enumerate(code.phase_amplitudes):
+    for m_idx in range(3):
+        a_m = alpha * np.exp(2j * np.pi * m_idx / 3)
         for k in range(4):
-            np.testing.assert_allclose(
-                code.codewords[:, m_idx * 4 + k], a_m * h[:, k], atol=1e-15
-            )
-    assert code.energy == pytest.approx(abs(0.3 + 0.1j) ** 2, abs=1e-15)
+            np.testing.assert_allclose(codewords[:, m_idx * 4 + k], a_m * h[:, k], atol=1e-15)
+    # mean energy per mode |alpha|^2
+    assert np.mean(np.abs(codewords) ** 2) == pytest.approx(abs(alpha) ** 2, abs=1e-15)
 
 
 def test_ppm_transform_concentrates_energy():
     # N=2, k=1, alpha=0.5 -> slot amplitudes (0, sqrt(2)*0.5)
-    code = hd.HadamardCode(2, 1, 0.5)
     h = hd.hadamard_matrix(2) / math.sqrt(2)
-    out = h @ code.codewords[:, 1]
+    out = h @ hd.hadamard_codewords(2, 1, 0.5)[:, 1]
     np.testing.assert_allclose(out, [0.0, math.sqrt(2) * 0.5], atol=1e-15)
-    assert hd.ppm_transform_check(code) < 1e-12
+    assert hd.ppm_transform_check(2, 1, 0.5) < 1e-12
 
 
 def test_ppm_transform_zero_amplitude_and_phase_shifts():
-    assert hd.ppm_transform_check(hd.HadamardCode(8, 2, 0.0)) == 0.0
+    assert hd.ppm_transform_check(8, 2, 0.0) == 0.0
     # phase-shifted copies land on the same slot with rotated amplitude
-    code = hd.HadamardCode(4, 4, 0.7)
-    assert hd.ppm_transform_check(code) < 1e-12
+    assert hd.ppm_transform_check(4, 4, 0.7) < 1e-12
 
 
-@pytest.mark.parametrize("n,m", [(3, 2), (0, 2), (2, 0)])
+@pytest.mark.parametrize("n,m", [(3, 2), (0, 2), (2, 0), (2, 2.0)])
 def test_code_validation(n, m):
     with pytest.raises(ValueError):
-        hd.HadamardCode(n, m, 0.1)
+        hd.hadamard_codewords(n, m, 0.1)
+    with pytest.raises(ValueError):
+        hd.ppm_transform_check(n, m, 0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from qrx import povm as povm_mod
 from qrx import qubit_disc as qd
 from qrx.qubit_disc import (
-    BlochOperator,
     abc_operators,
     bloch_state,
     cyclic_symmetric_perr,
@@ -24,42 +23,68 @@ def planar(angle):
     return np.array([np.sin(angle), 0.0, np.cos(angle)])
 
 
+# ---------------------------------------- qubit operators (c, rx, ry, rz)
+
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def op(c, r):
+    """H = c 1 + r . sigma as the array (c, rx, ry, rz) that qubit_disc uses."""
+    return np.array([c, *r], dtype=float)
+
+
+def matrix(x):
+    """The 2x2 matrix c 1 + r . sigma of x = (c, rx, ry, rz)."""
+    return x[0] * np.eye(2) + np.tensordot(x[1:], PAULI, axes=1)
+
+
+def from_matrix(m):
+    return op(0.5 * np.trace(m).real, [0.5 * np.trace(m @ sig).real for sig in PAULI])
+
+
+def eigenvalues(x):
+    return (x[0] - qd._rnorm(x), x[0] + qd._rnorm(x))
+
+
+def trace(x):
+    return 2.0 * x[0]
+
+
 def random_bloch_op(rng, scale=1.0):
-    return BlochOperator(scale * rng.normal(), scale * rng.normal(size=3))
+    return op(scale * rng.normal(), scale * rng.normal(size=3))
 
 
 def random_q(rng):
     c = rng.uniform(0.0, 1.0)
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction)
-    return BlochOperator(c, rng.uniform(0, min(c, 1 - c)) * direction)
+    return op(c, rng.uniform(0, min(c, 1 - c)) * direction)
 
 
 # ------------------------------------------- matrix and closed-form oracles
 
 
-def abs_op(op):
+def abs_op(x):
     """|H| in the Bloch form: eigenvalues |c -+ |r||, same eigenvectors."""
-    lo, hi = op.eigenvalues
-    return BlochOperator(
-        0.5 * (abs(hi) + abs(lo)),
-        (0.5 * (abs(hi) - abs(lo)) / op.rnorm) * op.r if op.rnorm > 0 else op.r * 0.0,
-    )
+    lo, hi = eigenvalues(x)
+    rn = qd._rnorm(x)
+    return op(0.5 * (abs(hi) + abs(lo)),
+              (0.5 * (abs(hi) - abs(lo)) / rn) * x[1:] if rn > 0 else x[1:] * 0.0)
 
 
-def pos_part_trace(op):
-    lo, hi = op.eigenvalues
+def pos_part_trace(x):
+    lo, hi = eigenvalues(x)
     return max(hi, 0.0) + max(lo, 0.0)
 
 
-def trace_norm(op):
-    lo, hi = op.eigenvalues
+def trace_norm(x):
+    lo, hi = eigenvalues(x)
     return abs(hi) + abs(lo)
 
 
 def f_value_matrix(q, a, b, c):
     """Direct 2x2 matrix evaluation of F_Q."""
-    qm = q.matrix()
+    qm = matrix(q)
     sq = povm_mod.sqrt_psd(qm)
     sq1 = povm_mod.sqrt_psd(np.eye(2) - qm)
 
@@ -67,18 +92,18 @@ def f_value_matrix(q, a, b, c):
         return float(np.abs(np.linalg.eigvalsh(0.5 * (m + m.conj().T))).sum())
 
     return float(
-        np.trace(qm @ a.matrix()).real
-        + tr_abs(sq @ b.matrix() @ sq)
-        + tr_abs(sq1 @ c.matrix() @ sq1)
+        np.trace(qm @ matrix(a)).real
+        + tr_abs(sq @ matrix(b) @ sq)
+        + tr_abs(sq1 @ matrix(c) @ sq1)
     )
 
 
 def closed_form_applies(a, b, c):
     """Any of the three sufficient conditions for the closed form."""
     # case 2: B and C have a definite sign
-    if b.has_definite_sign() and c.has_definite_sign():
+    if qd._has_definite_sign(b) and qd._has_definite_sign(c):
         return True
-    am, bm, cm = a.matrix(), b.matrix(), c.matrix()
+    am, bm, cm = matrix(a), matrix(b), matrix(c)
     # case 3: A, B, C all commute
     if (
         np.max(np.abs(am @ bm - bm @ am)) < 1e-11
@@ -108,15 +133,15 @@ def maybe_closed_form(a, b, c, best_val, best_q):
         cf = closed_form_value(a, b, c)
         if cf >= best_val - 1e-12:
             x = a + abs_op(b) - abs_op(c)
-            lo, hi = x.eigenvalues
+            lo, hi = eigenvalues(x)
             if lo > 0:
-                q_cert = BlochOperator(1.0, np.zeros(3))
+                q_cert = op(1.0, np.zeros(3))
             elif hi <= 0:
-                q_cert = BlochOperator(0.0, np.zeros(3))
-            elif x.rnorm > 0:
-                q_cert = BlochOperator(0.5, 0.5 * x.r / x.rnorm)
+                q_cert = op(0.0, np.zeros(3))
+            elif qd._rnorm(x) > 0:
+                q_cert = op(0.5, 0.5 * x[1:] / qd._rnorm(x))
             else:
-                q_cert = BlochOperator(0.5, np.zeros(3))
+                q_cert = op(0.5, np.zeros(3))
             # certify only when the analytic Q attains the value
             if abs(f_value_matrix(q_cert, a, b, c) - cf) < 1e-10:
                 return cf, q_cert
@@ -133,8 +158,7 @@ def dual_oracle(weighted):
     simplex until g stops decreasing."""
     from scipy.optimize import minimize
 
-    cs = np.array([s.c for s in weighted])
-    rs = np.array([s.r for s in weighted])
+    cs, rs = np.asarray(weighted)[:, 0], np.asarray(weighted)[:, 1:]
 
     def g(r):
         return float(np.max(cs + np.linalg.norm(rs - r, axis=1)))
@@ -162,32 +186,37 @@ def dual_oracle(weighted):
     rz=st.floats(-2, 2),
 )
 def test_bloch_operator_matches_matrix_algebra(c, rx, ry, rz):
-    op = BlochOperator(c, np.array([rx, ry, rz]))
-    m = op.matrix()
-    assert np.allclose(np.trace(m).real, op.trace, atol=1e-12)
+    # the test-local helpers on (c, rx, ry, rz) against 2x2 matrix algebra
+    x = op(c, [rx, ry, rz])
+    m = matrix(x)
+    assert np.allclose(np.trace(m).real, trace(x), atol=1e-12)
     w = np.linalg.eigvalsh(m)
-    assert np.allclose(sorted(w), sorted(op.eigenvalues), atol=1e-10)
-    assert np.abs(w).sum() == pytest.approx(trace_norm(op), abs=1e-10)
-    back = BlochOperator.from_matrix(m)
-    assert back.c == pytest.approx(op.c, abs=1e-12)
-    assert np.allclose(back.r, op.r, atol=1e-12)
+    assert np.allclose(sorted(w), sorted(eigenvalues(x)), atol=1e-10)
+    assert np.abs(w).sum() == pytest.approx(trace_norm(x), abs=1e-10)
+    assert qd._has_definite_sign(x) == (w.min() >= -qd._SIGN_TOL or w.max() <= qd._SIGN_TOL)
+    back = from_matrix(m)
+    assert back[0] == pytest.approx(x[0], abs=1e-12)
+    assert np.allclose(back[1:], x[1:], atol=1e-12)
 
 
 def test_abs_op_matches_matrix_abs():
     rng = np.random.default_rng(7)
     for _ in range(20):
-        op = random_bloch_op(rng)
-        w, u = np.linalg.eigh(op.matrix())
+        x = random_bloch_op(rng)
+        w, u = np.linalg.eigh(matrix(x))
         want = (u * np.abs(w)) @ u.conj().T
-        assert np.allclose(abs_op(op).matrix(), want, atol=1e-10)
+        assert np.allclose(matrix(abs_op(x)), want, atol=1e-10)
 
 
 def test_bloch_state_validates():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside the sphere"):
         bloch_state([1.2, 0, 0])
+    with pytest.raises(ValueError, match="real 3-vector"):
+        bloch_state([1, 0])
     rho = bloch_state([0, 0, 1], p=0.25)
-    assert rho.trace == pytest.approx(0.25)
-    assert min(rho.eigenvalues) == pytest.approx(0.0, abs=1e-14)
+    assert rho.shape == (4,)
+    assert trace(rho) == pytest.approx(0.25)
+    assert min(eigenvalues(rho)) == pytest.approx(0.0, abs=1e-14)
 
 
 # --------------------------------------------------------------- F function
@@ -211,19 +240,19 @@ def test_f_value_definite_sign_branch():
         # force definite signs: |r| < |c|
         cb, cc = rng.normal(), rng.normal()
         db, dc = rng.normal(size=3), rng.normal(size=3)
-        b = BlochOperator(cb, rng.uniform(0, 0.95 * abs(cb)) * db / np.linalg.norm(db))
-        c = BlochOperator(cc, rng.uniform(0, 0.95 * abs(cc)) * dc / np.linalg.norm(dc))
-        assert b.has_definite_sign() and c.has_definite_sign()
+        b = op(cb, rng.uniform(0, 0.95 * abs(cb)) * db / np.linalg.norm(db))
+        c = op(cc, rng.uniform(0, 0.95 * abs(cc)) * dc / np.linalg.norm(dc))
+        assert qd._has_definite_sign(b) and qd._has_definite_sign(c)
         assert f_value(q, a, b, c) == pytest.approx(f_value_matrix(q, a, b, c), abs=1e-9)
 
 
 def test_f_value_rejects_infeasible_q():
     with pytest.raises(ValueError):
         f_value(
-            BlochOperator(0.5, np.array([0.9, 0, 0])),
-            BlochOperator(1, np.zeros(3)),
-            BlochOperator(0, np.zeros(3)),
-            BlochOperator(0, np.zeros(3)),
+            op(0.5, [0.9, 0, 0]),
+            op(1, np.zeros(3)),
+            op(0, np.zeros(3)),
+            op(0, np.zeros(3)),
         )
 
 
@@ -234,8 +263,8 @@ def test_closed_form_definite_sign_case():
         a = random_bloch_op(rng)
         cb, cc = abs(rng.normal()), -abs(rng.normal())
         db, dc = rng.normal(size=3), rng.normal(size=3)
-        b = BlochOperator(cb, rng.uniform(0, 0.95 * cb) * db / np.linalg.norm(db))
-        c = BlochOperator(cc, rng.uniform(0, -0.95 * cc) * dc / np.linalg.norm(dc))
+        b = op(cb, rng.uniform(0, 0.95 * cb) * db / np.linalg.norm(db))
+        c = op(cc, rng.uniform(0, -0.95 * cc) * dc / np.linalg.norm(dc))
         val, q = f_optimize(a, b, c)
         assert abs(val - closed_form_value(a, b, c)) <= 1e-12
         # value is attained by a feasible Q
@@ -247,9 +276,9 @@ def test_commuting_case_closed_form():
     for _ in range(10):
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
-        a = BlochOperator(rng.normal(), rng.normal() * axis)
-        b = BlochOperator(rng.normal(), rng.normal() * axis)
-        c = BlochOperator(rng.normal(), rng.normal() * axis)
+        a = op(rng.normal(), rng.normal() * axis)
+        b = op(rng.normal(), rng.normal() * axis)
+        c = op(rng.normal(), rng.normal() * axis)
         val, _ = f_optimize(a, b, c)
         assert abs(val - closed_form_value(a, b, c)) <= 1e-12
 
@@ -257,20 +286,20 @@ def test_commuting_case_closed_form():
 def test_f_recursion_identity():
     # F(A, B, 0) = F(-3B - A, B - A, 0)/2 + Tr[A + B]
     rng = np.random.default_rng(23)
-    zero = BlochOperator(0.0, np.zeros(3))
+    zero = np.zeros(4)
     for _ in range(5):
         a = random_bloch_op(rng, scale=0.4)
         b = random_bloch_op(rng, scale=0.4)
         lhs, _ = f_optimize(a, b, zero)
         inner, _ = f_optimize(-3 * b - a, b - a, zero)
-        assert lhs == pytest.approx(0.5 * inner + (a + b).trace, abs=5e-7)
+        assert lhs == pytest.approx(0.5 * inner + trace(a + b), abs=5e-7)
 
 
 def test_m3_reduction_matches_full_search():
     # the old path's reduced M=3 search and its full search both reach F at
     # the dual's Q*
     rng = np.random.default_rng(29)
-    zero = BlochOperator(0.0, np.zeros(3))
+    zero = np.zeros(4)
     for _ in range(5):
         a = random_bloch_op(rng, scale=0.3)
         b = random_bloch_op(rng, scale=0.3)
@@ -386,9 +415,9 @@ def test_abc_operators_shapes_and_traces():
     weighted = [bloch_state(planar(a), 0.25) for a in (0.0, 1.0, 2.0, 3.0)]
     a, b, c, pref = abc_operators(weighted)
     assert pref == pytest.approx(0.25)
-    assert a.trace == pytest.approx(0.0, abs=1e-12)
-    assert b.trace == pytest.approx(0.0, abs=1e-12)
-    assert c.trace == pytest.approx(0.0, abs=1e-12)
+    assert trace(a) == pytest.approx(0.0, abs=1e-12)
+    assert trace(b) == pytest.approx(0.0, abs=1e-12)
+    assert trace(c) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         abc_operators(weighted[:2])
 
@@ -473,7 +502,7 @@ def test_cyclic_rejects_a_set_that_does_not_close():
     with pytest.raises(ValueError, match=r"U\^M"):
         cyclic_symmetric_perr(psi0, u, 3)
     states = [psi0, u @ psi0, u @ u @ psi0]
-    bloch = [np.real([np.vdot(v, sig @ v) for sig in qd._PAULI]) for v in states]
+    bloch = [np.real([np.vdot(v, sig @ v) for sig in PAULI]) for v in states]
     assert psucc3([(bloch_state(r), 1 / 3) for r in bloch]) == pytest.approx(0.5694, abs=1e-4)
 
 
@@ -613,7 +642,7 @@ def scalar_pattern_search(fun, x0, lower, upper, step0=0.05, step_min=1e-9):
 
 
 def oracle_plane_basis(a, b):
-    basis = span_basis([a.r, b.r])
+    basis = span_basis([a[1:], b[1:]])
     if basis.shape[0] == 0:
         basis = np.eye(3)[:1]
     if basis.shape[0] == 1:
@@ -641,12 +670,12 @@ def abc_of_orderings(weighted, limit=None):
 
 
 def oracle_sandwich_term(x):
-    if x.has_definite_sign():
-        return lambda c_eff, rdot, rsq: 2.0 * np.abs(c_eff * x.c + rdot)
-    gap = float(x.r @ x.r) - x.c**2
+    if qd._has_definite_sign(x):
+        return lambda c_eff, rdot, rsq: 2.0 * np.abs(c_eff * x[0] + rdot)
+    gap = float(x[1:] @ x[1:]) - x[0]**2
 
     def term(c_eff, rdot, rsq):
-        dot = c_eff * x.c + rdot
+        dot = c_eff * x[0] + rdot
         return 2.0 * np.sqrt(np.maximum(dot * dot + gap * (c_eff * c_eff - rsq), 0.0))
 
     return term
@@ -669,12 +698,12 @@ def oracle_feasible_grid(k):
 
 def oracle_optimize_general(a, b, c, basis):
     k = basis.shape[0]
-    ra, rb, rc = basis @ a.r, basis @ b.r, basis @ c.r
+    ra, rb, rc = basis @ a[1:], basis @ b[1:], basis @ c[1:]
     term_b, term_c = oracle_sandwich_term(b), oracle_sandwich_term(c)
 
     def f_components(cq, rcomp):
         rsq = (rcomp**2).sum(axis=-1)
-        out = 2.0 * (cq * a.c + rcomp @ ra)
+        out = 2.0 * (cq * a[0] + rcomp @ ra)
         out = out + term_b(cq, rcomp @ rb, rsq)
         out = out + term_c(1.0 - cq, -(rcomp @ rc), rsq)
         return out
@@ -688,13 +717,13 @@ def oracle_optimize_general(a, b, c, basis):
 def oracle_f_optimize(a, b, c, reduce_m3=True):
     if trace_norm(c) < 1e-14 and reduce_m3:
         basis = oracle_plane_basis(a, b)
-        ra, rb = basis @ a.r, basis @ b.r
+        ra, rb = basis @ a[1:], basis @ b[1:]
         term_b = oracle_sandwich_term(b)
 
         def f_angle(cq, phi):
             r0, r1 = (1.0 - cq) * np.cos(phi), (1.0 - cq) * np.sin(phi)
             tb = term_b(cq, r0 * rb[0] + r1 * rb[1], r0 * r0 + r1 * r1)
-            return 2.0 * (cq * a.c + (r0 * ra[0] + r1 * ra[1])) + tb
+            return 2.0 * (cq * a[0] + (r0 * ra[0] + r1 * ra[1])) + tb
 
         cs = np.linspace(0.5, 1.0, GRID_POINTS)
         phis = np.linspace(0.0, 2 * np.pi, 2 * GRID_POINTS, endpoint=False)
@@ -703,15 +732,15 @@ def oracle_f_optimize(a, b, c, reduce_m3=True):
         val, (cq, phi) = scalar_pattern_search(lambda y: f_angle(*y), (cs[i], phis[j]),
                                                np.array([0.5, -np.inf]), np.array([1.0, np.inf]))
         rq3 = (1.0 - cq) * (np.cos(phi) * basis[0] + np.sin(phi) * basis[1])
-        return maybe_closed_form(a, b, c, val, BlochOperator(cq, rq3))
-    basis = span_basis([a.r, b.r, c.r])
+        return maybe_closed_form(a, b, c, val, op(cq, rq3))
+    basis = span_basis([a[1:], b[1:], c[1:]])
     _, cq0, rcomp0, f_components = oracle_optimize_general(a, b, c, basis)
     k = basis.shape[0]
     if k == 0:
         val, x = scalar_pattern_search(
             lambda y: float(f_components(np.array([y[0]]), np.zeros((1, 0)))[0]),
             np.array([cq0]), np.array([0.0]), np.array([1.0]))
-        return maybe_closed_form(a, b, c, val, BlochOperator(x[0], np.zeros(3)))
+        return maybe_closed_form(a, b, c, val, op(x[0], np.zeros(3)))
 
     def to_rcomp(x):
         c_val, t = x[0], x[1]
@@ -738,7 +767,7 @@ def oracle_f_optimize(a, b, c, reduce_m3=True):
     val, x = scalar_pattern_search(
         lambda x: float(f_components(x[0], to_rcomp(x).reshape(1, k))[0]), np.array(x0),
         np.array([0.0, -1.0] + [-np.inf] * n_ang), np.array([1.0, 1.0] + [np.inf] * n_ang))
-    return maybe_closed_form(a, b, c, val, BlochOperator(x[0], to_rcomp(x) @ basis))
+    return maybe_closed_form(a, b, c, val, op(x[0], to_rcomp(x) @ basis))
 
 
 def oracle_psucc(weighted, reduce_m3=True):
@@ -763,18 +792,19 @@ def assert_dual_certified(weighted, reduce_m3=True):
     M=3 search when `reduce_m3`), and its Q is an effect.  Returns the dual
     value."""
     dual, povm = qd._dual(weighted)
-    total = sum(povm, BlochOperator(0.0, np.zeros(3)))
-    assert abs(total.c - 1.0) <= 1e-12 and total.rnorm <= 1e-12
-    assert all(min(pi.eigenvalues) >= -1e-12 for pi in povm)
-    assert abs(sum(2.0 * (pi.c * s.c + pi.r @ s.r) for pi, s in zip(povm, weighted)) - dual) \
-        <= 1e-12
+    assert povm.shape == (len(weighted), 4)
+    total = povm.sum(axis=0)
+    assert abs(total[0] - 1.0) <= 1e-12 and qd._rnorm(total) <= 1e-12
+    assert all(min(eigenvalues(pi)) >= -1e-12 for pi in povm)
+    assert abs(sum(np.trace(matrix(pi) @ matrix(s)).real for pi, s in zip(povm, weighted))
+               - dual) <= 1e-12
     for perm in orderings(len(weighted)):
         a, b, c, pref = abc_operators([weighted[i] for i in perm])
         assert abs(pref + f_value(povm[perm[0]] + povm[perm[2]], a, b, c) - dual) <= 1e-12
     val, q, dual_out = qd._psucc(weighted)
     assert dual_out == dual and abs(val - dual) <= 1e-12
     assert val >= oracle_psucc(weighted, reduce_m3)[0] - 1e-12
-    assert -1e-12 <= q.c <= 1.0 + 1e-12 and q.rnorm <= min(q.c, 1.0 - q.c) + 1e-12
+    assert -1e-12 <= q[0] <= 1.0 + 1e-12 and qd._rnorm(q) <= min(q[0], 1.0 - q[0]) + 1e-12
     return dual
 
 
@@ -794,8 +824,8 @@ def test_dual_start_certifies_the_edge_cases():
     rng = np.random.default_rng(79)
     # a zero prior: the optimum is that of the other three states
     weighted = ensemble(rng, 4, 3, False)
-    weighted[2] = bloch_state(weighted[2].r / weighted[2].c, 0.0)
-    scale = 1.0 / sum(s.trace for s in weighted)
+    weighted[2] = bloch_state(weighted[2][1:] / weighted[2][0], 0.0)
+    scale = 1.0 / sum(trace(s) for s in weighted)
     rest = [s * scale for k, s in enumerate(weighted) if k != 2]
     assert assert_dual_certified([s * scale for s in weighted]) == pytest.approx(
         assert_dual_certified(rest), abs=1e-12)
@@ -805,7 +835,7 @@ def test_dual_start_certifies_the_edge_cases():
     assert_dual_certified(weighted)
     # a maximally mixed state
     weighted = ensemble(rng, 3, 3, True)
-    weighted[0] = bloch_state(np.zeros(3), weighted[0].trace)
+    weighted[0] = bloch_state(np.zeros(3), trace(weighted[0]))
     assert_dual_certified(weighted)
     # one dominant ball that holds the rest: measuring nothing is optimal
     weighted = [bloch_state(np.zeros(3), 0.7)] + ensemble(rng, 3, 3, True)
@@ -814,10 +844,10 @@ def test_dual_start_certifies_the_edge_cases():
     # three states with the dominant one second: Q* is 0, off the old path's
     # reduced M=3 domain (c_Q + |r_Q| = 1)
     dominant = [weighted[1], weighted[0], weighted[2]]
-    dominant = [s * (1.0 / sum(x.trace for x in dominant)) for s in dominant]
+    dominant = [s * (1.0 / sum(trace(x) for x in dominant)) for s in dominant]
     _, povm = qd._dual(dominant)
     q = povm[0] + povm[2]
-    assert q.c == 0.0 and not q.r.any()
+    assert not q.any()
     assert_dual_certified(dominant)
     # four coplanar pure states on the enclosing circle, around the origin:
     # the ball touches all four (P = 1/4 + 2/8), and three of them (or a
@@ -843,13 +873,13 @@ def test_f_optimize_matches_its_embedding_and_the_old_path():
     # arbitrary Hermitian (A, B, C): the optimum is the dual of
     # (A+B, C, A-B, -C) + t 1 less 2t, and no worse than the old path
     rng = np.random.default_rng(89)
-    zero = BlochOperator(0.0, np.zeros(3))
+    zero = np.zeros(4)
     for i in range(8):
         a, b = random_bloch_op(rng, 0.4), random_bloch_op(rng, 0.4)
         c = zero if i % 2 else random_bloch_op(rng, 0.4)
         ops = [a + b, c, a - b, -c]
-        t = max(op.rnorm - op.c for op in ops)
-        dual = qd._dual([op + BlochOperator(t, np.zeros(3)) for op in ops])[0]
+        t = max(qd._rnorm(x) - x[0] for x in ops)
+        dual = qd._dual([x + op(t, np.zeros(3)) for x in ops])[0]
         val, q = f_optimize(a, b, c)
         assert abs(val - (dual - 2.0 * t)) <= 1e-12
         for reduce_m3 in (True, False):
@@ -873,8 +903,8 @@ def test_psucc_matches_the_per_ordering_oracle():
     dims, definite = set(), set()
     for weighted, reduce_m3 in per_ordering_cases():
         for a, b, c in abc_of_orderings(weighted):
-            dims.add(span_basis([a.r, b.r, c.r]).shape[0])
-            definite.add(b.has_definite_sign())
+            dims.add(span_basis([a[1:], b[1:], c[1:]]).shape[0])
+            definite.add(qd._has_definite_sign(b))
         assert_dual_certified(weighted, reduce_m3)
     assert dims == {0, 1, 2, 3} and definite == {True, False}
 
