@@ -1,8 +1,8 @@
 """The two deterministic maximizers behind every optimizer in qrx (numpy
 only): `_grid_max` for batches of box searches (the receivers' beta
-searches and nhpa's joint (beta, log g) refinement), and `_pattern_search`,
-one unbounded coordinate search of a scalar function (the (beta, r)
-refinement of `receivers.ts_optimize`).
+searches and nhpa's (beta, 1/g) box on [-2, 0] x [0, 1]), and
+`_pattern_search`, one unbounded coordinate search of a scalar function (the
+(beta, r) refinement of `receivers.ts_optimize`).
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ Subcommands
 bpsk-sweep      sweep a binary-coherent receiver over an amplitude grid
 hadamard-rates  PSK Hadamard receiver/optimal rate tables over an energy grid
 qubit-disc      minimum-error discrimination of 3 or 4 weighted qubit states
-tree-decompose  binary-tree decomposition round-trip report for a POVM JSON
+tree-decompose  binary-tree decomposition round-trip report for a POVM JSON,
+                checked to RECONSTRUCTION_TOL
 gaussian-check  physicality report for Gaussian states/channels from JSON
 figures         emit the rate-curve datasets behind the survey figures
 
@@ -297,14 +298,25 @@ def _cmd_qubit_disc(args) -> int:
 # ------------------------------------------------------------ tree-decompose
 
 
+#: largest max_reconstruction_error that tree-decompose reports; a larger
+#: one, or a rebuild that is no POVM, is a numerical failure (exit 3)
+RECONSTRUCTION_TOL = 1e-9
+
+
 def _cmd_tree_decompose(args) -> int:
     parsed = povm.povm_from_json(_read_text(args.infile))
     nested = povm.binary_tree_decompose(parsed)
-    rebuilt = povm.reconstruct(nested)
+    try:
+        rebuilt = povm.reconstruct(nested)
+    except ValueError as exc:
+        raise ConvergenceError(f"tree reconstruction is no POVM: {exc}") from None
     err = max(
         float(np.max(np.abs(e1 - e2)))
         for e1, e2 in zip(parsed.elements, rebuilt.elements)
     )
+    if not err <= RECONSTRUCTION_TOL:
+        raise ConvergenceError(
+            f"tree reconstruction error {err:.3e} exceeds {RECONSTRUCTION_TOL:.0e}")
     report = {
         "dimension": parsed.dim,
         "n_elements": len(parsed),

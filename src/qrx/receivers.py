@@ -1,9 +1,10 @@
 """Binary coherent-state receivers for the |+alpha>, |-alpha> alphabet.
 
 Baselines (Helstrom bound, homodyne, Kennedy), the non-heralded
-probabilistic amplifier (NHPA) receiver, its infinite-gain dephaser limits,
-an approximate cavity realization of the n=2 partial dephaser, the
-squeezing-enhanced (TS) variant, and a greedy multi-copy Dolinar wrapper.
+probabilistic amplifier (NHPA) receiver, its infinite-gain A_{inf,n}
+dephaser (the g = inf slice of the NHPA), an approximate cavity realization
+of the n=2 partial dephaser, the squeezing-enhanced (TS) variant, and a
+greedy multi-copy Dolinar wrapper.
 
 Conventions: the signal is first displaced by D(alpha) (nulling -alpha),
 the amplifying/dephasing stage acts, a final displacement D(-beta) is
@@ -14,12 +15,11 @@ Every formula here holds for alpha >= 0 only, and `optimize`, every
 optimizer, `dolinar_multistep` and `ts_psucc` reject a negative alpha.
 
 Objectives take arrays and broadcast, so one call of `_search._grid_max`
-maximizes a whole batch of box searches: beta over nhpa's whole gain grid
-or over all posteriors of a Dolinar step, and (beta, log g) for every
-cutoff n of `nhpa_optimize` at once.  The exception is `ts_psucc`: one
-point per call in Python floats, since `ts_optimize`'s
-`_search._pattern_search` tries one point at a time.  All optimizations
-are deterministic.
+maximizes a whole batch of box searches: beta over all posteriors of a
+Dolinar step, and (beta, 1/g) on [-2, 0] x [0, 1] for every cutoff n of
+`nhpa_optimize` at once.  The exception is `ts_psucc`: one point per call
+in Python floats, since `ts_optimize`'s `_search._pattern_search` tries one
+point at a time.  All optimizations are deterministic.
 
 This module is the receiver catalogue: `PARAMS` names every kind and the
 free parameters its optimizer returns, `DOLINAR_BASES` the kinds that
@@ -29,7 +29,7 @@ free parameters its optimizer returns, `DOLINAR_BASES` the kinds that
 from __future__ import annotations
 
 from functools import lru_cache
-from math import cosh, erf, exp, factorial, fsum, inf, isfinite, lgamma, log, sinh, sqrt, tanh
+from math import cosh, erf, exp, fsum, inf, isfinite, lgamma, log, sinh, sqrt, tanh
 
 import numpy as np
 
@@ -42,10 +42,9 @@ PARAMS = {"helstrom": (), "homodyne": (), "kennedy": (), "opt_kennedy": ("beta",
           "ts": ("beta", "r")}
 #: receiver kinds that dolinar_multistep can repeat over copies
 DOLINAR_BASES = ("kennedy", "opt_kennedy", "nhpa", "dephaser")
-#: nhpa_optimize_beta's beta interval and coarse grid (opt_kennedy's and the
-#: dephaser's beta searches start on as many points), and one cell of it
+#: nhpa_optimize_beta's beta interval and coarse grid (opt_kennedy's beta
+#: search starts on as many points); nhpa_optimize's box spans the same beta
 _BETA_LO, _BETA_HI, _BETA_GRID = -2.0, 0.0, 121
-_BETA_CELL = (_BETA_HI - _BETA_LO) / (_BETA_GRID - 1)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -125,8 +124,9 @@ def nhpa_psucc(alpha, beta, g, n):
     """Success probability of the NHPA receiver (g=1 removes amplification
     and reproduces the Kennedy family); broadcasts over alpha, beta, g, n."""
     g, n = np.asarray(g), np.asarray(n)
-    if (g < 1).any():
-        raise ValueError("gain g must be >= 1")
+    bad = ~(g >= 1)
+    if bad.any():
+        raise ValueError(f"gain g must be >= 1, got {float(g[bad].flat[0])!r}")
     n_int = n.astype(int)
     if (n_int != n).any() or (n_int < 1).any():
         raise ValueError("cutoff n must be a positive integer")
@@ -144,87 +144,29 @@ def nhpa_optimize_beta(alpha: float, g, n) -> tuple:
                      (np.full(batch, _BETA_LO),), (_BETA_HI,), (1e-12,), n_grid=_BETA_GRID)
 
 
-#: largest finite gain of nhpa_optimize's grid
-_G_MAX = 200.0
-
-
 def nhpa_optimize(alpha: float, n_values=(1, 2, 3)) -> tuple:
-    """Deterministic sweep over n, log-spaced g in [1, _G_MAX] plus g=inf,
-    with inner 1D beta optimization, then, for every n whose best grid gain
-    has two finite neighbours, one joint zoom over (beta, log g): its box is
-    beta* of that gain +- one coarse beta cell (clipped to [_BETA_LO,
-    _BETA_HI]) times the log g span of the two neighbours, and one 2-D
-    `_grid_max` call refines all such n at once down to widths (1e-12,
-    1e-10).  Candidates are taken n ascending, then the g grid, then its
-    refinement; the first strict maximum wins.  Returns (psucc, beta*, g*, n*)."""
+    """One `_grid_max` over (beta, u = 1/g) on [_BETA_LO, _BETA_HI] x [0, 1]
+    with every cutoff n as a lane: 41 points per coordinate first, then
+    zooms down to widths (1e-12, 1e-12).  u = 1 is the Kennedy family and
+    u = 0 the A_{inf,n} dephaser.  The first maximum over the lanes wins, n
+    in the order of n_values.  Returns (psucc, beta*, g* = 1/u*, n*)."""
     _check_alpha(alpha)
-    gs = np.append(np.geomspace(1.0, _G_MAX, 41), inf)
-    ns = np.asarray(n_values)[:, None]
-    vals, betas = nhpa_optimize_beta(alpha, gs, ns)
-    at = np.argmax(vals, axis=1)
-    refine = np.flatnonzero((at > 0) & (at < len(gs) - 2))
-    refined = {}
-    if refine.size:
-        n_r = ns[refine][:, :, None]
-        b_at = betas[refine, at[refine]]
-        v_r, b_r, lg = _grid_max(
-            lambda b, lg: nhpa_psucc(alpha, b, np.exp(lg), n_r),
-            (np.maximum(b_at - _BETA_CELL, _BETA_LO), np.log(gs[at[refine] - 1])),
-            (np.minimum(b_at + _BETA_CELL, _BETA_HI), np.log(gs[at[refine] + 1])), (1e-12, 1e-10))
-        refined = {j: (v_r[m], b_r[m], np.exp(lg[m])) for m, j in enumerate(refine)}
-    best = (-1.0, 0.0, 1.0, 1)
-    for j, n in enumerate(n_values):
-        candidates = list(zip(vals[j], betas[j], gs))
-        if j in refined:
-            candidates.append(refined[j])
-        for v, b, g in candidates:
-            if v > best[0]:
-                best = (float(v), float(b), float(g), int(n))
-    return best
+    ns = np.asarray(n_values)
+
+    def psucc(b, u):
+        with np.errstate(divide="ignore"):
+            return nhpa_psucc(alpha, b, 1.0 / u, ns[:, None, None])
+
+    vals, betas, us = _grid_max(psucc, (np.full(ns.shape, _BETA_LO), 0.0), (_BETA_HI, 1.0),
+                                (1e-12, 1e-12), n_grid=41)
+    j = int(np.argmax(vals))  # u* > 0: the centre of a box of positive width
+    return float(vals[j]), float(betas[j]), float(1.0 / us[j]), int(ns[j])
 
 
-# ----------------------------------------------------------------- dephasers
-
-
-def _coherent_amp_sum(alpha: float, beta, ks):
-    """sum_k <beta|k><k|2 alpha> over the index set (real amplitudes)."""
-    env = np.exp(-(4.0 * alpha**2 + beta**2) / 2.0)
-    return env * sum((2.0 * alpha * beta) ** k / factorial(k) for k in ks)
-
-
-def dephaser_psucc(alpha: float, beta, n: int = 2, kind: str = "amp_inf"):
-    """Infinite-gain limits of the receiver; broadcasts over beta.
-
-    kind="amp_inf": A_{inf,n} with projector Kraus {Pi_>=n, Pi_<n}.
-    kind="full": the more destructive partial dephaser D_n with Kraus
-    {Pi_<n, |k><k| for k >= n} (no coherence left above the cutoff).
-    """
-    if kind not in ("amp_inf", "full"):
-        raise ValueError("kind must be 'amp_inf' or 'full'")
-    p0_minus = np.exp(-(beta**2))
-    low = _coherent_amp_sum(alpha, beta, range(n))
-    if kind == "amp_inf":
-        # <beta|2 alpha> = exp(-(2a-b)^2/2) for real amplitudes
-        high = np.exp(-((2.0 * alpha - beta) ** 2) / 2.0) - low
-        p0_plus = high**2 + low**2
-    else:
-        env = np.exp(-(4.0 * alpha**2 + beta**2))
-        tail = 0.0
-        k = n
-        while True:
-            term = env * (2.0 * alpha * beta) ** (2 * k) / float(factorial(k) ** 2)
-            tail = tail + term
-            k += 1
-            if np.all(np.abs(term) < 1e-18) and k > n + 5:
-                break
-        p0_plus = low**2 + tail
-    return 0.5 * (1.0 + p0_minus - p0_plus)
-
-
-def dephaser_optimize(alpha: float, n: int = 2, kind: str = "amp_inf") -> tuple:
-    _check_alpha(alpha)
-    val, beta = _grid_max(lambda b: dephaser_psucc(alpha, b, n, kind), (-2.0,), (0.0,), (1e-12,),
-                          n_grid=_BETA_GRID)
+def dephaser_optimize(alpha: float, n: int = 2) -> tuple:
+    """(max over beta of the A_{inf,n} dephaser, beta*): nhpa_optimize_beta at
+    g = inf, where the Kraus pair is the projectors {Pi_>=n, Pi_<n}."""
+    val, beta = nhpa_optimize_beta(alpha, inf, n)
     return float(val), float(beta)
 
 

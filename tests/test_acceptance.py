@@ -51,7 +51,7 @@ def test_02_nhpa_g3_gain():
 def test_03_dephaser_infinite_gain_limit():
     p_ok, _ = receivers.optimized_kennedy(0.29)
     p_peak, _, _, _ = receivers.nhpa_optimize(0.29, n_values=(2,))
-    p_deph, _ = receivers.dephaser_optimize(0.29, 2, "amp_inf")
+    p_deph, _ = receivers.dephaser_optimize(0.29, 2)
     gain = rel_gain(p_deph, p_ok)
     drop = rel_gain(p_peak, p_ok) - gain
     ok = 1.80 <= gain <= 1.90 and 0.0 < drop < 0.05
@@ -254,7 +254,7 @@ def test_12_property_suites():
             1.0 - receivers.homodyne_perr(alpha),
             receivers.kennedy_psucc(alpha, -alpha),
             receivers.optimized_kennedy(alpha)[0],
-            receivers.dephaser_optimize(alpha, 2, "amp_inf")[0],
+            receivers.dephaser_optimize(alpha, 2)[0],
             receivers.cavity_optimize(alpha)[0],
             receivers.ts_optimize(alpha, 2)[0],
             receivers.dolinar_multistep(alpha, 5),

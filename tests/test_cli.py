@@ -401,6 +401,45 @@ def test_tree_decompose_roundtrip_report(tmp_path):
     assert report["max_reconstruction_error"] == pytest.approx(direct, abs=1e-14)
 
 
+def ill_conditioned_povm(seed=71, d=3, m=4):
+    """m random elements whose eigenvalues span up to 14 decades, scaled so
+    that their sum is <= 1, plus 1 minus that sum: a valid POVM."""
+    rng = np.random.default_rng(seed)
+    els = []
+    for _ in range(m):
+        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        _, u = np.linalg.eigh(x @ x.conj().T)
+        els.append((u * 10 ** rng.uniform(-14, 0, d)) @ u.conj().T)
+    lam = np.linalg.eigvalsh(sum(els)).max()
+    els = [e / lam for e in els]
+    return povm.Povm(els + [np.eye(d) - sum(els)])
+
+
+def test_tree_decompose_rebuild_that_is_no_povm_is_a_numerical_failure(tmp_path, capsys):
+    # the input is valid, but its rebuilt leaves do not sum to the identity:
+    # a numerical failure (exit 3), not a configuration error (exit 2)
+    src = tmp_path / "p.json"
+    src.write_text(povm.povm_to_json(ill_conditioned_povm()))
+    with pytest.raises(ValueError, match="do not sum to a projector/identity"):
+        povm.reconstruct(povm.binary_tree_decompose(povm.povm_from_json(src.read_text())))
+    assert run_cli(["tree-decompose", "--in", str(src)], tmp_path) == (3, "")
+    assert ("error: numerical non-convergence: tree reconstruction is no POVM: "
+            "POVM elements do not sum to a projector/identity") in capsys.readouterr().err
+
+
+def test_tree_decompose_checks_the_reconstruction_error(tmp_path, monkeypatch, capsys):
+    # a rebuild that is a POVM but not the input's: its leaves in reverse
+    p = ill_conditioned_povm(seed=3, d=4, m=5)
+    src = tmp_path / "p.json"
+    src.write_text(povm.povm_to_json(p))
+    assert run_cli(["tree-decompose", "--in", str(src)], tmp_path)[0] == 0
+    rebuild = povm.reconstruct
+    monkeypatch.setattr(povm, "reconstruct", lambda nested: povm.Povm(
+        rebuild(nested).elements[::-1]))
+    assert run_cli(["tree-decompose", "--in", str(src)], tmp_path, "swapped") == (3, "")
+    assert "tree reconstruction error" in capsys.readouterr().err
+
+
 def test_tree_decompose_missing_file_is_io_error(tmp_path):
     code, _ = run_cli(["tree-decompose", "--in", str(tmp_path / "nope.json")], tmp_path)
     assert code == 4

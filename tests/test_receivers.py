@@ -117,6 +117,11 @@ def test_nhpa_validation():
         rc.nhpa_psucc(0.3, -0.4, 0.5, 2)
     with pytest.raises(ValueError):
         rc.nhpa_psucc(0.3, -0.4, 2.0, 0)
+    # nan < 1 is False, so a check of g < 1 lets a nan gain through
+    with pytest.raises(ValueError, match="gain g must be >= 1, got nan"):
+        rc.nhpa_psucc(0.3, -0.4, np.nan, 2)
+    with pytest.raises(ValueError, match="gain g must be >= 1, got nan"):
+        rc.nhpa_optimize_beta(0.3, np.array([2.0, np.nan]), 2)
 
 
 def test_nhpa_gain_g3():
@@ -144,22 +149,83 @@ def test_nhpa_n1_never_amplifies():
 def test_g_limit_monotone_approach():
     alpha, n = 0.29, 2
     _, beta = rc.nhpa_optimize_beta(alpha, 100.0, n)
-    limit = rc.dephaser_psucc(alpha, beta, n, "amp_inf")
+    limit = dephaser_psucc(alpha, beta, n, "amp_inf")
     for g in (100.0, 1000.0, 1e6):
         assert abs(rc.nhpa_psucc(alpha, beta, g, n) - limit) < 1e-4
 
 
 # ------------------------------------------------------------------ dephasers
+# The closed forms of the two infinite-gain limits, kept as oracles: the
+# A_{inf,n} dephaser is nhpa_psucc at g = inf, and the full partial dephaser
+# D_n has no receiver of its own.
+
+
+def dephaser_psucc(alpha, beta, n=2, kind="amp_inf"):
+    """kind="amp_inf": A_{inf,n} with projector Kraus {Pi_>=n, Pi_<n}.
+    kind="full": the more destructive partial dephaser D_n with Kraus
+    {Pi_<n, |k><k| for k >= n} (no coherence left above the cutoff).
+    Broadcasts over beta."""
+    p0_minus = np.exp(-(beta**2))
+    # sum_{k<n} <beta|k><k|2 alpha> for real amplitudes
+    low = np.exp(-(4.0 * alpha**2 + beta**2) / 2.0) * sum(
+        (2.0 * alpha * beta) ** k / math.factorial(k) for k in range(n))
+    if kind == "amp_inf":
+        # <beta|2 alpha> = exp(-(2a-b)^2/2) for real amplitudes
+        high = np.exp(-((2.0 * alpha - beta) ** 2) / 2.0) - low
+        p0_plus = high**2 + low**2
+    else:
+        env = np.exp(-(4.0 * alpha**2 + beta**2))
+        tail = 0.0
+        k = n
+        while True:
+            term = env * (2.0 * alpha * beta) ** (2 * k) / float(math.factorial(k) ** 2)
+            tail = tail + term
+            k += 1
+            if np.all(np.abs(term) < 1e-18) and k > n + 5:
+                break
+        p0_plus = low**2 + tail
+    return 0.5 * (1.0 + p0_minus - p0_plus)
+
+
+def closed_form_dephaser_optimize(alpha, n=2, kind="amp_inf"):
+    """dephaser_optimize before it searched the g = inf slice of the NHPA:
+    the same beta search over a closed form."""
+    val, beta = _grid_max(lambda b: dephaser_psucc(alpha, b, n, kind), (-2.0,), (0.0,), (1e-12,),
+                          n_grid=121)
+    return float(val), float(beta)
 
 
 def test_dephaser_matches_nhpa_infinite_gain():
     for alpha, beta, n in ((0.3, -0.45, 2), (0.6, -0.2, 3)):
-        assert rc.dephaser_psucc(alpha, beta, n, "amp_inf") == pytest.approx(
+        assert dephaser_psucc(alpha, beta, n, "amp_inf") == pytest.approx(
             rc.nhpa_psucc(alpha, beta, 1e6, n), abs=1e-5
         )
-        assert rc.dephaser_psucc(alpha, beta, n, "amp_inf") == pytest.approx(
+        assert dephaser_psucc(alpha, beta, n, "amp_inf") == pytest.approx(
             rc.nhpa_psucc(alpha, beta, np.inf, n), abs=1e-13
         )
+
+
+def test_dephaser_optimize_is_the_infinite_gain_slice():
+    # the A_{inf,n} closed form and nhpa_psucc at g = inf agree to 1.1e-16 on
+    # beta in [-2, 0], so the two beta searches agree to rounding
+    betas = np.linspace(-2.0, 0.0, 81)
+    for alpha in (0.0, 0.05, 0.3, 0.7, 1.2):
+        for n in (1, 2, 3):
+            assert np.max(np.abs(dephaser_psucc(alpha, betas, n, "amp_inf")
+                                 - rc.nhpa_psucc(alpha, betas, np.inf, n))) <= 2.3e-16
+            p, beta = rc.dephaser_optimize(alpha, n)
+            p_ref, beta_ref = closed_form_dephaser_optimize(alpha, n)
+            assert (p, beta) == rc.nhpa_optimize_beta(alpha, np.inf, n)
+            assert abs(p - p_ref) <= 4.5e-16
+            if alpha > 0:  # at alpha = 0, p_succ = 1/2 for every beta
+                assert beta == pytest.approx(beta_ref, abs=1e-6)
+
+
+def test_dephaser_optimize_rejects_a_cutoff_below_one():
+    # with no cutoff the receiver would be a Kennedy one (0.7425 at n = 0)
+    for n in (0, -1, 1.5):
+        with pytest.raises(ValueError, match="cutoff n must be a positive integer"):
+            rc.dephaser_optimize(0.3, n)
 
 
 def test_dephaser_full_fock_oracle():
@@ -173,21 +239,21 @@ def test_dephaser_full_fock_oracle():
     b = coh(beta)
     p0p = float(np.real(b.conj() @ rho @ b))
     want = 0.5 * (1 + np.exp(-(beta**2)) - p0p)
-    assert rc.dephaser_psucc(alpha, beta, n, "full") == pytest.approx(want, abs=1e-9)
+    assert dephaser_psucc(alpha, beta, n, "full") == pytest.approx(want, abs=1e-9)
 
 
 def test_full_dephaser_tiny_decrement():
     alpha = 0.29
     ok, _ = rc.optimized_kennedy(alpha)
-    amp, _ = rc.dephaser_optimize(alpha, 2, "amp_inf")
-    full, _ = rc.dephaser_optimize(alpha, 2, "full")
+    amp, _ = rc.dephaser_optimize(alpha, 2)
+    full, _ = closed_form_dephaser_optimize(alpha, 2, "full")
     assert 0 <= amp - full < 5e-4
 
 
 def test_dephaser_n1_no_gain():
     alpha = 0.3
     ok, _ = rc.optimized_kennedy(alpha)
-    v, _ = rc.dephaser_optimize(alpha, 1, "amp_inf")
+    v, _ = rc.dephaser_optimize(alpha, 1)
     assert v <= ok + 1e-10
 
 
@@ -307,7 +373,7 @@ def test_ts_optimize_builds_no_dense_operator(monkeypatch):
 def test_ts_r0_reduces_to_dephaser():
     for alpha, beta, n in ((0.3, -0.5, 2), (0.5, -0.2, 3)):
         assert rc.ts_psucc(alpha, beta, 0.0, n) == pytest.approx(
-            rc.dephaser_psucc(alpha, beta, n, "amp_inf"), abs=1e-10
+            dephaser_psucc(alpha, beta, n, "amp_inf"), abs=1e-10
         )
 
 
@@ -534,6 +600,9 @@ def scalar_nhpa_beta(alpha, g, n):
 
 
 def scalar_nhpa_optimize(alpha, n_values=(1, 2, 3), g_max=200.0):
+    """nhpa_optimize's scalar path before the (beta, 1/g) box: gains
+    geomspace(1, g_max, 41) plus inf, a beta search at each, and a golden
+    section over log g between the two neighbours of the best finite gain."""
     best = (-1.0, 0.0, 1.0, 1)
     for n in n_values:
         gs = list(np.geomspace(1.0, g_max, 41)) + [math.inf]
@@ -612,9 +681,10 @@ def scalar_ts_optimize(alpha, n=2):
 
 
 def nested_nhpa_optimize(alpha, n_values=(1, 2, 3), g_max=200.0):
-    """nhpa_optimize's array path before the joint (beta, log g) zoom: an
-    outer _grid_max over log g whose every point runs a whole inner beta
-    _grid_max."""
+    """nhpa_optimize's array path before the (beta, 1/g) box: the gains of
+    scalar_nhpa_optimize, then an outer _grid_max over log g whose every
+    point runs a whole inner beta _grid_max.  It never searches the gains
+    between g_max and inf."""
     gs = np.append(np.geomspace(1.0, g_max, 41), math.inf)
     ns = np.asarray(n_values)[:, None]
     vals, betas = rc.nhpa_optimize_beta(alpha, gs, ns)
@@ -678,10 +748,10 @@ def test_single_step_optimizers_match_scalar_path():
         cases = [
             (rc.optimized_kennedy(alpha), grid_refine_max(
                 lambda b: rc.kennedy_psucc(alpha, b), -3.0 * alpha - 2.0, 0.0)),
-            (rc.dephaser_optimize(alpha, 2, "amp_inf"), grid_refine_max(
-                lambda b: rc.dephaser_psucc(alpha, b, 2, "amp_inf"), -2.0, 0.0)),
-            (rc.dephaser_optimize(alpha, 2, "full"), grid_refine_max(
-                lambda b: rc.dephaser_psucc(alpha, b, 2, "full"), -2.0, 0.0)),
+            (rc.dephaser_optimize(alpha, 2), grid_refine_max(
+                lambda b: dephaser_psucc(alpha, b, 2, "amp_inf"), -2.0, 0.0)),
+            (closed_form_dephaser_optimize(alpha, 2, "full"), grid_refine_max(
+                lambda b: dephaser_psucc(alpha, b, 2, "full"), -2.0, 0.0)),
             (rc.cavity_optimize(alpha), grid_refine_max(
                 lambda b: cavity_coherent_psucc(alpha, b, rho), -2.0, 0.0, n_grid=61, tol=1e-10)),
         ]
@@ -715,30 +785,58 @@ def test_ts_optimize_matches_scalar_path(n):
         assert rc.ts_optimize(float(alpha), n) == scalar_ts_optimize(float(alpha), n)
 
 
+def assert_at_least_the_log_g_path(alpha, ref):
+    """nhpa_optimize at alpha is nowhere below the log g path's `ref` by more
+    than 1e-15; where that path's best gain lies inside (1, 200], not at its
+    edge g = 200 or at g = inf, both find the same optimum."""
+    p, beta, g, n = rc.nhpa_optimize(alpha)
+    p_ref, beta_ref, g_ref, n_ref = ref
+    assert p >= p_ref - 1e-15
+    if alpha > 0 and g_ref not in (200.0, math.inf):  # at alpha = 0, p_succ = 1/2 throughout
+        assert p <= p_ref + 1e-15
+        assert n == n_ref
+        assert beta == pytest.approx(beta_ref, abs=1e-6)
+        assert g == pytest.approx(g_ref, rel=1e-4)
+    return p - p_ref
+
+
 def test_nhpa_optimize_matches_scalar_path():
     for alpha in ALPHA_GRID:
-        p, beta, g, n = rc.nhpa_optimize(float(alpha))
-        p_ref, beta_ref, g_ref, n_ref = scalar_nhpa_optimize(float(alpha))
-        assert p == pytest.approx(p_ref, abs=1e-13)
-        assert n == n_ref
-        assert beta == pytest.approx(beta_ref, abs=1e-6)
-        assert g == pytest.approx(g_ref, rel=1e-4)
+        assert_at_least_the_log_g_path(float(alpha), scalar_nhpa_optimize(float(alpha)))
 
 
-def test_nhpa_joint_zoom_matches_nested_path():
-    # one (beta, log g) zoom replaced the log g search whose every point ran
-    # a beta search; on 188 alphas p agrees to 4.4e-16, beta to 2.3e-8 and
-    # g to 1.3e-5 relative
-    refined = 0
-    for alpha in np.linspace(0.01, 1.5, 188):
-        p, beta, g, n = rc.nhpa_optimize(float(alpha))
-        p_ref, beta_ref, g_ref, n_ref = nested_nhpa_optimize(float(alpha))
-        assert abs(p - p_ref) <= 1e-15
-        assert n == n_ref
-        assert beta == pytest.approx(beta_ref, abs=1e-6)
-        assert g == pytest.approx(g_ref, rel=1e-4)
-        refined += g not in np.geomspace(1.0, 200.0, 41)
-    assert refined > 150  # the optimum comes from the zoom, not the g grid
+def test_nhpa_optimize_never_falls_below_the_nested_path():
+    # the log g grid stopped at 200 and then jumped to inf; on 188 alphas the
+    # (beta, 1/g) box is below it by at most 3.3e-16, and above it by up to
+    # 1.4e-7 where the best gain lies in (200, inf)
+    alphas = np.concatenate([np.linspace(0.01, 1.5, 188), ALPHA_GRID, np.linspace(0.0, 1.5, 61)])
+    gains = [assert_at_least_the_log_g_path(float(a), nested_nhpa_optimize(float(a)))
+             for a in alphas]
+    assert sum(d > 1e-12 for d in gains) > 50
+
+
+def dense_u_scan(alpha, n_u=1201):
+    """The best of a beta search at each of n_u evenly spaced u = 1/g in
+    [0, 1], for every cutoff n = 1..3."""
+    with np.errstate(divide="ignore"):
+        g = 1.0 / np.linspace(0.0, 1.0, n_u)
+    return float(rc.nhpa_optimize_beta(alpha, g, np.array([1, 2, 3])[:, None])[0].max())
+
+
+def test_nhpa_optimize_reaches_a_dense_u_scan():
+    # measured: the scan beats the box by at most 1.1e-16 on these 101 alphas
+    for alpha in np.concatenate([ALPHA_GRID, np.linspace(0.0, 1.5, 61)]):
+        assert rc.nhpa_optimize(float(alpha))[0] >= dense_u_scan(float(alpha)) - 1e-15
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.95, 1.0])
+def test_nhpa_optimize_searches_gains_above_200(alpha):
+    # the log g grid missed these: at 0.05 and 1.0 its best was g = inf, at
+    # 0.95 the grid's edge g = 200, while gains near 260, 462 and 6680 do
+    # better by up to 9.5e-8
+    p = rc.nhpa_optimize(alpha)[0]
+    for g in (260.0, 462.0, 6680.0):
+        assert p >= rc.nhpa_optimize_beta(alpha, g, 2)[0] - 1e-15
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -776,13 +874,15 @@ def counted(monkeypatch, name):
 
 def test_optimizers_make_few_objective_calls(monkeypatch):
     # no timing: objective calls per alpha.  The nested nhpa search (a beta
-    # search at every log g point) made ~169; ts makes its 187 grid points,
-    # the pattern search's start point and its trials
+    # search at every log g point) made ~169 and the log g grid with its
+    # joint zoom 14-27; the (beta, 1/g) box makes its first grid, 13 zooms
+    # and the call at the box centres.  ts makes its 187 grid points, the
+    # pattern search's start point and its trials
     nhpa_calls, ts_calls = counted(monkeypatch, "nhpa_psucc"), counted(monkeypatch, "ts_psucc")
     for alpha in ALPHA_GRID[::3]:
         nhpa_calls.clear()
         rc.nhpa_optimize(float(alpha))
-        assert len(nhpa_calls) <= 40
+        assert len(nhpa_calls) <= 15
         ts_calls.clear()
         rc.ts_optimize(float(alpha))
         used = len(ts_calls)

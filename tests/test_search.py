@@ -36,47 +36,50 @@ def grid_max_1d(fun, lo, hi, n_grid=121, tol=1e-12):
     return fun(x)[..., 0][()], x[..., 0][()]
 
 
-def grid_max_2d(fun, lo, hi, tol):
+def grid_max_2d(fun, lo, hi, tol, n_grid=_ZOOM):
     """Maximize a batch of independent 2-D functions, each over its box.
 
     `lo`, `hi` and `tol` are (x, y) pairs; lo[0], hi[0] bound x and lo[1],
     hi[1] bound y, each broadcast to the batch shape.  `fun(x, y)` takes x
-    of shape batch + (_ZOOM, 1) and y of shape batch + (1, _ZOOM) and returns
-    the values on their grid, of shape batch + (_ZOOM, _ZOOM).  Every round
-    is one call: as in grid_max_1d, each lane's box shrinks to the neighbours
-    of its argmax (the first one in x-major order on ties) and is re-gridded,
-    until it is within tol in x and in y; a lane whose box is that small
-    stays put while the others go on, so it ends as it would alone.
+    of shape batch + (k, 1) and y of shape batch + (1, k) and returns the
+    values on their grid, of shape batch + (k, k), with k = n_grid in the
+    first round and _ZOOM after it.  Every round is one call: as in
+    grid_max_1d, each lane's box shrinks to the neighbours of its argmax (the
+    first one in x-major order on ties) and is re-gridded, until every box is
+    within tol in x and in y (all lanes go on until the last is done).  The
+    2-D maximizer that _grid_max replaced froze a lane once its box was that
+    small; that gives the same bits only while all lanes end in the same
+    round, which the lanes of nhpa's (beta, 1/g) box do not (a box whose
+    argmax sits on its edge shrinks twice as fast).
     Returns (fun at the box centres, their x, their y), of batch shape.
     Non-finite bounds raise ValueError: their boxes would never shrink.
     """
     if not all(np.isfinite(b).all() for b in (*lo, *hi)):
         raise ValueError(f"search bounds must be finite, got lo={lo!r}, hi={hi!r}")
-    box = np.broadcast_arrays(*(np.asarray(b, dtype=float)[..., None] for b in (*lo, *hi)))
-    t = np.linspace(0.0, 1.0, _ZOOM)
+    ax, ay, bx, by = np.broadcast_arrays(*(np.asarray(b, dtype=float)[..., None]
+                                           for b in (*lo, *hi)))
+    t = np.linspace(0.0, 1.0, n_grid)
     while True:
-        ax, ay, bx, by = box
         wx, wy = bx - ax, by - ay
-        done = (wx <= tol[0]) & (wy <= tol[1])
-        if done.all():
+        if ((wx <= tol[0]) & (wy <= tol[1])).all():
             break
         v = fun((ax + wx * t)[..., :, None], (ay + wy * t)[..., None, :])
-        i, j = np.divmod(np.argmax(v.reshape(v.shape[:-2] + (-1,)), axis=-1)[..., None], _ZOOM)
-        lo_i, hi_i = t[np.maximum(i - 1, 0)], t[np.minimum(i + 1, _ZOOM - 1)]
-        lo_j, hi_j = t[np.maximum(j - 1, 0)], t[np.minimum(j + 1, _ZOOM - 1)]
-        zoomed = (ax + wx * lo_i, ay + wy * lo_j, ax + wx * hi_i, ay + wy * hi_j)
-        box = [np.where(done, old, new) for old, new in zip(box, zoomed)]
+        i, j = np.divmod(np.argmax(v.reshape(v.shape[:-2] + (-1,)), axis=-1)[..., None], t.size)
+        lo_i, hi_i = t[np.maximum(i - 1, 0)], t[np.minimum(i + 1, t.size - 1)]
+        lo_j, hi_j = t[np.maximum(j - 1, 0)], t[np.minimum(j + 1, t.size - 1)]
+        ax, ay, bx, by = ax + wx * lo_i, ay + wy * lo_j, ax + wx * hi_i, ay + wy * hi_j
+        t = np.linspace(0.0, 1.0, _ZOOM)
     x, y = 0.5 * (ax + bx), 0.5 * (ay + by)
     return fun(x[..., None], y[..., None])[..., 0, 0][()], x[..., 0][()], y[..., 0][()]
 
 
 def oracle_grid_max(fun, lo, hi, tol, n_grid=_ZOOM):
     """_grid_max's signature over the oracles: a 1-D search goes to
-    grid_max_1d, a 2-D one (always on _ZOOM points) to grid_max_2d."""
+    grid_max_1d, a 2-D one to grid_max_2d."""
     if len(lo) == 1:
         return grid_max_1d(fun, lo[0], hi[0], n_grid=n_grid, tol=tol[0])
-    assert len(lo) == 2 and n_grid == _ZOOM
-    return grid_max_2d(fun, lo, hi, tol)
+    assert len(lo) == 2
+    return grid_max_2d(fun, lo, hi, tol, n_grid=n_grid)
 
 
 # ------------------------------------------------------------------- tests
@@ -242,9 +245,9 @@ def test_grid_max_matches_the_1d_oracle_on_ties_and_edges(n_grid):
 
 
 def test_grid_max_matches_the_oracles_on_the_receivers(monkeypatch):
-    # every search of opt_kennedy, dephaser, cavity, nhpa (its beta searches
-    # over the whole gain grid and its joint (beta, log g) zoom) and of the
-    # Dolinar batches returns the bits of the maximizer it replaced
+    # every search of opt_kennedy, dephaser, cavity, nhpa (its one (beta,
+    # 1/g) box over all cutoffs n, 41 points per coordinate first) and of the
+    # Dolinar batches returns the bits of the oracles
     searches = []
 
     def both(fun, lo, hi, tol, n_grid=_ZOOM):
@@ -253,17 +256,18 @@ def test_grid_max_matches_the_oracles_on_the_receivers(monkeypatch):
         assert len(got) == len(want) == 1 + len(lo)
         for g, w in zip(got, want):
             assert np.shape(g) == np.shape(w) and np.array_equal(g, w)
-        searches.append((len(lo), np.size(got[0])))
+        searches.append((len(lo), np.size(got[0]), n_grid))
         return got
 
     monkeypatch.setattr(rc, "_grid_max", both)
-    # at the last two alphas nhpa zooms two and three cutoffs n at once
-    for alpha in [*np.linspace(0.01, 1.5, 60), 1.9168113522537564, 2.2063272120200335]:
+    for alpha in np.linspace(0.01, 1.5, 60):
         for kind in ("opt_kennedy", "nhpa", "dephaser", "cavity"):
             rc.optimize(kind, float(alpha))
+    rc.nhpa_optimize(0.3, n_values=(2,))
     for base in rc.DOLINAR_BASES:
         rc.dolinar_multistep(0.6, 3, base)
-    # (coordinates, lanes) of the searches: batched 1-D ones, and joint
-    # zooms of one and of several cutoffs n
-    assert {(2, 1), (2, 2), (2, 3)} <= set(searches)
-    assert max(lanes for d, lanes in searches if d == 1) >= 3 * 42
+    # (coordinates, lanes, first grid) of the searches: nhpa's box of one and
+    # of three cutoffs n, and batched 1-D ones up to the nhpa Dolinar base's
+    # 4 posteriors x 28 configurations at its third step
+    assert {(2, 1, 41), (2, 3, 41)} <= set(searches)
+    assert max(lanes for d, lanes, _ in searches if d == 1) == 4 * 28
