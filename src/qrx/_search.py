@@ -1,8 +1,7 @@
-"""The two deterministic maximizers behind every optimizer in qrx (numpy
-only): `_grid_max` for batches of box searches (the receivers' beta
-searches and nhpa's (beta, 1/g) box on [-2, 0] x [0, 1]), and
-`_pattern_search`, one unbounded coordinate search of a scalar function (the
-(beta, r) refinement of `receivers.ts_optimize`).
+"""The deterministic maximizer behind every optimizer in qrx (numpy only):
+`_grid_max` runs batches of box searches of any dimension (the receivers'
+beta searches, nhpa's (beta, 1/g) box on [-2, 0] x [0, 1] and ts's (beta, r)
+box on [-2, 0] x [-1, 1]).
 """
 
 from __future__ import annotations
@@ -41,9 +40,9 @@ def _grid_max(fun, lo, hi, tol, n_grid=_ZOOM):
 
     The rule keeps the maximum in the box only while, over one grid cell of
     any coordinate, the best value of another moves by less than one of its
-    cells.  A narrow tilted ridge breaks this: the box then closes on a point
-    of the ridge short of its top (zooming ts's (beta, r) from its grid
-    optimum +- one cell lost up to 1.3e-5 in p_succ on 0.05:1.0:40).
+    cells; a tilted ridge narrower than a cell breaks it.  On ts's (beta, r)
+    ridge, from a 41-point first grid, a pattern search from the result gains
+    at most 3.3e-16 (0.05:1.0:40 at n = 2, 3; 0:1.5:61 and 1.5:3:31 at n = 2).
     """
     d = len(lo)
     box = np.array(np.broadcast_arrays(*lo, *hi, *tol), dtype=float)
@@ -66,28 +65,3 @@ def _grid_max(fun, lo, hi, tol, n_grid=_ZOOM):
     x = 0.5 * (a + b)
     first = (...,) + (0,) * d
     return (fun(*x)[first][()], *(xk[first][()] for xk in x))
-
-
-def _pattern_search(fun, x0, step0, step_min):
-    """Coordinate pattern search (maximization) of a scalar `fun(*x)` from x0.
-
-    Each sweep tries x_i + step, then x_i - step, for every coordinate i in
-    turn, and keeps a trial that gains more than 1e-15; the step halves after
-    a sweep without gain, and the search stops once it is <= step_min.  The
-    point is a list of Python floats.  Returns (fun at that point, the point).
-    """
-    x = [float(v) for v in x0]
-    fx = fun(*x)
-    step = float(step0)
-    while step > step_min:
-        improved = False
-        for i in range(len(x)):
-            for move in (step, -step):
-                y = x.copy()
-                y[i] += move
-                fy = fun(*y)
-                if fy > fx + 1e-15:
-                    x, fx, improved = y, fy, True
-        if not improved:
-            step *= 0.5
-    return fx, x

@@ -15,9 +15,8 @@ table (`_log_factorials`) and Laguerre polynomials from their recurrence.
 
 from __future__ import annotations
 
-import cmath
 from functools import lru_cache
-from math import ceil, cosh, sinh, sqrt, tanh
+from math import ceil, sqrt
 
 import numpy as np
 
@@ -98,26 +97,12 @@ def coherent_overlap(alpha: complex, beta: complex) -> complex:
     return np.exp(-0.5 * (abs(a - b) ** 2 + a.conjugate() * b - a * b.conjugate()))
 
 
-def _squeezed_coeffs(r: float, n_pairs: int) -> np.ndarray:
-    """c_l(r) = (cosh r)^{-1/2} sqrt((2l)!)/(2^l l!) (-tanh r)^l, l=0..n_pairs."""
-    ls = np.arange(n_pairs + 1)
-    if r == 0.0:
-        return np.where(ls == 0, 1.0, 0.0)
-    t = np.tanh(r)
-    lf = _log_factorials(2 * n_pairs)
-    mag = np.exp(0.5 * lf[2 * ls] - ls * np.log(2.0) - lf[ls] + ls * np.log(abs(t)))
-    signs = np.where(ls % 2 == 0, 1.0, -np.sign(t))
-    return mag * signs / sqrt(np.cosh(r))
-
-
 def squeezed_state(r: float, cutoff: int) -> np.ndarray:
-    """Single-mode squeezed vacuum U_sq(r)|0>, supported on even photon numbers."""
+    """Single-mode squeezed vacuum U_sq(r)|0> = |0, r> (see
+    squeezed_displaced_state), supported on even photon numbers."""
     if cutoff < 2 and r != 0.0:
         raise ValueError("cutoff must be >= 2 for a squeezed state")
-    n_pairs = cutoff // 2
-    c = _squeezed_coeffs(float(r), n_pairs)
-    amps = np.zeros(cutoff + 1, dtype=complex)
-    amps[0 : 2 * n_pairs + 1 : 2] = c
+    amps = squeezed_displaced_state(0j, r, cutoff)
     deficit = 1.0 - np.vdot(amps, amps).real
     if deficit > TRUNCATION_TOL:
         raise TruncationError(
@@ -126,9 +111,11 @@ def squeezed_state(r: float, cutoff: int) -> np.ndarray:
     return amps
 
 
-def squeezed_displaced_state(beta: complex, r: float, cutoff: int) -> np.ndarray:
+def squeezed_displaced_state(beta, r, cutoff: int) -> np.ndarray:
     """|beta, r> = U_sq(r) D(beta) |0>, with U_sq(r) = exp(-r/2 (a^dag^2 - a^2))
-    (r > 0 squeezes the q quadrature), on photon numbers 0..cutoff.
+    (r > 0 squeezes the q quadrature), on photon numbers 0..cutoff (the first
+    axis); beta and r broadcast on the axes after it.  The amplitudes are
+    real (a float array) for real beta and r, complex for a complex beta.
 
     The state is the eigenvector (a cosh r + a^dag sinh r)|beta, r> =
     mu |beta, r>, mu = beta~ cosh r + beta~* sinh r = beta, so its amplitudes
@@ -137,14 +124,25 @@ def squeezed_displaced_state(beta: complex, r: float, cutoff: int) -> np.ndarray
     (Yuen, PRA 13, 2226 (1976)).  No truncation check: the caller bounds what
     the cut costs it.
     """
-    b = complex(beta)
-    c, s = cosh(r), sinh(r)
-    psi = [cmath.exp(-0.5 * abs(b) ** 2 + 0.5 * tanh(r) * b * b) / sqrt(c)]
-    prev = 0.0
-    for n in range(cutoff):
-        psi.append((b * psi[n] - s * sqrt(n) * prev) / (c * sqrt(n + 1.0)))
-        prev = psi[n]
-    return np.array(psi, dtype=complex)
+    beta, r = np.asarray(beta), np.asarray(r, dtype=float)
+    shape = np.broadcast(beta, r).shape
+    # flat copies, so that each step is in-place ufunc calls on rows of psi
+    b, r_flat = np.empty(shape, dtype=complex if np.iscomplexobj(beta) else float), np.empty(shape)
+    b[...], r_flat[...] = beta, r
+    b, r = b.ravel(), r_flat.ravel()
+    c, s = np.cosh(r), np.sinh(r)
+    psi = np.empty((cutoff + 2, b.size), dtype=b.dtype)
+    psi[0] = 0.0  # psi_{-1}
+    psi[1] = np.exp(-0.5 * np.abs(b) ** 2 + 0.5 * np.tanh(r) * b * b) / np.sqrt(c)
+    s_n, c_n = np.empty_like(b), np.empty_like(c)
+    for n, (prev, cur, nxt) in enumerate(zip(psi, psi[1:], psi[2:])):
+        np.multiply(b, cur, out=nxt)
+        np.multiply(s, sqrt(n), out=s_n)
+        s_n *= prev
+        nxt -= s_n
+        np.multiply(c, sqrt(n + 1.0), out=c_n)
+        nxt /= c_n
+    return psi[1:].reshape((cutoff + 1,) + shape)
 
 
 def quadrature_eigenvector(q: float, phi: float, cutoff: int) -> np.ndarray:

@@ -30,7 +30,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._search import _pattern_search
+from ._search import _grid_max
 from .errors import ConvergenceError
 from .povm import sqrt_psd
 
@@ -38,8 +38,8 @@ _SIGN_TOL = 1e-11  # definite-sign detection threshold on eigenvalues
 _POVM_TOL = 1e-12  # largest negative weight and completeness defect of a dual POVM
 _GAP_TOL = 1e-9  # largest |p_succ - dual value| that _psucc returns
 
-# perfbench/tracing.py wraps these two names by getattr; qubit_disc calls neither
-_optimize_general = _pattern_search
+# only for perfbench/tracing.py, which wraps both names by getattr; qubit_disc calls neither
+_optimize_general = _pattern_search = _grid_max
 
 
 def _rnorm(x) -> float:

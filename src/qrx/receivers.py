@@ -16,10 +16,9 @@ optimizer, `dolinar_multistep` and `ts_psucc` reject a negative alpha.
 
 Objectives take arrays and broadcast, so one call of `_search._grid_max`
 maximizes a whole batch of box searches: beta over all posteriors of a
-Dolinar step, and (beta, 1/g) on [-2, 0] x [0, 1] for every cutoff n of
-`nhpa_optimize` at once.  The exception is `ts_psucc`: one point per call
-in Python floats, since `ts_optimize`'s `_search._pattern_search` tries one
-point at a time.  All optimizations are deterministic.
+Dolinar step, (beta, 1/g) on [-2, 0] x [0, 1] for every cutoff n of
+`nhpa_optimize` at once, and ts's (beta, r) on [-2, 0] x [-1, 1].  All
+optimizations are deterministic.
 
 This module is the receiver catalogue: `PARAMS` names every kind and the
 free parameters its optimizer returns, `DOLINAR_BASES` the kinds that
@@ -28,13 +27,12 @@ free parameters its optimizer returns, `DOLINAR_BASES` the kinds that
 
 from __future__ import annotations
 
-from functools import lru_cache
-from math import cosh, erf, exp, fsum, inf, isfinite, lgamma, log, sinh, sqrt, tanh
+from math import erf, exp, inf, isfinite, lgamma, log, sqrt
 
 import numpy as np
 
 from . import fock
-from ._search import _grid_max, _pattern_search
+from ._search import _grid_max
 
 #: receiver kind -> the free parameters `optimize` returns after p_succ
 PARAMS = {"helstrom": (), "homodyne": (), "kennedy": (), "opt_kennedy": ("beta",),
@@ -45,6 +43,7 @@ DOLINAR_BASES = ("kennedy", "opt_kennedy", "nhpa", "dephaser")
 #: nhpa_optimize_beta's beta interval and coarse grid (opt_kennedy's beta
 #: search starts on as many points); nhpa_optimize's box spans the same beta
 _BETA_LO, _BETA_HI, _BETA_GRID = -2.0, 0.0, 121
+_TS_ENERGY_MAX = 10_000  #: largest mean photon number of ts_psucc (alpha ~ 50, or |r| ~ 5.3)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -273,11 +272,46 @@ def cavity_optimize(alpha: float) -> tuple:
 # ------------------------------------------------------------ TS (squeezing)
 
 
-@lru_cache(maxsize=32)  # ts_optimize meets ~15 cutoffs per alpha
-def _ts_bra(alpha: float, k_max: int) -> tuple:
-    """(<k|2 alpha> for k = 0..k_max, a bound on the Poisson tail of |2 alpha>
-    above k_max, sqrt(k) for k = 0..k_max + 1) for ts_psucc, in Python floats
-    and tuples, since every caller shares the cached result."""
+def ts_psucc(alpha: float, beta, r, n: int = 2, k_max: int = None):
+    """Squeezing-enhanced receiver: A_{inf,n} followed by the adjoint of
+    U_sq(r) D(beta) and on/off detection; broadcasts over real beta and r.
+    Both hypotheses are measured in the same vector |beta, r> = U_sq(r)
+    D(beta)|0> (`fock.squeezed_displaced_state`), so p(0|-) = |<0|beta,r>|^2
+    and p(0|+) comes from the two partial sums of <2 alpha|k><k|beta,r>
+    split at the dephaser cutoff n.
+
+    Both sums are cut at one k_max for the batch, by default the auto_cutoff
+    of the largest mean photon number 4 alpha^2 + beta^2 + sinh(r)^2 + 1,
+    which must not exceed _TS_ENERGY_MAX.  The cut changes p(0|+) by at most
+    2 sqrt(T (1 - sum_k |<k|beta,r>|^2)) (Cauchy-Schwarz), with T the
+    Poisson tail of |2 alpha> above k_max, bounded by its first term over
+    1 - 4 alpha^2/(k_max + 2); a TruncationError names the point of the
+    largest bound when it exceeds fock.TRUNCATION_TOL.
+    """
+    alpha = float(alpha)
+    _check_alpha(alpha)
+    if not (float(n).is_integer() and n >= 1):
+        raise ValueError("cutoff n must be a positive integer")
+    n = int(n)
+    b, r = np.asarray(beta, dtype=float), np.asarray(r, dtype=float)
+    for name, x in (("beta", b), ("r", r)):
+        if not np.isfinite(x).all():
+            raise ValueError(f"ts {name} must be finite, got {float(x[~np.isfinite(x)][0])!r}")
+    shape = np.broadcast(b, r).shape
+
+    def point(i):  # the start of an error message that names point i of the batch
+        return (f"ts at alpha={alpha!r}, beta={float(np.broadcast_to(b, shape).flat[i])!r}, "
+                f"r={float(np.broadcast_to(r, shape).flat[i])!r}")
+
+    if k_max is None:
+        with np.errstate(over="ignore"):
+            energy = 4.0 * alpha**2 + b * b + np.sinh(r) ** 2 + 1.0
+        i = np.argmax(energy)
+        if not energy.flat[i] <= _TS_ENERGY_MAX:
+            raise ValueError(f"{point(i)}: mean photon number {energy.flat[i]:g} > "
+                             f"{_TS_ENERGY_MAX}")
+        k_max = fock.auto_cutoff(energy.flat[i])
+    psi = fock.squeezed_displaced_state(b, r, k_max).reshape(k_max + 1, -1)
     ks = np.arange(k_max + 1)
     bra2a = np.exp(-2.0 * alpha**2 + ks * np.log(2.0 * alpha)
                    - 0.5 * fock._log_factorials(k_max)) \
@@ -285,58 +319,23 @@ def _ts_bra(alpha: float, k_max: int) -> tuple:
     mu = 4.0 * alpha**2
     tail = 0.0 if mu == 0.0 else 1.0 if mu >= k_max + 2 else min(
         exp(-mu + (k_max + 1) * log(mu) - lgamma(k_max + 2.0)) / (1.0 - mu / (k_max + 2)), 1.0)
-    return tuple(bra2a.tolist()), tail, tuple(sqrt(k) for k in range(k_max + 2))
-
-
-def ts_psucc(alpha: float, beta: float, r: float, n: int = 2, k_max: int = None) -> float:
-    """Squeezing-enhanced receiver: A_{inf,n} followed by the adjoint of
-    U_sq(r) D(beta) and on/off detection.  Both hypotheses are measured in
-    the same squeezed-displaced vector |beta, r> = U_sq(r) D(beta) |0>, so
-    p(0|-) = |<0|beta,r>|^2 and p(0|+) comes from the two partial sums of
-    <2 alpha|k><k|beta,r> split at the dephaser cutoff n.
-
-    Cutting both sums at k_max changes p(0|+) by at most
-    2 sqrt(T (1 - sum_k |<k|beta,r>|^2)) (Cauchy-Schwarz), with T the
-    Poisson tail of |2 alpha> above k_max, bounded by its first term over
-    1 - 4 alpha^2/(k_max + 2); a TruncationError is raised when that bound
-    exceeds fock.TRUNCATION_TOL.
-
-    beta and r are real, so every amplitude is real: the recurrence of
-    `fock.squeezed_displaced_state` runs here in floats, and the products
-    are summed by math.fsum, correctly rounded (within 2.2e-16 of the same
-    sums over numpy arrays).
-    """
-    alpha, beta, r = float(alpha), float(beta), float(r)
-    _check_alpha(alpha)
-    c, s = cosh(r), sinh(r)
-    if k_max is None:
-        k_max = fock.auto_cutoff(4.0 * alpha**2 + beta**2 + s**2 + 1.0)
-    bra2a, tail, roots = _ts_bra(alpha, k_max)
-    psi = exp(-0.5 * beta**2 + 0.5 * tanh(r) * beta * beta) / sqrt(c)
-    p0_minus = psi**2
-    prev = norm = 0.0
-    prod = []
-    for bra, root, root_next in zip(bra2a, roots, roots[1:]):
-        norm += psi * psi
-        prod.append(bra * psi)
-        psi, prev = (beta * psi - s * root * prev) / (c * root_next), psi
-    bound = 2.0 * sqrt(tail * max(1.0 - norm, 0.0))
+    norm = np.einsum("ki,ki->i", psi, psi)
+    i = np.argmin(norm)
+    bound = 2.0 * sqrt(tail * max(1.0 - norm[i], 0.0))
     if bound > fock.TRUNCATION_TOL:
-        raise fock.TruncationError(
-            f"ts at alpha={alpha!r}, beta={beta!r}, r={r!r}: cutoff "
-            f"k_max={k_max} bounds the p(0|+) error by {bound:.2e} > {fock.TRUNCATION_TOL:.0e}")
-    p0_plus = fsum(prod[n:]) ** 2 + fsum(prod[:n]) ** 2
-    return 0.5 * (1.0 + p0_minus - p0_plus)
+        raise fock.TruncationError(f"{point(i)}: cutoff k_max={k_max} bounds the p(0|+) error "
+                                   f"by {bound:.2e} > {fock.TRUNCATION_TOL:.0e}")
+    p0_plus = (bra2a[n:] @ psi[n:]) ** 2 + (bra2a[:n] @ psi[:n]) ** 2
+    return (0.5 * (1.0 + psi[0] ** 2 - p0_plus)).reshape(shape)[()]
 
 
 def ts_optimize(alpha: float, n: int = 2) -> tuple:
-    """(psucc, beta*, r*): the first maximum of a 17 x 11 (beta, r) grid,
-    refined by a pattern search from step 0.1 down to 1e-7."""
-    grid = [(ts_psucc(alpha, b, r, n), b, r)
-            for b in np.linspace(-1.6, 0.0, 17) for r in np.linspace(-0.8, 0.2, 11)]
-    best = max(grid, key=lambda t: t[0])  # the first maximum
-    fx, (beta, r) = _pattern_search(lambda b, r: ts_psucc(alpha, b, r, n), best[1:], 0.1, 1e-7)
-    return float(fx), beta, r
+    """(psucc, beta*, r*): one `_grid_max` over (beta, r) on [_BETA_LO, _BETA_HI]
+    x [-1, 1], 41 points per coordinate first, zoomed to widths (1e-9, 1e-9)."""
+    _check_alpha(alpha)
+    val, beta, r = _grid_max(lambda b, r: ts_psucc(alpha, b, r, n), (_BETA_LO, -1.0),
+                             (_BETA_HI, 1.0), (1e-9, 1e-9), n_grid=41)
+    return float(val), float(beta), float(r)
 
 
 # ------------------------------------------------------------------- Dolinar

@@ -173,11 +173,12 @@ print(json.dumps([codes, errors]))
 
 @pytest.mark.parametrize("args", [
     ["--receiver", "opt_kennedy"], ["--receiver", "nhpa"], ["--receiver", "dephaser"],
-    ["--receiver", "cavity"], ["--receiver", "nhpa", "--steps", "3"],
+    ["--receiver", "cavity"], ["--receiver", "nhpa", "--steps", "3"], ["--receiver", "ts"],
 ])
 def test_bpsk_sweep_bytes_match_the_oracle_maximizers(tmp_path, monkeypatch, args):
     # the d-coordinate _grid_max replaced a 1-D and a 2-D maximizer (kept in
-    # test_search as oracles); the CSV keeps their bytes
+    # test_search as oracles); the CSV keeps their bytes, also for ts's
+    # (beta, r) box, which came after them
     from test_search import oracle_grid_max
 
     argv = ["bpsk-sweep", *args, "--alpha-grid", "0.05:1.0:10"]
@@ -807,6 +808,27 @@ def test_tracer_installs_and_uninstalls(tmp_path):
         tracer.uninstall()
     assert all(getattr(modules[layer], name) is fn for (layer, name), fn in before.items())
     assert any(node.name == "qubit_disc.f_value" for node in tracer.nodes)
+
+
+def test_tracer_traces_a_ts_request(tmp_path):
+    # `--trace 1` on a receiver request: fock's |beta, r> recurrence shows in
+    # its metric, each of ts's 11 objective calls evaluates a whole grid, and
+    # the CSV keeps the bytes of an untraced run
+    argv = ["bpsk-sweep", "--receiver", "ts", "--alpha-grid", "0.3:0.3:1"]
+    assert run_cli(argv, tmp_path, "plain")[0] == 0
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install(tracing.layer_modules())
+    try:
+        tracer.active = True
+        assert run_cli(argv, tmp_path, "traced")[0] == 0
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    metrics = tracer.per_layer()
+    assert metrics["fock.squeezed_displaced_state.s"] > 0
+    assert metrics["receivers.psucc.calls"] == 11
+    assert (tmp_path / "traced").read_bytes() == (tmp_path / "plain").read_bytes()
 
 
 def test_qubit_disc_gap_failure_exits_3(tmp_path, monkeypatch, capsys):

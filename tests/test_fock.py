@@ -72,6 +72,19 @@ def displacement_matrix_element(k, m, beta):
     return total * np.exp(-0.5 * abs(b) ** 2)
 
 
+def squeezed_coeffs(r, n_pairs):
+    """Oracle: c_l(r) = <2l|U_sq(r)|0> = (cosh r)^{-1/2} sqrt((2l)!)/(2^l l!)
+    (-tanh r)^l for l = 0..n_pairs, in closed form."""
+    ls = np.arange(n_pairs + 1)
+    if r == 0.0:
+        return np.where(ls == 0, 1.0, 0.0)
+    t = np.tanh(r)
+    lf = fock._log_factorials(2 * n_pairs)
+    mag = np.exp(0.5 * lf[2 * ls] - ls * np.log(2.0) - lf[ls] + ls * np.log(abs(t)))
+    signs = np.where(ls % 2 == 0, 1.0, -np.sign(t))
+    return mag * signs / np.sqrt(np.cosh(r))
+
+
 def squeezed_displaced_overlap(k, beta, r, l_max=None, tol=1e-12):
     """Oracle: <k | beta, r> where |beta, r> = U_sq(r) D(beta) |0>.
 
@@ -99,7 +112,7 @@ def squeezed_displaced_overlap(k, beta, r, l_max=None, tol=1e-12):
         raise ConvergenceError(
             f"tail bound {t ** (l_max + 1) / (1.0 - t):.2e} above {tol:.1e} at l_max={l_max}"
         )
-    c = fock._squeezed_coeffs(float(r), l_max)
+    c = squeezed_coeffs(float(r), l_max)
     total = 0.0j
     for ell in range(l_max + 1):
         if c[ell] == 0.0:
@@ -113,7 +126,8 @@ def test_fock_returns_plain_arrays():
     # density matrix a 2-D one, and the other layers take them as they are
     c = 30
     kets = [fock.coherent_state(0.5, c), fock.squeezed_state(0.3, c),
-            fock.squeezed_displaced_state(0.4, 0.2, c), fock.quadrature_eigenvector(0.3, 0.1, c)]
+            fock.squeezed_displaced_state(0.4 - 0.1j, 0.2, c),
+            fock.quadrature_eigenvector(0.3, 0.1, c)]
     ops = [fock.annihilation(c), fock.number_operator(c), fock.quadrature_operator(c),
            fock.thermal_state(0.1, c), *fock.loss_kraus(0.6, c)]
     rho = np.outer(kets[0], kets[0].conj())
@@ -122,6 +136,12 @@ def test_fock_returns_plain_arrays():
         assert type(v) is np.ndarray and v.shape == (c + 1,) and v.dtype == complex
     for m in ops:
         assert type(m) is np.ndarray and m.shape == (c + 1, c + 1) and m.dtype == complex
+    # real beta and r give real amplitudes, and broadcast after the photon number
+    real = fock.squeezed_displaced_state(0.4, 0.2, c)
+    assert type(real) is np.ndarray and real.shape == (c + 1,) and real.dtype == float
+    batch = fock.squeezed_displaced_state(np.array([[0.4], [-1.0]]), np.array([0.2, 0.0, -0.3]), c)
+    assert batch.shape == (c + 1, 2, 3) and batch.dtype == float
+    assert np.array_equal(batch[:, 0, 0], real)
     assert fock.wigner(rho, np.linspace(-1, 1, 3), np.linspace(-1, 1, 5)).shape == (3, 5)
     e0 = np.zeros((c + 1, c + 1)); e0[0, 0] = 1.0
     probs = povm.measure(povm.Povm([e0, np.eye(c + 1) - e0]), rho)
@@ -209,6 +229,20 @@ def test_squeezed_state_even_support():
     assert np.all(v[1::2] == 0)
 
 
+@pytest.mark.parametrize("r", [-1.2, -0.4, 0.0, 0.3, 1.0, 1.2])
+def test_squeezed_state_matches_the_closed_form(r):
+    # squeezed_state is the beta = 0 case of the |beta, r> recurrence; the
+    # closed-form coefficients it was built from stay as its oracle.  Their
+    # exp of log-factorial sums up to log 200! ~ 863 carries a relative error
+    # near 863 ulps, the recurrence about one ulp per step
+    cutoff = 201  # odd: the last level is an empty odd one
+    v = fock.squeezed_state(r, cutoff)
+    c = squeezed_coeffs(r, cutoff // 2)
+    assert np.all(v[1::2] == 0)
+    assert np.max(np.abs(v[0::2] - c)) < 1e-15
+    assert np.max(np.abs(v[0::2] - c) / np.maximum(np.abs(c), 1e-300)) < 1000 * 2.0**-52
+
+
 def test_squeezed_quadrature_variance():
     r, c = 0.4, 60
     v = fock.squeezed_state(r, c)
@@ -245,12 +279,24 @@ def test_squeezed_displaced_overlap_matrix_oracle():
 
 
 def test_squeezed_displaced_recurrence_matches_matrix_oracle():
-    # far below the oracle's cutoff of 200 its truncation does not reach
-    for beta in (-1.6, 0.4 - 0.3j, 0.0):
-        for r in (-0.8, 0.0, 0.3):
+    # far below the oracle's cutoff of 200 its truncation does not reach;
+    # (-2, +-1) are corners of receivers.ts_optimize's box
+    for beta in (-2.0, -1.6, 0.4 - 0.3j, 0.0):
+        for r in (-1.0, -0.8, 0.0, 0.3, 1.0):
             got = fock.squeezed_displaced_state(beta, r, 46)
             want = matrix_squeezed_displaced_state(beta, r, 200)[:47]
             assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_squeezed_displaced_batch_is_the_points_it_holds():
+    # one batch gives every point's bits, complex or real
+    betas, rs = np.array([-2.0, -0.7, 0.0, 0.4 - 0.3j]), np.array([-1.0, 0.0, 0.25, 1.0])
+    for beta in (betas, betas.real):
+        batch = fock.squeezed_displaced_state(beta[:, None], rs, 40)
+        assert batch.shape == (41, 4, 4)
+        for i, b in enumerate(beta):
+            for j, r in enumerate(rs):
+                assert np.array_equal(batch[:, i, j], fock.squeezed_displaced_state(b, r, 40))
 
 
 def test_squeezed_displaced_overlap_tail_flag():

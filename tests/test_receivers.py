@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -340,8 +341,8 @@ def test_ts_series_route_matches_matrix_route():
 
 
 def test_ts_recurrence_matches_series_oracle():
-    # includes the corner (-1.6, -0.8) of ts_optimize's grid, where the dense
-    # expm route at its old cutoff was 6.5e-8 off
+    # includes (-1.6, -0.8), a corner of ts_optimize's old 17 x 11 grid, where
+    # the dense expm route at its old cutoff was 6.5e-8 off
     worst = 0.0
     for alpha in (0.3, 1.0):
         for beta in (-1.6, -0.5, 0.0):
@@ -353,11 +354,49 @@ def test_ts_recurrence_matches_series_oracle():
 def test_ts_truncation_is_checked():
     with pytest.raises(TruncationError, match=r"alpha=0\.8, beta=-1\.0, r=-0\.5.*k_max=5"):
         rc.ts_psucc(0.8, -1.0, -0.5, 2, k_max=5)
-    # the default cutoff passes its own check over ts_optimize's whole grid
-    for alpha in (0.05, 1.0):
-        for beta in np.linspace(-1.6, 0.0, 5):
-            for r in np.linspace(-0.8, 0.2, 5):
-                rc.ts_psucc(alpha, beta, r, 2)
+    # every point of a batch is checked, and the message names the worst one:
+    # of these four, (-2, 0) has the largest bound (2.0e-1; the next is 1.3e-1)
+    with pytest.raises(TruncationError, match=r"alpha=0\.8, beta=-2\.0, r=0\.0: cutoff k_max=5 "
+                                              r"bounds the p\(0\|\+\) error by 2\.02e-01"):
+        rc.ts_psucc(0.8, np.array([[-1.0], [-2.0]]), np.array([0.0, 1.0]), 2, k_max=5)
+    # the default cutoff passes its own check over ts_optimize's box: its
+    # first grid as one batch, and one point at a time at the corners and on
+    # the centre lines beta = -1 and r = 0
+    box = np.linspace(-2.0, 0.0, 41)[:, None], np.linspace(-1.0, 1.0, 41)
+    points = [(b, r) for b in (-2.0, 0.0) for r in (-1.0, 1.0)]
+    points += [(-1.0, r) for r in np.linspace(-1.0, 1.0, 9)]
+    points += [(b, 0.0) for b in np.linspace(-2.0, 0.0, 9)]
+    for alpha in (0.05, 1.0, 3.0):
+        assert rc.ts_psucc(alpha, *box, 2).shape == (41, 41)
+        for beta, r in points:
+            rc.ts_psucc(alpha, beta, r, 2)
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.5, math.nan, math.inf])
+def test_ts_rejects_a_cutoff_n_that_is_no_positive_integer(n):
+    # n = 0 and -1 returned p_succ 0.75006 and n = 2.5 raised a bare
+    # "slice indices must be integers" TypeError
+    with pytest.raises(ValueError, match="cutoff n must be a positive integer"):
+        rc.ts_psucc(0.3, -0.5, 0.1, n)
+    with pytest.raises(ValueError, match="cutoff n must be a positive integer"):
+        rc.ts_optimize(0.3, n)
+    assert rc.ts_psucc(0.3, -0.5, 0.1, 2.0) == rc.ts_psucc(0.3, -0.5, 0.1, 2)
+
+
+@pytest.mark.parametrize("beta, r, message", [
+    (math.nan, 0.1, "ts beta must be finite, got nan"),
+    (-0.5, math.nan, "ts r must be finite, got nan"),
+    (-math.inf, 0.1, "ts beta must be finite, got -inf"),
+    (-0.5, math.inf, "ts r must be finite, got inf"),
+    (np.array([-0.5, math.nan]), 0.1, "ts beta must be finite, got nan"),
+    (-0.5, 30.0, r"alpha=0\.3, beta=-0\.5, r=30\.0: mean photon number 2\.85502e\+25 > 10000"),
+    (np.array([-0.5, -1e200]), 0.1, r"beta=-1e\+200, r=0\.1: mean photon number inf > 10000"),
+])
+def test_ts_psucc_rejects_parameters_it_cannot_evaluate(beta, r, message):
+    # a nan gave "cannot convert float NaN to integer", r = inf an
+    # OverflowError and r = 30 "Maximum allowed size exceeded"
+    with pytest.raises(ValueError, match=message):
+        rc.ts_psucc(0.3, beta, r)
 
 
 def test_ts_optimize_builds_no_dense_operator(monkeypatch):
@@ -657,13 +696,57 @@ def scalar_dolinar(alpha, n_steps, g_choices, n_cut):
     return success(0.5, n_steps)
 
 
+@functools.lru_cache(maxsize=32)  # scalar_ts_optimize meets ~15 cutoffs per alpha
+def float_ts_bra(alpha, k_max):
+    """(<k|2 alpha> for k = 0..k_max, a bound on the Poisson tail of |2 alpha>
+    above k_max, sqrt(k) for k = 0..k_max + 1) for float_ts_psucc, in Python
+    floats and tuples, since every caller shares the cached result."""
+    ks = np.arange(k_max + 1)
+    bra2a = np.exp(-2.0 * alpha**2 + ks * np.log(2.0 * alpha)
+                   - 0.5 * fock._log_factorials(k_max)) \
+        if alpha > 0 else np.where(ks == 0, math.exp(-2.0 * alpha**2), 0.0)
+    mu = 4.0 * alpha**2
+    tail = 0.0 if mu == 0.0 else 1.0 if mu >= k_max + 2 else min(
+        math.exp(-mu + (k_max + 1) * math.log(mu) - math.lgamma(k_max + 2.0))
+        / (1.0 - mu / (k_max + 2)), 1.0)
+    return tuple(bra2a.tolist()), tail, tuple(math.sqrt(k) for k in range(k_max + 2))
+
+
+def float_ts_psucc(alpha, beta, r, n=2, k_max=None):
+    """ts_psucc at one point in Python floats, as it ran for the pattern
+    search: the |beta, r> recurrence as a float loop, and the partial sums
+    correctly rounded by math.fsum."""
+    alpha, beta, r = float(alpha), float(beta), float(r)
+    c, s = math.cosh(r), math.sinh(r)
+    if k_max is None:
+        k_max = fock.auto_cutoff(4.0 * alpha**2 + beta**2 + s**2 + 1.0)
+    bra2a, tail, roots = float_ts_bra(alpha, k_max)
+    psi = math.exp(-0.5 * beta**2 + 0.5 * math.tanh(r) * beta * beta) / math.sqrt(c)
+    p0_minus = psi**2
+    prev = norm = 0.0
+    prod = []
+    for bra, root, root_next in zip(bra2a, roots, roots[1:]):
+        norm += psi * psi
+        prod.append(bra * psi)
+        psi, prev = (beta * psi - s * root * prev) / (c * root_next), psi
+    bound = 2.0 * math.sqrt(tail * max(1.0 - norm, 0.0))
+    if bound > fock.TRUNCATION_TOL:
+        raise fock.TruncationError(
+            f"ts at alpha={alpha!r}, beta={beta!r}, r={r!r}: cutoff "
+            f"k_max={k_max} bounds the p(0|+) error by {bound:.2e} > {fock.TRUNCATION_TOL:.0e}")
+    p0_plus = math.fsum(prod[n:]) ** 2 + math.fsum(prod[:n]) ** 2
+    return 0.5 * (1.0 + p0_minus - p0_plus)
+
+
 def scalar_ts_optimize(alpha, n=2):
-    """ts_optimize's own (beta, r) coordinate loop, before it used the
-    shared pattern search."""
+    """ts_optimize before the (beta, r) box: the first maximum of a 17 x 11
+    grid on [-1.6, 0] x [-0.8, 0.2], refined by a coordinate pattern search
+    from step 0.1 down to 1e-7, on float_ts_psucc.  Its r is unbounded, but
+    from that grid it can stop on the tilted ridge short of its top."""
     best = (-1.0, 0.0, 0.0)
     for b in np.linspace(-1.6, 0.0, 17):
         for r in np.linspace(-0.8, 0.2, 11):
-            v = rc.ts_psucc(alpha, b, r, n)
+            v = float_ts_psucc(alpha, b, r, n)
             if v > best[0]:
                 best = (v, b, r)
     fx, b, r = best
@@ -671,7 +754,7 @@ def scalar_ts_optimize(alpha, n=2):
     while step > 1e-7:
         improved = False
         for db, dr in ((step, 0), (-step, 0), (0, step), (0, -step)):
-            v = rc.ts_psucc(alpha, b + db, r + dr, n)
+            v = float_ts_psucc(alpha, b + db, r + dr, n)
             if v > fx + 1e-15:
                 fx, b, r = v, b + db, r + dr
                 improved = True
@@ -707,32 +790,6 @@ def nested_nhpa_optimize(alpha, n_values=(1, 2, 3), g_max=200.0):
             if v > best[0]:
                 best = (float(v), float(b), float(g), int(n))
     return best
-
-
-def array_ts_psucc(alpha, beta, r, n=2, k_max=None):
-    """ts_psucc before it ran in floats: |beta, r> from
-    fock.squeezed_displaced_state, and the sums over numpy arrays."""
-    if k_max is None:
-        k_max = fock.auto_cutoff(4.0 * alpha**2 + beta**2 + np.sinh(r) ** 2 + 1.0)
-    amps = fock.squeezed_displaced_state(beta, r, cutoff=k_max)
-    p0_minus = abs(amps[0]) ** 2
-    ks = np.arange(k_max + 1)
-    bra2a = np.exp(-2.0 * alpha**2 + ks * np.log(2.0 * alpha)
-                   - 0.5 * fock._log_factorials(k_max)) \
-        if alpha > 0 else np.where(ks == 0, math.exp(-2.0 * alpha**2), 0.0)
-    mu = 4.0 * alpha**2
-    tail = 0.0 if mu == 0.0 else 1.0 if mu >= k_max + 2 else min(
-        math.exp(-mu + (k_max + 1) * math.log(mu) - math.lgamma(k_max + 2.0))
-        / (1.0 - mu / (k_max + 2)), 1.0)
-    deficit = max(1.0 - float(np.vdot(amps, amps).real), 0.0)
-    bound = 2.0 * math.sqrt(tail * deficit)
-    if bound > fock.TRUNCATION_TOL:
-        raise fock.TruncationError(
-            f"ts at alpha={float(alpha)!r}, beta={float(beta)!r}, r={float(r)!r}: cutoff "
-            f"k_max={k_max} bounds the p(0|+) error by {bound:.2e} > {fock.TRUNCATION_TOL:.0e}")
-    prod = bra2a * amps
-    p0_plus = abs(prod[n:].sum()) ** 2 + abs(prod[:n].sum()) ** 2
-    return 0.5 * (1.0 + p0_minus - p0_plus)
 
 
 def cavity_coherent_psucc(alpha, beta, rho):
@@ -771,18 +828,21 @@ def test_log_factorial_table_keeps_ts_and_cavity_optima(monkeypatch):
 
     table = optima()
     monkeypatch.setattr(fock, "_log_factorials", gammaln_table)
-    rc._ts_bra.cache_clear()  # its <k|2 alpha> rows came from the running-sum table
-    try:
-        assert optima() == table
-    finally:
-        rc._ts_bra.cache_clear()
+    assert optima() == table
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_ts_optimize_matches_scalar_path(n):
-    # same trial points in the same order, so the same bits
-    for alpha in ALPHA_GRID[::3]:
-        assert rc.ts_optimize(float(alpha), n) == scalar_ts_optimize(float(alpha), n)
+    # the (beta, r) box is nowhere below the grid and pattern search by more
+    # than 1e-15 (measured: by at most 1.1e-16, and above it by up to 1.2e-14).
+    # At alpha = 0.05, n = 2 the optimum r* = 0.32 lies outside the old grid,
+    # which the unbounded pattern search walks out of
+    alphas = [ALPHA_GRID] if n == 3 else [
+        ALPHA_GRID, np.linspace(0.0, 1.5, 61), np.linspace(1.5, 3.0, 31)]
+    for alpha in np.concatenate(alphas):
+        p, beta, r = rc.ts_optimize(float(alpha), n)
+        assert p >= scalar_ts_optimize(float(alpha), n)[0] - 1e-15
+        assert -2.0 <= beta <= 0.0 and -1.0 <= r <= 1.0
 
 
 def assert_at_least_the_log_g_path(alpha, ref):
@@ -841,19 +901,27 @@ def test_nhpa_optimize_searches_gains_above_200(alpha):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_ts_psucc_matches_array_path(n):
-    # the float recurrence gives the array path's amplitudes, and fsum's
-    # correctly rounded sums move p_succ from numpy's pairwise ones by at
-    # most 2**-52 (2.2e-16), on ts_optimize's grid and at cutoffs above 64 terms
+    # the array path (fock's recurrence over numpy arrays, BLAS sums) and the
+    # float loop with fsum's correctly rounded sums give the same amplitudes,
+    # so p_succ moves by at most 2**-52 (2.2e-16), on the old 17 x 11 grid
+    # and at cutoffs above 64 terms.  The points of one alpha that share
+    # their own cutoff go in one batch
     points = [(float(a), b, r) for a in ALPHA_GRID
               for b in np.linspace(-1.6, 0.0, 17) for r in np.linspace(-0.8, 0.2, 11)]
     points += [(1.0, -5.0, 0.5), (2.0, -3.0, 1.0), (0.7, 3.0, -1.2), (0.0, -0.4, 0.3)]
+    batches = {}
     for alpha, beta, r in points:
-        assert abs(rc.ts_psucc(alpha, beta, r, n) - array_ts_psucc(alpha, beta, r, n)) <= 2.0**-52
+        k_max = fock.auto_cutoff(4.0 * alpha**2 + beta**2 + math.sinh(r) ** 2 + 1.0)
+        batches.setdefault((alpha, k_max), []).append((beta, r))
+    for (alpha, k_max), batch in batches.items():
+        got = rc.ts_psucc(alpha, *np.array(batch).T, n, k_max=k_max)
+        want = [float_ts_psucc(alpha, beta, r, n) for beta, r in batch]
+        assert np.max(np.abs(got - want)) <= 2.0**-52
 
 
 def test_ts_truncation_message_matches_array_path():
     messages = []
-    for ts_psucc in (rc.ts_psucc, array_ts_psucc):
+    for ts_psucc in (rc.ts_psucc, float_ts_psucc):
         with pytest.raises(TruncationError) as info:
             ts_psucc(0.8, -1.0, -0.5, 2, k_max=5)
         messages.append(str(info.value))
@@ -876,8 +944,9 @@ def test_optimizers_make_few_objective_calls(monkeypatch):
     # no timing: objective calls per alpha.  The nested nhpa search (a beta
     # search at every log g point) made ~169 and the log g grid with its
     # joint zoom 14-27; the (beta, 1/g) box makes its first grid, 13 zooms
-    # and the call at the box centres.  ts makes its 187 grid points, the
-    # pattern search's start point and its trials
+    # and the call at the box centres.  ts made 329 one-point calls (its
+    # 17 x 11 grid and the pattern search); the (beta, r) box makes its
+    # first grid, 9 zooms and the call at the box centre
     nhpa_calls, ts_calls = counted(monkeypatch, "nhpa_psucc"), counted(monkeypatch, "ts_psucc")
     for alpha in ALPHA_GRID[::3]:
         nhpa_calls.clear()
@@ -885,10 +954,7 @@ def test_optimizers_make_few_objective_calls(monkeypatch):
         assert len(nhpa_calls) <= 15
         ts_calls.clear()
         rc.ts_optimize(float(alpha))
-        used = len(ts_calls)
-        ts_calls.clear()
-        scalar_ts_optimize(float(alpha))
-        assert used <= len(ts_calls) + 1
+        assert len(ts_calls) <= 11
 
 
 @pytest.mark.parametrize("base, g_choices, steps", [

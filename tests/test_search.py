@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qrx import receivers as rc
-from qrx._search import _ZOOM, _grid_max, _pattern_search
+from qrx._search import _ZOOM, _grid_max
 
 # ------------------------------------------------------------------ oracles
 # The 1-D and the 2-D maximizer that the d-coordinate _grid_max replaced,
@@ -83,39 +83,6 @@ def oracle_grid_max(fun, lo, hi, tol, n_grid=_ZOOM):
 
 
 # ------------------------------------------------------------------- tests
-
-
-def counted_quadratic(center, weights, coupling=0.0):
-    """A concave quadratic of scalar arguments, maximal at `center`, with a
-    coupling between the first and the last coordinate; counts its calls."""
-    evals = []
-
-    def fun(*x):
-        evals.append(x)
-        d = [xi - ci for xi, ci in zip(x, center)]
-        return -sum(w * di * di for w, di in zip(weights, d)) + coupling * d[0] * d[-1]
-
-    return fun, evals
-
-
-@pytest.mark.parametrize("center, end, calls", [(0.15, 0.25, 7), (3.0, 3.0, 17)])
-def test_pattern_search_trial_sequence(center, end, calls):
-    # from 0 with steps 0.5 down to 0.2: at 0.15 the search stops at 0.25
-    # after three sweeps, where a trial at its next step (0.125) would still
-    # gain; at 3.0 it walks there in steps of 0.5 and stops after eight
-    fun, evals = counted_quadratic([center], [1.0])
-    val, x = _pattern_search(fun, [0.0], step0=0.5, step_min=0.2)
-    assert len(evals) == calls and x == [end] and type(x[0]) is float
-    assert val == -(end - center) ** 2
-
-
-def test_pattern_search_finds_a_tilted_maximum():
-    # unbounded, in 3-D, with a cross term between the first and last axes
-    center = [1.3, -0.7, 2.4]
-    fun, _ = counted_quadratic(center, [2.0, 0.5, 1.0], coupling=0.4)
-    val, x = _pattern_search(fun, [0.0, 0.0, 0.0], step0=0.2, step_min=1e-8)
-    assert np.allclose(x, center, atol=1e-5, rtol=0)
-    assert val == pytest.approx(0.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("lo, hi", [(np.nan, 0.0), (-np.inf, 0.0), (0.0, np.inf),
@@ -246,8 +213,9 @@ def test_grid_max_matches_the_1d_oracle_on_ties_and_edges(n_grid):
 
 def test_grid_max_matches_the_oracles_on_the_receivers(monkeypatch):
     # every search of opt_kennedy, dephaser, cavity, nhpa (its one (beta,
-    # 1/g) box over all cutoffs n, 41 points per coordinate first) and of the
-    # Dolinar batches returns the bits of the oracles
+    # 1/g) box over all cutoffs n, 41 points per coordinate first), ts (its
+    # (beta, r) box, the same first grid) and of the Dolinar batches returns
+    # the bits of the oracles
     searches = []
 
     def both(fun, lo, hi, tol, n_grid=_ZOOM):
@@ -261,13 +229,14 @@ def test_grid_max_matches_the_oracles_on_the_receivers(monkeypatch):
 
     monkeypatch.setattr(rc, "_grid_max", both)
     for alpha in np.linspace(0.01, 1.5, 60):
-        for kind in ("opt_kennedy", "nhpa", "dephaser", "cavity"):
+        for kind in ("opt_kennedy", "nhpa", "dephaser", "cavity", "ts"):
             rc.optimize(kind, float(alpha))
     rc.nhpa_optimize(0.3, n_values=(2,))
     for base in rc.DOLINAR_BASES:
         rc.dolinar_multistep(0.6, 3, base)
-    # (coordinates, lanes, first grid) of the searches: nhpa's box of one and
-    # of three cutoffs n, and batched 1-D ones up to the nhpa Dolinar base's
-    # 4 posteriors x 28 configurations at its third step
+    # (coordinates, lanes, first grid) of the searches: ts's box and nhpa's
+    # of one and of three cutoffs n, and batched 1-D ones up to the nhpa
+    # Dolinar base's 4 posteriors x 28 configurations at its third step
     assert {(2, 1, 41), (2, 3, 41)} <= set(searches)
+    assert sum(s == (2, 1, 41) for s in searches) == 61  # ts at 60 alphas, nhpa at 0.3
     assert max(lanes for d, lanes, _ in searches if d == 1) == 4 * 28
