@@ -14,6 +14,10 @@ operating points sit at beta < 0, exactly as the printed contour region.
 Every formula here holds for alpha >= 0 only, and `optimize`, every
 optimizer, `dolinar_multistep` and `ts_psucc` reject a negative alpha.
 
+One closed-form kernel with no Fock cutoff, `_overlaps`, evaluates the NHPA,
+the dephaser, ts and every Dolinar step.  The cavity field is tridiagonal:
+two vectors with Poisson weights in log space, finite at any alpha.
+
 Objectives take arrays and broadcast, so one call of `_search._grid_max`
 maximizes a whole batch of box searches: beta over all posteriors of a
 Dolinar step, (beta, 1/g) on [-2, 0] x [0, 1] for every cutoff n of
@@ -27,7 +31,7 @@ free parameters its optimizer returns, `DOLINAR_BASES` the kinds that
 
 from __future__ import annotations
 
-from math import erf, exp, inf, isfinite, lgamma, log, sqrt
+from math import erf, exp, inf, isfinite, sqrt
 
 import numpy as np
 
@@ -43,7 +47,6 @@ DOLINAR_BASES = ("kennedy", "opt_kennedy", "nhpa", "dephaser")
 #: nhpa_optimize_beta's beta interval and coarse grid (opt_kennedy's beta
 #: search starts on as many points); nhpa_optimize's box spans the same beta
 _BETA_LO, _BETA_HI, _BETA_GRID = -2.0, 0.0, 121
-_TS_ENERGY_MAX = 10_000  #: largest mean photon number of ts_psucc (alpha ~ 50, or |r| ~ 5.3)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -91,46 +94,63 @@ def optimized_kennedy(alpha: float) -> tuple:
 # ----------------------------------------------------------------------- NHPA
 
 
-def _nhpa_coeffs(g, n, k_max: int) -> tuple:
-    """(success, failure) Kraus diagonal coefficients at Fock levels
-    k = 0..k_max (first axis), zero above the cutoff n; g and n broadcast
-    on the axes after it.  At g = inf both are 1 below n and 0 at k = n."""
-    g, n = np.asarray(g, dtype=float), np.asarray(n)
-    # n - k clipped at 0 gives g^0 = 1 and so zero coefficients above n
-    m = np.maximum(n - np.arange(k_max + 1).reshape((-1,) + (1,) * max(g.ndim, n.ndim)), 0)
-    return 1.0 - g ** (-m), np.sqrt(np.maximum(1.0 - g ** (-2 * m), 0.0))
+def _overlaps(alpha, beta, r, g, n) -> tuple:
+    """(p0_minus, p0_plus) = (<0|beta, r>^2, <2 alpha|M_S|beta, r>^2 +
+    <2 alpha|M_F|beta, r>^2): no-click probabilities of the nulled state and
+    the other one for the probe |beta, r> = U_sq(r) D(beta)|0> after the NHPA
+    Kraus pair M_S = 1 - sum_{k<n} (1 - g^(k-n)) |k><k|, M_F = sum_{k<n}
+    sqrt(1 - g^(2(k-n))) |k><k|, for real alpha, beta, r.  r = 0 is the
+    coherent probe, g = 1 the Kennedy family, g = inf the A_{inf,n}
+    dephaser.  Broadcasts over every argument; n holds integers.
 
-
-def nhpa_overlaps(alpha, beta, g, n) -> tuple:
-    """(|<beta|M_S|2 alpha>|^2, |<beta|M_F|2 alpha>|^2) via the finite sums;
-    broadcasts over alpha, beta, g and n."""
-    n = np.asarray(n)
-    cs, cf = _nhpa_coeffs(g, n, int(n.max()))
-    x = 2.0 * alpha * beta  # real amplitudes: 2 alpha beta*
-    env = np.exp(-(4.0 * alpha**2 + beta**2))
-    term = 1.0
-    s_sum = 0.0
-    f_sum = 0.0
-    for k in range(len(cs)):
-        if k > 0:
-            term = term * (x / k)
-        s_sum = s_sum + term * cs[k]
-        f_sum = f_sum + term * cf[k]
-    return env * np.abs(np.exp(x) - s_sum) ** 2, env * np.abs(f_sum) ** 2
+    With l = (1 - tanh r)/2 and h = 1 - l, Yuen's generating function (Phys.
+    Rev. A 13, 2226 (1976)) gives psi_0 = <0|beta, r> = e^(-l beta^2)/sqrt(cosh r)
+    and O = <2 alpha|beta, r> = psi_0 e^(x - 4 h alpha^2), an exponent of
+    -(sqrt(l) beta - 2 sqrt(h) alpha)^2 <= 0, while t_k = <2 alpha|k><k|beta, r>
+    obeys k t_k = x t_{k-1} - y t_{k-2} from t_0 = psi_0 e^(-2 alpha^2), with
+    x = 2 alpha beta/cosh r and y = 4 alpha^2 tanh r.  So every amplitude is
+    at most 1 in modulus, with no Fock cutoff."""
+    n, g = np.asarray(n), np.asarray(g)
+    with np.errstate(over="ignore"):  # |r| > 354, |beta| > 1e154: amplitude 0
+        lo = 1.0 / (1.0 + np.exp(2.0 * r))  # (1 - tanh r)/2, to full precision as tanh r -> 1
+        sech = 1.0 / np.cosh(r)
+        root, damp = np.sqrt(sech), -lo * beta**2
+        x = 2.0 * alpha * sech * beta
+        psi0 = root * np.exp(damp)
+        overlap = root * np.exp(damp + x - 4.0 * (1.0 - lo) * alpha**2)
+    y = 4.0 * alpha**2 * (1.0 - 2.0 * lo)
+    t = [psi0 * np.exp(-2.0 * alpha**2)]
+    for k in range(1, int(n.max())):
+        t.append((t[-1] * x - t[-2] * y) / k if k > 1 else t[-1] * x)
+    # g^(k - n) below the cutoff and 1 from it on; cf_k^2 = 1 - gk_k^2
+    gk = g[..., None] ** np.minimum(np.arange(len(t)) - n[..., None], 0)
+    cf = np.sqrt(1.0 - gk * gk)
+    pair = 2.0 * (gk[..., :, None] * gk[..., None, :] + cf[..., :, None] * cf[..., None, :])
+    # (O - sum_k (1 - gk_k) t_k)^2 + (sum_k cf_k t_k)^2, expanded around
+    # tail = O - sum_k t_k with gk_k^2 + cf_k^2 = 1: where t_k = 0 past k = 0
+    # (beta = 0 at r = 0, or alpha = 0), every gain gives the same bits, and
+    # the maximizer's first-argmax rule settles the tie
+    tail = overlap - sum(t[1:], t[0])
+    p0_plus, tail2 = sum((tk * tk for tk in t), tail * tail), 2.0 * tail
+    for k, tk in enumerate(t):
+        p0_plus = p0_plus + gk[..., k] * (tail2 * tk)
+        for j in range(k):
+            p0_plus = p0_plus + pair[..., j, k] * (t[j] * tk)
+    return psi0 * psi0, p0_plus
 
 
 def nhpa_psucc(alpha, beta, g, n):
     """Success probability of the NHPA receiver (g=1 removes amplification
     and reproduces the Kennedy family); broadcasts over alpha, beta, g, n."""
-    g, n = np.asarray(g), np.asarray(n)
+    g, n = np.asarray(g, dtype=float), np.asarray(n)
     bad = ~(g >= 1)
     if bad.any():
         raise ValueError(f"gain g must be >= 1, got {float(g[bad].flat[0])!r}")
-    n_int = n.astype(int)
-    if (n_int != n).any() or (n_int < 1).any():
+    n_int = n.astype(int) if np.isfinite(n).all() else None  # casting nan or inf warns
+    if n_int is None or (n_int != n).any() or (n_int < 1).any():
         raise ValueError("cutoff n must be a positive integer")
-    ms, mf = nhpa_overlaps(alpha, beta, g, n_int)
-    return 0.5 * (1.0 + np.exp(-(beta**2)) - (ms + mf))
+    p0_minus, p0_plus = _overlaps(alpha, beta, 0.0, g, n_int)
+    return 0.5 * (1.0 + p0_minus - p0_plus)
 
 
 def nhpa_optimize_beta(alpha: float, g, n) -> tuple:
@@ -172,99 +192,88 @@ def dephaser_optimize(alpha: float, n: int = 2) -> tuple:
 # -------------------------------------------------------------------- cavity
 
 
-def _rabi(k: int):
+def _rabi(k):
     """Resonant Jaynes-Cummings coefficients at tau = pi/(2 gamma) and
-    tau~ = 3 pi/(2 gamma): e_k = -i sin(Omega_k t), d_k = cos(Omega_k t)."""
-    w = np.pi * sqrt(k + 1.0)
+    tau~ = 3 pi/(2 gamma): e_k = -i sin(Omega_k t), d_k = cos(Omega_k t);
+    broadcasts over k."""
+    w = np.pi * np.sqrt(k + 1.0)
     return -1j * np.sin(w / 2.0), np.cos(w / 2.0), -1j * np.sin(3.0 * w / 2.0), np.cos(3.0 * w / 2.0)
 
 
-def cavity_output(alpha: float, cutoff: int = None) -> np.ndarray:
-    """Density matrix of the field after the double-Rabi + random-dephasing
-    cavity stage.
+def _poisson(mean, size: int) -> np.ndarray:
+    """Poisson weights e^-mean mean^k/k! for k = 0..size - 1 on a new last
+    axis, in log space so that they stay finite at any mean."""
+    m = np.asarray(mean, dtype=float)[..., None]
+    with np.errstate(divide="ignore"):  # mean = 0: log 0 = -inf, so weight 0 above k = 0
+        rest = np.exp(np.arange(1, size) * np.log(m) - m - fock._log_factorials(size - 1)[1:])
+    return np.concatenate([np.exp(-m), rest], axis=-1)
+
+
+def cavity_output(alpha: float, cutoff: int = None) -> tuple:
+    """The field after the double-Rabi + random-dephasing cavity stage, as
+    (diag, sub): the diagonal rho_kk, k = 0..cutoff + 1, and the first
+    sub-diagonal rho_{k+1,k}, k = 0..cutoff.  rho is Hermitian, and every
+    entry further from the diagonal is zero.
 
     Tracing the atom and averaging the dephasing angle leaves the preserved
     superposition |alpha_T> = |0> + alpha e^{-2 i omega tau} |1> plus
     photon-number diagonal terms and residual nearest-neighbour coherences.
     The stage runs at omega tau = 0, the phase-compensated working point.
+    Row k carries the Poisson weight of |alpha|^2 at k (`_poisson`).
     """
     a2 = abs(alpha) ** 2
     if cutoff is None:
         cutoff = max(int(fock.auto_cutoff(a2)), 6)
-    d = cutoff + 2
-    rho = np.zeros((d, d), dtype=complex)
-    at = np.zeros(d, dtype=complex)
-    at[0] = 1.0
-    at[1] = alpha
-    rho += np.outer(at, at.conj())
-
-    e1, d1, te1, td1 = _rabi(1)
-    e2, d2, te2, td2 = _rabi(2)
-    big_d = abs(e1 * np.conj(td1)) ** 2 + abs(te1 * d1) ** 2
-    big_e = 1.0 / sqrt(3.0) * e2 * np.conj(td2) * np.conj(d1) * np.conj(te1)
-    rho[1, 1] += a2**2 / 2.0 * big_d
-    rho[2, 1] += a2**2 / 2.0 * alpha * big_e
-    rho[1, 2] += np.conj(a2**2 / 2.0 * alpha * big_e)
-
-    w = a2  # |alpha|^{2k} / k! running weight, here at k=1
-    for k in range(2, cutoff + 1):
-        w *= a2 / k
-        em1, dm1, tem1, tdm1 = _rabi(k - 1)
-        ek, dk, tek, tdk = _rabi(k)
-        ep1, dp1, tep1, tdp1 = _rabi(k + 1)
-        dk_coef = (
-            abs(em1 * tem1) ** 2
-            + abs(dm1 * tdm1) ** 2
-            + a2 / (k + 1.0) * (abs(ek * np.conj(tdk)) ** 2 + abs(tek * dk) ** 2)
-        )
-        ek_coef = 1.0 / sqrt(k + 1.0) * ek * tek * np.conj(dm1) * np.conj(tdm1) + (
-            a2 / (k + 1.0)
-        ) * (1.0 / sqrt(k + 2.0)) * ep1 * np.conj(tdp1) * np.conj(dk) * np.conj(tek)
-        rho[k, k] += w * dk_coef
-        rho[k + 1, k] += w * alpha * ek_coef
-        rho[k, k + 1] += np.conj(w * alpha * ek_coef)
-
-    rho *= exp(-a2)
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > 1e-8:
-        raise fock.TruncationError(f"cavity series trace deficit {abs(tr - 1.0):.2e}")
-    return rho
+    k = np.arange(cutoff + 1.0)
+    rabi = np.array(_rabi(np.arange(-1.0, cutoff + 2.0)))  # e, d, te, td at -1..cutoff + 1
+    (em1, dm1, tem1, tdm1), (ek, dk, tek, tdk), (ep1, _, _, tdp1) = (
+        rabi[:, :-2], rabi[:, 1:-1], rabi[:, 2:])
+    dk_coef = (abs(em1 * tem1) ** 2 + abs(dm1 * tdm1) ** 2
+               + a2 / (k + 1.0) * (abs(ek * np.conj(tdk)) ** 2 + abs(tek * dk) ** 2))
+    ek_coef = 1.0 / np.sqrt(k + 1.0) * ek * tek * np.conj(dm1) * np.conj(tdm1) + a2 / (
+        k + 1.0) * (1.0 / np.sqrt(k + 2.0)) * ep1 * np.conj(tdp1) * np.conj(dk) * np.conj(tek)
+    w = _poisson(a2, cutoff + 1)
+    diag, sub = np.append(w * dk_coef, 0.0), w * alpha * ek_coef
+    tr = diag.sum()
+    if not abs(tr - 1.0) <= 1e-8:
+        raise fock.TruncationError(f"cavity field of amplitude {alpha!r} has trace {float(tr)!r}")
+    return diag, sub
 
 
-def _cavity_field(alpha: float, beta_max: float) -> np.ndarray:
+def _cavity_field(alpha: float, beta_max: float) -> tuple:
     """cavity_output(2 alpha) on a cutoff that covers the signal and every
     probe |beta| <= beta_max."""
     cutoff = max(fock.auto_cutoff(4.0 * alpha**2), fock.auto_cutoff(beta_max**2), 6)
     return cavity_output(2.0 * alpha, cutoff=cutoff)
 
 
-def cavity_psucc(alpha: float, beta, rho: np.ndarray = None):
+def cavity_psucc(alpha: float, beta, field: tuple = None):
     """Kennedy-style inference with the cavity stage replacing the NHPA;
-    broadcasts over real beta.  `rho` is a field from
+    broadcasts over real beta.  `field` is a (diag, sub) pair from
     `_cavity_field(alpha, beta_max)` with beta_max >= |beta|, shared between
-    probes; built here if omitted."""
+    probes; built here if omitted.
+
+    With q_k = <k|beta>^2, the Poisson weights of beta^2, <beta|rho|beta> =
+    sum_k q_k (rho_kk + 2 beta Re rho_{k+1,k}/sqrt(k + 1))."""
     beta = np.asarray(beta, dtype=float)
-    if rho is None:
-        rho = _cavity_field(alpha, float(np.max(np.abs(beta))))
-    cutoff = len(rho) - 1
-    ks = np.arange(cutoff + 1)
-    b = beta[..., None]
-    # <k|beta>
-    coh = b**ks * np.exp(-0.5 * b**2 - 0.5 * fock._log_factorials(cutoff))
-    deficit = 1.0 - np.sum(coh**2, axis=-1)
+    if field is None:
+        field = _cavity_field(alpha, float(np.max(np.abs(beta))))
+    diag, sub = field
+    q = _poisson(beta**2, len(diag))
+    deficit = 1.0 - np.sum(q, axis=-1)
     if np.any(deficit > fock.TRUNCATION_TOL):
         raise fock.TruncationError(
-            f"cavity at alpha={alpha!r}: cutoff {cutoff} leaves probe norm deficit "
+            f"cavity at alpha={alpha!r}: cutoff {len(diag) - 1} leaves probe norm deficit "
             f"{np.max(deficit):.3e} at beta={float(beta.flat[np.argmax(deficit)])!r}")
-    # rho is Hermitian and coh real, so only Re(rho) contributes
-    p0_plus = np.sum((coh @ rho.real) * coh, axis=-1)
-    return 0.5 * (1.0 + np.exp(-(beta**2)) - p0_plus)
+    coupling = np.append(sub.real / np.sqrt(np.arange(1.0, len(sub) + 1.0)), 0.0)
+    p0_plus = np.sum(q * (diag + 2.0 * beta[..., None] * coupling), axis=-1)
+    return 0.5 * (1.0 + q[..., 0] - p0_plus)
 
 
 def cavity_optimize(alpha: float) -> tuple:
     _check_alpha(alpha)
-    rho = _cavity_field(alpha, 2.0)
-    val, beta = _grid_max(lambda b: cavity_psucc(alpha, b, rho), (-2.0,), (0.0,), (1e-10,),
+    field = _cavity_field(alpha, 2.0)
+    val, beta = _grid_max(lambda b: cavity_psucc(alpha, b, field), (-2.0,), (0.0,), (1e-10,),
                           n_grid=61)
     return float(val), float(beta)
 
@@ -272,61 +281,22 @@ def cavity_optimize(alpha: float) -> tuple:
 # ------------------------------------------------------------ TS (squeezing)
 
 
-def ts_psucc(alpha: float, beta, r, n: int = 2, k_max: int = None):
-    """Squeezing-enhanced receiver: A_{inf,n} followed by the adjoint of
-    U_sq(r) D(beta) and on/off detection; broadcasts over real beta and r.
-    Both hypotheses are measured in the same vector |beta, r> = U_sq(r)
-    D(beta)|0> (`fock.squeezed_displaced_state`), so p(0|-) = |<0|beta,r>|^2
-    and p(0|+) comes from the two partial sums of <2 alpha|k><k|beta,r>
-    split at the dephaser cutoff n.
-
-    Both sums are cut at one k_max for the batch, by default the auto_cutoff
-    of the largest mean photon number 4 alpha^2 + beta^2 + sinh(r)^2 + 1,
-    which must not exceed _TS_ENERGY_MAX.  The cut changes p(0|+) by at most
-    2 sqrt(T (1 - sum_k |<k|beta,r>|^2)) (Cauchy-Schwarz), with T the
-    Poisson tail of |2 alpha> above k_max, bounded by its first term over
-    1 - 4 alpha^2/(k_max + 2); a TruncationError names the point of the
-    largest bound when it exceeds fock.TRUNCATION_TOL.
-    """
+def ts_psucc(alpha: float, beta, r, n: int = 2):
+    """Squeezing-enhanced receiver (Sych and Leuchs, Phys. Rev. Lett. 117,
+    200501 (2016)): A_{inf,n}, the adjoint of U_sq(r) D(beta) and on/off
+    detection; broadcasts over real beta and r.  Both hypotheses are measured
+    in |beta, r> = U_sq(r) D(beta)|0>: this is the dephaser with a squeezed
+    probe, `_overlaps` at g = inf, closed-form at every finite beta and r."""
     alpha = float(alpha)
     _check_alpha(alpha)
     if not (float(n).is_integer() and n >= 1):
         raise ValueError("cutoff n must be a positive integer")
-    n = int(n)
     b, r = np.asarray(beta, dtype=float), np.asarray(r, dtype=float)
     for name, x in (("beta", b), ("r", r)):
         if not np.isfinite(x).all():
             raise ValueError(f"ts {name} must be finite, got {float(x[~np.isfinite(x)][0])!r}")
-    shape = np.broadcast(b, r).shape
-
-    def point(i):  # the start of an error message that names point i of the batch
-        return (f"ts at alpha={alpha!r}, beta={float(np.broadcast_to(b, shape).flat[i])!r}, "
-                f"r={float(np.broadcast_to(r, shape).flat[i])!r}")
-
-    if k_max is None:
-        with np.errstate(over="ignore"):
-            energy = 4.0 * alpha**2 + b * b + np.sinh(r) ** 2 + 1.0
-        i = np.argmax(energy)
-        if not energy.flat[i] <= _TS_ENERGY_MAX:
-            raise ValueError(f"{point(i)}: mean photon number {energy.flat[i]:g} > "
-                             f"{_TS_ENERGY_MAX}")
-        k_max = fock.auto_cutoff(energy.flat[i])
-    psi = fock.squeezed_displaced_state(b, r, k_max).reshape(k_max + 1, -1)
-    ks = np.arange(k_max + 1)
-    bra2a = np.exp(-2.0 * alpha**2 + ks * np.log(2.0 * alpha)
-                   - 0.5 * fock._log_factorials(k_max)) \
-        if alpha > 0 else np.where(ks == 0, exp(-2.0 * alpha**2), 0.0)
-    mu = 4.0 * alpha**2
-    tail = 0.0 if mu == 0.0 else 1.0 if mu >= k_max + 2 else min(
-        exp(-mu + (k_max + 1) * log(mu) - lgamma(k_max + 2.0)) / (1.0 - mu / (k_max + 2)), 1.0)
-    norm = np.einsum("ki,ki->i", psi, psi)
-    i = np.argmin(norm)
-    bound = 2.0 * sqrt(tail * max(1.0 - norm[i], 0.0))
-    if bound > fock.TRUNCATION_TOL:
-        raise fock.TruncationError(f"{point(i)}: cutoff k_max={k_max} bounds the p(0|+) error "
-                                   f"by {bound:.2e} > {fock.TRUNCATION_TOL:.0e}")
-    p0_plus = (bra2a[n:] @ psi[n:]) ** 2 + (bra2a[:n] @ psi[:n]) ** 2
-    return (0.5 * (1.0 + psi[0] ** 2 - p0_plus)).reshape(shape)[()]
+    p0_minus, p0_plus = _overlaps(alpha, b, r, inf, int(n))
+    return (0.5 * (1.0 + p0_minus - p0_plus))[()]
 
 
 def ts_optimize(alpha: float, n: int = 2) -> tuple:
@@ -344,8 +314,8 @@ def ts_optimize(alpha: float, n: int = 2) -> tuple:
 def _step_probs(a: float, beta, g, n: int, orient) -> tuple:
     """(p(no click | +a), p(no click | -a)) for one NHPA-type step that nulls
     the orient=-1 (or +1) state; broadcasts over beta, g and orient."""
-    ms, mf = nhpa_overlaps(-orient * a, beta, g, n)
-    nulled, probe = ms + mf, np.exp(-(beta**2))
+    # <-2a|k><k|beta> = <2a|k><k|-beta>: the nulled state sets the probe's sign
+    probe, nulled = _overlaps(a, -orient * beta, 0.0, g, n)
     return np.where(orient == -1, nulled, probe), np.where(orient == -1, probe, nulled)
 
 

@@ -670,6 +670,7 @@ def test_console_script_installed():
          "--alpha-grid", "0.3:0.3:1"],
         capture_output=True,
         text=True,
+        env=fresh_env(),
     )
     assert result.returncode == 0
     assert result.stdout.startswith("alpha_sq,p_succ,p_helstrom,gap")
@@ -682,11 +683,16 @@ SRC = os.path.dirname(os.path.dirname(cli.__file__))
 LOADED = "[k for k in sys.modules if k.startswith(('scipy', 'numba'))]"
 
 
+def fresh_env():
+    """The environment of a fresh interpreter that imports this qrx."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def run_fresh(code):
     """Run `code` in a fresh interpreter that imports this qrx; return stdout."""
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=dict(os.environ, PYTHONPATH=path))
+                            env=fresh_env())
     assert result.returncode == 0, result.stderr
     return result.stdout
 
@@ -811,9 +817,9 @@ def test_tracer_installs_and_uninstalls(tmp_path):
 
 
 def test_tracer_traces_a_ts_request(tmp_path):
-    # `--trace 1` on a receiver request: fock's |beta, r> recurrence shows in
-    # its metric, each of ts's 11 objective calls evaluates a whole grid, and
-    # the CSV keeps the bytes of an untraced run
+    # `--trace 1` on a receiver request: ts_optimize shows in its metric, each
+    # of ts's 11 objective calls evaluates a whole grid, and the CSV keeps the
+    # bytes of an untraced run
     argv = ["bpsk-sweep", "--receiver", "ts", "--alpha-grid", "0.3:0.3:1"]
     assert run_cli(argv, tmp_path, "plain")[0] == 0
     tracing = load_tracing()
@@ -826,7 +832,7 @@ def test_tracer_traces_a_ts_request(tmp_path):
         tracer.active = False
         tracer.uninstall()
     metrics = tracer.per_layer()
-    assert metrics["fock.squeezed_displaced_state.s"] > 0
+    assert metrics["receivers.ts_optimize.s"] > 0
     assert metrics["receivers.psucc.calls"] == 11
     assert (tmp_path / "traced").read_bytes() == (tmp_path / "plain").read_bytes()
 

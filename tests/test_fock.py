@@ -147,8 +147,9 @@ def test_fock_returns_plain_arrays():
     probs = povm.measure(povm.Povm([e0, np.eye(c + 1) - e0]), rho)
     assert probs[0] == pytest.approx(np.exp(-0.25), abs=1e-12)
     assert info.von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-9)
-    field = receivers.cavity_output(0.6, cutoff=30)  # the field at alpha = 0.3
-    assert type(field) is np.ndarray and field.shape == (32, 32)
+    diag, sub = field = receivers.cavity_output(0.6, cutoff=30)  # the field at alpha = 0.3
+    assert type(diag) is np.ndarray and diag.shape == (32,) and diag.dtype == float
+    assert type(sub) is np.ndarray and sub.shape == (31,)
     assert receivers.cavity_psucc(0.3, -0.4, field) == pytest.approx(
         receivers.cavity_psucc(0.3, -0.4), abs=1e-12)
 
