@@ -2,10 +2,11 @@
 
 tests/golden/rewrite.py names the requests and rewrites the files.  A change
 that moves bytes on purpose reruns it, so that the git diff of the golden
-files shows every moved number.  Where the numpy version or platform of this
-run differs from the one that wrote the files (tests/golden/versions.json),
-the last digits may differ for reasons outside qrx: numbers are then compared
-at ULPS units in the last place, and a warning says so.
+files shows every moved number.  Where the numpy version, numpy's CPU
+dispatch or the platform of this run differs from the one that wrote the
+files (tests/golden/versions.json), the last digits may differ for reasons
+outside qrx: numbers are then compared at ULPS units in the last place, and a
+warning names what differs.
 """
 
 import importlib.util
@@ -27,12 +28,14 @@ ULPS = 16
 
 
 def cells(text: bytes) -> list:
-    return [line.split(",") for line in text.decode().split("\r\n")]
+    """CSV rows split at commas; a JSON text splits into its lines."""
+    return [line.split(",") for line in text.decode().splitlines()]
 
 
 def number(cell: str):
+    """The number a CSV cell or a JSON line (`"key": 0.5`) ends with, or None."""
     try:
-        return float(cell)
+        return float(cell.rsplit(":", 1)[-1].strip(" []{}"))
     except ValueError:
         return None
 
@@ -84,11 +87,14 @@ def test_cli_output_matches_golden_file(name):
     want = (GOLDEN / name).read_bytes()
     got = rewrite.output(rewrite.REQUESTS[name])
     written_by = json.loads((GOLDEN / "versions.json").read_text())
-    if written_by == rewrite.versions():
+    now = rewrite.versions()
+    if written_by == now:
         assert got == want, report(name, want, got)
     else:
-        warnings.warn(f"golden/{name} was written by {written_by}, this run is "
-                      f"{rewrite.versions()}: comparing numbers at {ULPS} ulps, not bytes")
+        differ = {k: (written_by.get(k), now.get(k)) for k in sorted(set(written_by) | set(now))
+                  if written_by.get(k) != now.get(k)}
+        warnings.warn(f"golden/{name} was written with (written, this run) = {differ}: "
+                      f"comparing numbers at {ULPS} ulps, not bytes")
         message = report(name, want, got, ULPS)
         assert not message, message
 
