@@ -1,15 +1,14 @@
 """Numerical toolkit for coherent-state receivers, POVM decompositions and
-PSK/Hadamard code rates on truncated Fock spaces.
+PSK/Hadamard code rates.
 
 Modules
 -------
-fock        truncated Fock-space kets and operators as numpy arrays, Wigner function
+fock        the Fock-space truncation rule (auto_cutoff) of the cavity probe
 gaussian    phase-space (mean, covariance) calculus
 povm        measurements, Helstrom optimum, binary-tree decomposition
 qubit_disc  minimum-error discrimination of 3-4 qubit states
 receivers   binary coherent-state receivers (Kennedy, NHPA, dephaser, ...)
 hadamard    PSK Hadamard codes and achievable rates
-info        entropies, mutual information, Holevo quantities
 cli         reproducible experiment runner
 """
 

@@ -33,9 +33,11 @@ def _grid_max(fun, lo, hi, tol, n_grid=_ZOOM):
     The first grid has n_grid points per coordinate.  Then every box shrinks
     to the neighbours of its argmax (the first one in C order on ties) and is
     re-gridded with _ZOOM points, one call per round for the whole batch,
-    until every box is within tol in every coordinate (all lanes go on until
-    the last is done).  Returns (fun at the box centres, *the centres), of
-    batch shape.  Non-finite bounds, whose boxes never shrink, and nan or
+    until every box is within tol, or within 4 float spacings of its ends, in
+    every coordinate (all lanes go on until the last is done).  The second
+    rule ends a box that floats cannot make narrower than tol, such as one
+    near beta = -1e4 at tol 1e-12.  Returns (fun at the box centres, *the
+    centres), of batch shape.  Non-finite bounds, whose boxes never shrink, and nan or
     negative tolerances, which no box reaches, raise ValueError.
 
     The rule keeps the maximum in the box only while, over one grid cell of
@@ -53,13 +55,21 @@ def _grid_max(fun, lo, hi, tol, n_grid=_ZOOM):
     pad = (...,) + (None,) * d
     a, b, tol = box.reshape((3, d) + box.shape[1:])[pad]
     w = b - a
+
+    def floor(a, b):
+        """4 float spacings at the larger end of each box."""
+        return 4.0 * np.spacing(np.maximum(abs(a), abs(b)))
+
+    # no sub-box has a coarser spacing than the first box, so only where that
+    # spacing exceeds tol can the floor end a lane
+    coarse = (floor(a, b) > tol).any()
     (ts, lo_t, hi_t), zoom = _grid(n_grid, d), _grid(_ZOOM, d)
     while True:
         v = fun(*[a[k] + w[k] * ts[k] for k in range(d)])
         i = np.argmax(v.reshape(v.shape[:-d] + (-1,)), axis=-1)[pad]
         a, b = a + w * lo_t[:, i], a + w * hi_t[:, i]
         w = b - a
-        if (w <= tol).all():
+        if (w <= (np.maximum(tol, floor(a, b)) if coarse else tol)).all():
             break
         ts, lo_t, hi_t = zoom
     x = 0.5 * (a + b)

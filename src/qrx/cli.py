@@ -215,8 +215,15 @@ def _cmd_bpsk_sweep(args) -> int:
 # ----------------------------------------------------------- hadamard-rates
 
 
+#: largest PSK order --M: the rate arrays hold (E, N, M, M) floats, ~0.3 GB
+#: and ~4 s at M = 64 for the default 200 energies and 10 code lengths
+M_MAX = 64
+
+
 def _cmd_hadamard_rates(args) -> int:
     m = _int_flag("--M", args.m, 1)
+    if m > M_MAX:
+        raise ConfigError(f"--M must be at most {M_MAX}, got {m}")
     lengths = _parse_lengths(args.n)
     for n in lengths:
         if n < 1 or n & (n - 1):

@@ -27,6 +27,13 @@ def _min_eig_hermitian(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
 
 
+def _require_finite(**fields) -> None:
+    """ValueError naming the first field that holds a nan or an inf."""
+    for name, x in fields.items():
+        if not np.isfinite(x).all():
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class GaussianState:
     mean: np.ndarray
@@ -37,6 +44,7 @@ class GaussianState:
         cov = np.asarray(self.cov, dtype=float)
         if mean.ndim != 1 or mean.size % 2 or cov.shape != (mean.size, mean.size):
             raise ValueError("mean must be a 2N-vector and cov 2N x 2N")
+        _require_finite(mean=mean, cov=cov)
         if np.max(np.abs(cov - cov.T)) > 1e-12:
             raise ValueError("cov must be symmetric")
         n = mean.size // 2
@@ -67,6 +75,7 @@ class GaussianChannel:
         b = np.asarray(self.b, dtype=float)
         if A.shape != B.shape or A.shape[0] != b.size or A.shape[0] % 2:
             raise ValueError("inconsistent channel dimensions")
+        _require_finite(A=A, B=B, b=b)
         if np.max(np.abs(B - B.T)) > 1e-12:
             raise ValueError("B must be symmetric")
         for m in (A, B, b):

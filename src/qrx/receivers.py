@@ -12,11 +12,14 @@ applied and an on/off detector fires on any photon; "no click" is read as
 "-alpha".  All closed forms are written for real alpha, beta; optimal
 operating points sit at beta < 0, exactly as the printed contour region.
 Every formula here holds for alpha >= 0 only, and `optimize`, every
-optimizer, `dolinar_multistep` and `ts_psucc` reject a negative alpha.
+optimizer, `dolinar_multistep` and `ts_psucc` reject a negative alpha, and
+one above A_MAX = 1e9, past which the optimizers cannot place beta.
 
 One closed-form kernel with no Fock cutoff, `_overlaps`, evaluates the NHPA,
 the dephaser, ts and every Dolinar step.  The cavity field is tridiagonal:
-two vectors with Poisson weights in log space, finite at any alpha.
+two vectors with Poisson weights in log space, finite at any alpha.  The
+cavity receiver builds only the levels that its probe |beta| <= 2 reaches,
+`fock.auto_cutoff(beta_max^2)` of them whatever alpha is.
 
 Objectives take arrays and broadcast, so one call of `_search._grid_max`
 maximizes a whole batch of box searches: beta over all posteriors of a
@@ -37,6 +40,7 @@ import numpy as np
 
 from . import fock
 from ._search import _grid_max
+from .errors import TruncationError
 
 #: receiver kind -> the free parameters `optimize` returns after p_succ
 PARAMS = {"helstrom": (), "homodyne": (), "kennedy": (), "opt_kennedy": ("beta",),
@@ -47,14 +51,22 @@ DOLINAR_BASES = ("kennedy", "opt_kennedy", "nhpa", "dephaser")
 #: nhpa_optimize_beta's beta interval and coarse grid (opt_kennedy's beta
 #: search starts on as many points); nhpa_optimize's box spans the same beta
 _BETA_LO, _BETA_HI, _BETA_GRID = -2.0, 0.0, 121
+#: largest amplitude evaluated.  On a log scan of [1, A_MAX], 200 points per
+#: decade, every receiver and Dolinar base (2 and 3 steps) stays at or below
+#: p_helstrom + 1e-15, and from alpha = 3.6, where homodyne's own error falls
+#: below 1e-12, at or above p_helstrom - 1e-12.  opt_kennedy's beta, placed
+#: to 4 float spacings of -alpha, first falls short at alpha = 8.6e9
+A_MAX = 1e9
 
 
 def _check_alpha(alpha: float) -> None:
-    """The formulas here hold for finite alpha >= 0 only."""
+    """The formulas here hold for finite 0 <= alpha <= A_MAX only."""
     if not isfinite(alpha):
         raise ValueError(f"amplitude alpha must be finite, got {alpha!r}")
     if alpha < 0:
         raise ValueError(f"amplitude alpha must be >= 0, got {alpha!r}")
+    if alpha > A_MAX:
+        raise ValueError(f"amplitude alpha must be <= A_MAX = {A_MAX:g}, got {alpha!r}")
 
 
 # ------------------------------------------------------------------ baselines
@@ -209,21 +221,9 @@ def _poisson(mean, size: int) -> np.ndarray:
     return np.concatenate([np.exp(-m), rest], axis=-1)
 
 
-def cavity_output(alpha: float, cutoff: int = None) -> tuple:
-    """The field after the double-Rabi + random-dephasing cavity stage, as
-    (diag, sub): the diagonal rho_kk, k = 0..cutoff + 1, and the first
-    sub-diagonal rho_{k+1,k}, k = 0..cutoff.  rho is Hermitian, and every
-    entry further from the diagonal is zero.
-
-    Tracing the atom and averaging the dephasing angle leaves the preserved
-    superposition |alpha_T> = |0> + alpha e^{-2 i omega tau} |1> plus
-    photon-number diagonal terms and residual nearest-neighbour coherences.
-    The stage runs at omega tau = 0, the phase-compensated working point.
-    Row k carries the Poisson weight of |alpha|^2 at k (`_poisson`).
-    """
+def _cavity_rows(alpha: float, cutoff: int) -> tuple:
+    """(diag, sub) of `cavity_output` on levels 0..cutoff, unchecked."""
     a2 = abs(alpha) ** 2
-    if cutoff is None:
-        cutoff = max(int(fock.auto_cutoff(a2)), 6)
     k = np.arange(cutoff + 1.0)
     rabi = np.array(_rabi(np.arange(-1.0, cutoff + 2.0)))  # e, d, te, td at -1..cutoff + 1
     (em1, dm1, tem1, tdm1), (ek, dk, tek, tdk), (ep1, _, _, tdp1) = (
@@ -233,18 +233,35 @@ def cavity_output(alpha: float, cutoff: int = None) -> tuple:
     ek_coef = 1.0 / np.sqrt(k + 1.0) * ek * tek * np.conj(dm1) * np.conj(tdm1) + a2 / (
         k + 1.0) * (1.0 / np.sqrt(k + 2.0)) * ep1 * np.conj(tdp1) * np.conj(dk) * np.conj(tek)
     w = _poisson(a2, cutoff + 1)
-    diag, sub = np.append(w * dk_coef, 0.0), w * alpha * ek_coef
+    return np.append(w * dk_coef, 0.0), w * alpha * ek_coef
+
+
+def cavity_output(alpha: float, cutoff: int) -> tuple:
+    """The field after the double-Rabi + random-dephasing cavity stage, as
+    (diag, sub): the diagonal rho_kk, k = 0..cutoff + 1, and the first
+    sub-diagonal rho_{k+1,k}, k = 0..cutoff.  rho is Hermitian, and every
+    entry further from the diagonal is zero.  The cutoff must hold the whole
+    field: a trace that misses 1 by more than 1e-8 raises TruncationError.
+
+    Tracing the atom and averaging the dephasing angle leaves the preserved
+    superposition |alpha_T> = |0> + alpha e^{-2 i omega tau} |1> plus
+    photon-number diagonal terms and residual nearest-neighbour coherences.
+    The stage runs at omega tau = 0, the phase-compensated working point.
+    Row k carries the Poisson weight of |alpha|^2 at k (`_poisson`), and
+    depends on no other level.
+    """
+    diag, sub = _cavity_rows(alpha, cutoff)
     tr = diag.sum()
     if not abs(tr - 1.0) <= 1e-8:
-        raise fock.TruncationError(f"cavity field of amplitude {alpha!r} has trace {float(tr)!r}")
+        raise TruncationError(f"cavity field of amplitude {alpha!r} has trace {float(tr)!r}")
     return diag, sub
 
 
 def _cavity_field(alpha: float, beta_max: float) -> tuple:
-    """cavity_output(2 alpha) on a cutoff that covers the signal and every
-    probe |beta| <= beta_max."""
-    cutoff = max(fock.auto_cutoff(4.0 * alpha**2), fock.auto_cutoff(beta_max**2), 6)
-    return cavity_output(2.0 * alpha, cutoff=cutoff)
+    """The rows of cavity_output(2 alpha) that a probe |beta| <= beta_max
+    reads: levels 0..max(auto_cutoff(beta_max^2), 6), sized by the probe
+    alone, so the cost and memory do not grow with alpha."""
+    return _cavity_rows(2.0 * alpha, max(fock.auto_cutoff(beta_max**2), 6))
 
 
 def cavity_psucc(alpha: float, beta, field: tuple = None):
@@ -254,17 +271,21 @@ def cavity_psucc(alpha: float, beta, field: tuple = None):
     probes; built here if omitted.
 
     With q_k = <k|beta>^2, the Poisson weights of beta^2, <beta|rho|beta> =
-    sum_k q_k (rho_kk + 2 beta Re rho_{k+1,k}/sqrt(k + 1))."""
+    sum_k q_k (rho_kk + 2 beta Re rho_{k+1,k}/sqrt(k + 1)).  The field holds
+    the levels k < K = len(sub) only.  The levels it drops enter through
+    q_k, k >= K, and rho_kk <= 1, |rho_{k+1,k}| <= 1, so they move
+    <beta|rho|beta> by at most (1 - sum_{k<K} q_k)(1 + 2|beta|).  A bound
+    above TRUNCATION_TOL raises TruncationError."""
     beta = np.asarray(beta, dtype=float)
     if field is None:
         field = _cavity_field(alpha, float(np.max(np.abs(beta))))
     diag, sub = field
     q = _poisson(beta**2, len(diag))
-    deficit = 1.0 - np.sum(q, axis=-1)
-    if np.any(deficit > fock.TRUNCATION_TOL):
-        raise fock.TruncationError(
-            f"cavity at alpha={alpha!r}: cutoff {len(diag) - 1} leaves probe norm deficit "
-            f"{np.max(deficit):.3e} at beta={float(beta.flat[np.argmax(deficit)])!r}")
+    bound = (1.0 - np.sum(q[..., :len(sub)], axis=-1)) * (1.0 + 2.0 * np.abs(beta))
+    if np.any(bound > fock.TRUNCATION_TOL):
+        raise TruncationError(
+            f"cavity at alpha={alpha!r}: {len(sub)} levels bound the probe's error by "
+            f"{np.max(bound):.3e} at beta={float(beta.flat[np.argmax(bound)])!r}")
     coupling = np.append(sub.real / np.sqrt(np.arange(1.0, len(sub) + 1.0)), 0.0)
     p0_plus = np.sum(q * (diag + 2.0 * beta[..., None] * coupling), axis=-1)
     return 0.5 * (1.0 + q[..., 0] - p0_plus)

@@ -14,7 +14,8 @@ import time
 import numpy as np
 import pytest
 
-from qrx import fock, gaussian, hadamard, povm, qubit_disc, receivers
+import fockspace as fock
+from qrx import gaussian, hadamard, povm, qubit_disc, receivers
 
 
 def report(num: int, passed: bool, detail: str) -> None:

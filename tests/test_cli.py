@@ -126,6 +126,23 @@ def test_bpsk_sweep_rejects_bad_grid(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("receiver, steps", [("opt_kennedy", "1"), ("cavity", "1"),
+                                             ("nhpa", "2"), ("helstrom", "1")])
+def test_bpsk_sweep_bounds_alpha_at_a_max(tmp_path, capsys, receiver, steps):
+    # alpha = 1e308 once exited 1 with an OverflowError traceback, or 2 with
+    # "search bounds must be finite", which did not name alpha
+    a_max = receivers.A_MAX
+    argv = ["bpsk-sweep", "--receiver", receiver, "--steps", steps]
+    code, text = run_cli(argv + [f"--alpha-grid={a_max!r}:{a_max!r}:1"], tmp_path)
+    assert code == 0
+    p_succ, p_helstrom = (float(x) for x in parse_csv(text)[1][0][1:3])
+    assert p_helstrom - 1e-12 <= p_succ <= p_helstrom
+    for above in (math.nextafter(a_max, math.inf), 1e308):
+        code, text = run_cli(argv + [f"--alpha-grid={above!r}:{above!r}:1"], tmp_path, "above")
+        assert (code, text) == (2, "")
+        assert f"alpha must be <= A_MAX = 1e+09, got {above!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("steps", ["1", "3"])
 def test_bpsk_sweep_rejects_negative_alphas(tmp_path, capsys, steps):
     # a negative alpha once gave wrong p_succ with exit 0 (opt_kennedy 0.5000
@@ -478,6 +495,36 @@ def test_gaussian_check_physical_and_unphysical(tmp_path):
     assert json.loads(text)["state"]["physical"] is False
 
 
+@pytest.mark.parametrize("payload, field", [
+    ({"state": {"mean": [float("nan"), 0.0], "cov": [[0.5, 0.0], [0.0, 0.5]]}}, "mean"),
+    ({"state": {"mean": [0.0, 0.0], "cov": [[float("inf"), 0.0], [0.0, 0.5]]}}, "cov"),
+    ({"channel": {"A": [[float("nan"), 0.0], [0.0, 1.0]], "B": [[0.0, 0.0], [0.0, 0.0]],
+                  "b": [0.0, 0.0]}}, "A"),
+    ({"channel": {"A": [[1.0, 0.0], [0.0, 1.0]], "B": [[0.0, 0.0], [0.0, 0.0]],
+                  "b": [0.0, float("inf")]}}, "b"),
+])
+def test_gaussian_check_calls_non_finite_fields_unphysical(tmp_path, capsys, payload, field):
+    # a nan mean was reported "physical": true, and an inf cov printed a
+    # numpy RuntimeWarning to stderr before its report
+    src = tmp_path / "g.json"
+    src.write_text(json.dumps(payload))
+    code, text = run_cli(["gaussian-check", "--in", str(src)], tmp_path)
+    (_, report), = json.loads(text).items()
+    assert code == 0 and report == {"physical": False, "reason": f"{field} must be finite"}
+    assert capsys.readouterr().err == ""
+
+
+def test_hadamard_rates_bounds_m_before_allocating(tmp_path, capsys):
+    # --M 100000 asked for a 74.5 GiB (M, M) array and exited 1 with a traceback
+    argv = ["hadamard-rates", "--N", "2", "--E-grid", "0.5:0.5:1"]
+    code, _ = run_cli(argv + ["--M", "100000"], tmp_path)
+    assert code == 2
+    assert f"--M must be at most {cli.M_MAX}, got 100000" in capsys.readouterr().err
+    assert run_cli(argv + ["--M", str(cli.M_MAX + 1)], tmp_path)[0] == 2
+    code, text = run_cli(argv + ["--M", str(cli.M_MAX)], tmp_path)
+    assert code == 0 and len(parse_csv(text)[1]) == 1
+
+
 def test_gaussian_check_rejects_bad_json(tmp_path):
     src = tmp_path / "g.json"
     src.write_text("{not json")
@@ -744,11 +791,7 @@ sys.modules["scipy"] = None
 import numpy as np
 from qrx import cli, fock, qubit_disc
 codes = [cli.main(argv) for argv in {blocked!r}]
-axis = np.linspace(-3.0, 3.0, 7)
-ket = fock.coherent_state(0.5 + 0.2j, 20)
-fock.wigner(np.outer(ket, ket.conj()), axis, axis)
-fock.squeezed_state(0.3, 40)
-fock.loss_kraus(0.7, 6)
+fock._log_factorials(40)
 swap = np.array([[0.0, 1.0], [1.0, 0.0]])
 print(json.dumps([codes, qubit_disc.cyclic_symmetric_perr(np.array([1.0, 0.0]), swap, 2)]))
 """)

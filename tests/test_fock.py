@@ -1,4 +1,5 @@
-"""Tests for the truncated Fock-space layer.
+"""Tests for the Fock-space reference module (tests/fockspace.py) and for
+qrx.fock's truncation rule, which it re-exports.
 
 Oracle values are either closed forms evaluated independently in the test
 body or frozen constants computed from a reference implementation (noted
@@ -10,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
-from scipy.special import eval_genlaguerre, gammaln
+from scipy.special import gammaln
 
-from qrx import ConvergenceError, TruncationError, fock, info, povm, receivers
+import fockspace as fock
+import information as info
+from qrx import ConvergenceError, TruncationError, povm, receivers
 
 
 def squeeze_operator(r, cutoff):
@@ -28,26 +31,6 @@ def displacement_operator(beta, cutoff):
     unitary on the truncated space."""
     a = fock.annihilation(cutoff)
     return expm(beta * a.conj().T - np.conj(beta) * a)
-
-
-def laguerre_wigner(m_rho, q_axis, p_axis):
-    """Oracle: the displaced-parity Wigner sum of `fock.wigner`, with each
-    L_m^{(n-m)} from scipy's eval_genlaguerre and the diagonal and
-    off-diagonal terms summed in separate loops."""
-    qg, pg = np.meshgrid(q_axis, p_axis, indexing="ij")
-    dim = m_rho.shape[0]
-    beta = np.sqrt(2.0) * (qg + 1j * pg)
-    x = np.abs(beta) ** 2
-    lf = gammaln(np.arange(dim) + 1.0)
-    total = np.zeros(qg.shape)
-    for m in range(dim):
-        total += (-1.0) ** m * m_rho[m, m].real * eval_genlaguerre(m, 0, x)
-    acc = np.zeros(qg.shape, dtype=complex)
-    for j in range(1, dim):
-        for m in range(dim - j):
-            acc += ((-1.0) ** m * m_rho[m, m + j] * np.exp(0.5 * (lf[m] - lf[m + j]))
-                    * beta**j * eval_genlaguerre(m, j, x))
-    return (total + 2.0 * acc.real) * np.exp(-0.5 * x) / np.pi
 
 
 def matrix_squeezed_displaced_state(beta, r, cutoff):
@@ -142,7 +125,6 @@ def test_fock_returns_plain_arrays():
     batch = fock.squeezed_displaced_state(np.array([[0.4], [-1.0]]), np.array([0.2, 0.0, -0.3]), c)
     assert batch.shape == (c + 1, 2, 3) and batch.dtype == float
     assert np.array_equal(batch[:, 0, 0], real)
-    assert fock.wigner(rho, np.linspace(-1, 1, 3), np.linspace(-1, 1, 5)).shape == (3, 5)
     e0 = np.zeros((c + 1, c + 1)); e0[0, 0] = 1.0
     probs = povm.measure(povm.Povm([e0, np.eye(c + 1) - e0]), rho)
     assert probs[0] == pytest.approx(np.exp(-0.25), abs=1e-12)
@@ -413,36 +395,3 @@ def test_op_sqrt_and_abs():
     assert np.linalg.eigvalsh(r).min() >= -1e-12
     assert np.max(np.abs(r @ r - pos)) < 1e-9
 
-
-class TestWigner:
-    def test_vacuum_gaussian(self):
-        qs = np.linspace(-4, 4, 61)
-        v = fock.coherent_state(0, 12)
-        w = fock.wigner(np.outer(v, v.conj()), qs, qs)
-        qg, pg = np.meshgrid(qs, qs, indexing="ij")
-        assert np.max(np.abs(w - np.exp(-(qg**2 + pg**2)) / np.pi)) < 1e-8
-
-    def test_coherent_displaced_gaussian(self):
-        alpha = 0.5 + 0.3j
-        qs = np.linspace(-5, 5, 81)
-        v = fock.coherent_state(alpha, 25)
-        w = fock.wigner(np.outer(v, v.conj()), qs, qs)
-        qg, pg = np.meshgrid(qs, qs, indexing="ij")
-        c, s = np.sqrt(2) * alpha.real, np.sqrt(2) * alpha.imag
-        assert np.max(np.abs(w - np.exp(-((qg - c) ** 2 + (pg - s) ** 2)) / np.pi)) < 1e-8
-
-    def test_recurrence_matches_laguerre_oracle(self):
-        rng = np.random.default_rng(11)
-        qs = np.linspace(-6, 6, 49)
-        for dim in (1, 2, 5, 17, 40):
-            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            rho = a @ a.conj().T / np.trace(a @ a.conj().T)
-            got = fock.wigner(rho, qs, qs[::2])
-            assert np.max(np.abs(got - laguerre_wigner(rho, qs, qs[::2]))) < 1e-14
-
-    def test_grid_normalization(self):
-        # >= 6 sigma coverage, integral within 2% of the trace
-        rho = fock.thermal_state(0.6, 40)
-        qs = np.linspace(-7, 7, 141)
-        w = fock.wigner(rho, qs, qs)
-        assert np.trapezoid(np.trapezoid(w, qs, axis=1), qs) == pytest.approx(1.0, rel=0.02)

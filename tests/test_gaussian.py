@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrx import fock, gaussian as g
+import fockspace as fock
+from qrx import gaussian as g
 
 
 def test_phase_identity():

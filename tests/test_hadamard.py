@@ -20,9 +20,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import information as info
 from qrx import cli
 from qrx import hadamard as hd
-from qrx import info
 from qrx.errors import ConvergenceError
 
 
@@ -350,6 +350,7 @@ def test_classical_capacity_values():
     assert hd.classical_capacity(0.0) == 0.0
     # formula value at E=0.05 (frozen; see decisions ledger)
     assert hd.classical_capacity(0.05) == pytest.approx(0.29000519903033606, abs=1e-14)
+    assert hd.classical_capacity(0.5) == pytest.approx(1.377443751081734, abs=1e-12)
     with pytest.raises(ValueError):
         hd.classical_capacity(-0.1)
 
@@ -430,7 +431,8 @@ def test_psk_helstrom_binary_reduces_to_helstrom_bound():
 def test_psk_helstrom_matches_square_root_measurement():
     """Fock-space SRM oracle: the square-root measurement on M symmetric
     coherent states attains exactly the P_hel diagonal."""
-    from qrx import fock, povm
+    import fockspace as fock
+    from qrx import povm
 
     m, e = 4, 0.5
     cutoff = 30

@@ -1,8 +1,12 @@
+"""Tests of the information-theory reference module (tests/information.py),
+and of qrx.hadamard's capacity and Holevo-optimal rate against it."""
+
 import numpy as np
 import pytest
 
-from qrx import fock, info
-from qrx.hadamard import classical_capacity
+import fockspace as fock
+import information as info
+from qrx.hadamard import classical_capacity, optimal_rate
 
 
 def test_uniform_entropy():
@@ -22,10 +26,13 @@ def test_pure_state_entropy_zero():
 
 
 def test_thermal_entropy_g1():
-    # g(1) = 2 log2(2) - 0 = 2 bits
+    # g(1) = 2 log2(2) - 0 = 2 bits; C(E) is the entropy of the thermal
+    # state of mean photon number E
     assert info.von_neumann_entropy(fock.thermal_state(1.0, 80)) == pytest.approx(2.0, abs=1e-6)
     assert classical_capacity(1.0) == pytest.approx(2.0, abs=1e-12)
-    assert info.pi_capacity(1.0, 0.0, 1.0) == pytest.approx(2.0, abs=1e-12)
+    for e in (0.05, 0.3, 2.5):
+        assert classical_capacity(e) == pytest.approx(
+            info.von_neumann_entropy(fock.thermal_state(e, 200)), abs=1e-9)
 
 
 def test_maximally_mixed_qubit():
@@ -51,6 +58,12 @@ def test_holevo_bpsk_gram_oracle():
                      [np.vdot(minus, plus), np.vdot(minus, minus)]]) / 2
     want = info.spectrum_entropy(np.linalg.eigvalsh(gram))
     assert chi == pytest.approx(want, abs=1e-8)
+    # a length-1 Hadamard code is the M-PSK ensemble itself, so its
+    # Holevo-optimal rate is the ensemble's chi
+    for m in (2, 3, 4):
+        kets = [fock.coherent_state(alpha * np.exp(2j * np.pi * k / m), 40) for k in range(m)]
+        chi = info.holevo_chi([(np.outer(v, v.conj()), 1.0 / m) for v in kets])
+        assert optimal_rate(1, m, alpha**2) == pytest.approx(chi, abs=1e-9)
 
 
 def test_entropy_concavity_spot_checks():
@@ -67,14 +80,3 @@ def test_entropy_concavity_spot_checks():
         assert info.von_neumann_entropy(avg) >= sum(
             pi * info.von_neumann_entropy(r) for pi, r in zip(p, rhos)) - 1e-9
 
-
-def test_pi_capacity_lossless_limit():
-    for E in (0.3, 1.0, 2.5):
-        assert info.pi_capacity(1.0, 0.0, E) == pytest.approx(classical_capacity(E), abs=1e-12)
-
-
-def test_pi_capacity_values():
-    assert info.pi_capacity(0.7, 0.0, 0.0) == pytest.approx(0.0, abs=1e-12)
-    # eta=0.5, nbar=0, E=1 -> g(0.5)
-    assert info.pi_capacity(0.5, 0.0, 1.0) == pytest.approx(classical_capacity(0.5), abs=1e-12)
-    assert classical_capacity(0.5) == pytest.approx(1.377443751081734, abs=1e-12)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qrx import fock, povm
+import fockspace as fock
+from qrx import povm
 
 
 def random_density(rng, d):

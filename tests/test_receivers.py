@@ -9,15 +9,17 @@ from scipy.linalg import expm
 from scipy.special import gammaln
 from test_fock import matrix_squeezed_displaced_state, squeezed_displaced_overlap
 
+import fockspace
 from qrx import fock, povm
 from qrx import receivers as rc
 from qrx._search import _grid_max
+from qrx.errors import TruncationError
 
 CUT = 40
 
 
 def coh(x, cutoff=CUT):
-    return fock.coherent_state(x, cutoff=cutoff)
+    return fockspace.coherent_state(x, cutoff=cutoff)
 
 
 def nhpa_coeffs(g, n, k_max: int) -> tuple:
@@ -66,10 +68,10 @@ def test_homodyne_against_quadrature_oracle():
     # integrate |<q|-a>|^2 over q > 0 (wrong-sign region) numerically
     alpha = 0.6
     cutoff = 50
-    amps = fock.coherent_state(-alpha, cutoff=cutoff)
+    amps = fockspace.coherent_state(-alpha, cutoff=cutoff)
     qs = np.linspace(0, 8, 4001)
     vals = np.array(
-        [abs(fock.quadrature_eigenvector(q, 0.0, cutoff).conj() @ amps) ** 2 for q in qs]
+        [abs(fockspace.quadrature_eigenvector(q, 0.0, cutoff).conj() @ amps) ** 2 for q in qs]
     )
     assert rc.homodyne_perr(alpha) == pytest.approx(np.trapezoid(vals, qs), abs=1e-6)
     assert rc.homodyne_perr(0.0) == pytest.approx(0.5, abs=1e-12)
@@ -287,7 +289,7 @@ def jc_dephased_output(alpha, cutoff=30):
     h = np.kron(a.conj().T, sp.conj().T) + np.kron(a, sp)
     u1 = expm(-1j * h * np.pi / 2)
     u2 = expm(-1j * h * 3 * np.pi / 2)
-    psi1 = u1 @ np.kron(fock.coherent_state(alpha, cutoff=cutoff), [1.0, 0.0])
+    psi1 = u1 @ np.kron(fockspace.coherent_state(alpha, cutoff=cutoff), [1.0, 0.0])
     n_phases = 2 * cutoff + 5
     rho = np.zeros((d, d), dtype=complex)
     for j in range(n_phases):
@@ -315,8 +317,8 @@ def test_cavity_output_against_jc_simulation():
 
 
 def test_cavity_trace_and_vacuum():
-    assert np.sum(rc.cavity_output(0.5)[0]) == pytest.approx(1.0, abs=1e-8)
-    out = cavity_matrix(rc.cavity_output(0.0))
+    assert np.sum(rc.cavity_output(0.5, fock.auto_cutoff(0.25))[0]) == pytest.approx(1.0, abs=1e-8)
+    out = cavity_matrix(rc.cavity_output(0.0, fock.auto_cutoff(0.0)))
     want = np.zeros_like(out); want[0, 0] = 1.0
     assert np.max(np.abs(out - want)) < 1e-14
 
@@ -329,9 +331,41 @@ def test_cavity_stays_finite_at_large_alpha(alpha):
         warnings.simplefilter("error")
         diag, sub = rc._cavity_field(alpha, 2.0)
         p, beta = rc.cavity_optimize(alpha)
+        whole_diag, whole_sub = rc.cavity_output(2.0 * alpha, fock.auto_cutoff(4.0 * alpha**2))
     assert np.isfinite(diag).all() and np.isfinite(sub).all()
-    assert np.sum(diag) == pytest.approx(1.0, abs=1e-8)
     assert 0.5 <= p <= 1.0 - rc.helstrom_bpsk(alpha) and -2.0 <= beta <= 0.0
+    # the probe's field holds the first levels of the whole field, which
+    # cavity_output checks to have trace 1, and the levels it drops move
+    # <beta|rho|beta> by at most (1 - sum_{k<K} q_k)(1 + 2|beta|) at |beta| <= 2
+    k = len(sub)
+    assert np.array_equal(diag[:k], whole_diag[:k]) and np.array_equal(sub, whole_sub[:k])
+    assert np.sum(whole_diag) == pytest.approx(1.0, abs=1e-8)
+    q = rc._poisson(np.linspace(0.0, 2.0, 41) ** 2, k)
+    assert np.max((1.0 - q.sum(axis=-1)) * 5.0) <= fock.TRUNCATION_TOL
+
+
+@pytest.mark.parametrize("alpha", [60.0, 205.0, 260.0, 1e3, 1e4, 1e6, rc.A_MAX])
+def test_cavity_evaluates_up_to_a_max(alpha):
+    # the field was sized by the signal, 4 alpha^2 levels: its trace check
+    # failed from alpha = 205, and alpha = 1e4 asked for a 3 GiB array
+    diag, sub = rc._cavity_field(alpha, 2.0)
+    assert len(diag) == fock.auto_cutoff(4.0) + 2
+    p, beta = rc.cavity_optimize(alpha)
+    assert 1.0 - rc.helstrom_bpsk(alpha) - 1e-12 <= p <= 1.0 - rc.helstrom_bpsk(alpha)
+
+
+def test_every_receiver_evaluates_at_a_max_and_refuses_above():
+    p_hel = 1.0 - rc.helstrom_bpsk(rc.A_MAX)
+    for kind in rc.PARAMS:
+        assert p_hel - 1e-12 <= rc.optimize(kind, rc.A_MAX)[0] <= p_hel + 1e-15, kind
+    for base in rc.DOLINAR_BASES:
+        assert p_hel - 1e-12 <= rc.dolinar_multistep(rc.A_MAX, 2, base) <= p_hel + 1e-15, base
+    above = math.nextafter(rc.A_MAX, math.inf)
+    calls = [(rc.optimize, kind, above) for kind in rc.PARAMS]
+    calls += [(rc.dolinar_multistep, above, 2, "nhpa"), (rc.ts_psucc, above, -1.0, 0.0)]
+    for fun, *args in calls:
+        with pytest.raises(ValueError, match="A_MAX"):
+            fun(*args)
 
 
 def test_cavity_psucc_cutoff_covers_probe():
@@ -540,7 +574,7 @@ def test_pi_channel_never_helps_kennedy():
 
     def opt_kennedy_on(rho_p, rho_m, cut):
         def psucc(beta):
-            b = fock.coherent_state(beta, cutoff=cut)
+            b = fockspace.coherent_state(beta, cutoff=cut)
             p0m = float(np.real(b.conj() @ rho_m @ b))
             p0p = float(np.real(b.conj() @ rho_p @ b))
             return 0.5 * (1 + p0m - p0p)
@@ -548,16 +582,16 @@ def test_pi_channel_never_helps_kennedy():
         return rc._grid_max(np.vectorize(psucc), (-2.2,), (0.5,), (1e-9,), n_grid=61)[0]
 
     for _ in range(20):
-        vp = fock.coherent_state(alpha, cutoff=cutoff)
-        vm = fock.coherent_state(-alpha, cutoff=cutoff)
+        vp = fockspace.coherent_state(alpha, cutoff=cutoff)
+        vm = fockspace.coherent_state(-alpha, cutoff=cutoff)
         plus, minus = np.outer(vp, vp.conj()), np.outer(vm, vm.conj())
         if rng.random() < 0.5:
             eta = rng.uniform(0.05, 0.999)
-            rp, rm = fock.apply_loss(plus, eta), fock.apply_loss(minus, eta)
+            rp, rm = fockspace.apply_loss(plus, eta), fockspace.apply_loss(minus, eta)
         else:
             kappa = rng.uniform(1.001, 3.0)
-            rp = fock.apply_amplifier(plus, kappa, out_cutoff=cutoff)
-            rm = fock.apply_amplifier(minus, kappa, out_cutoff=cutoff)
+            rp = fockspace.apply_amplifier(plus, kappa, out_cutoff=cutoff)
+            rm = fockspace.apply_amplifier(minus, kappa, out_cutoff=cutoff)
         assert opt_kennedy_on(rp, rm, cutoff) <= base + 1e-7
 
 
@@ -766,7 +800,7 @@ def float_ts_psucc(alpha, beta, r, n=2):
         psi, prev = (beta * psi - s * root * prev) / (c * root_next), psi
     bound = 2.0 * math.sqrt(tail * max(1.0 - norm, 0.0))
     if bound > fock.TRUNCATION_TOL:
-        raise fock.TruncationError(
+        raise TruncationError(
             f"ts at alpha={alpha!r}, beta={beta!r}, r={r!r}: cutoff "
             f"k_max={k_max} bounds the p(0|+) error by {bound:.2e} > {fock.TRUNCATION_TOL:.0e}")
     p0_plus = math.fsum(prod[n:]) ** 2 + math.fsum(prod[:n]) ** 2
@@ -828,8 +862,8 @@ def nested_nhpa_optimize(alpha, n_values=(1, 2, 3), g_max=200.0):
 
 
 def cavity_coherent_psucc(alpha, beta, rho):
-    """cavity_psucc with the probe from fock.coherent_state."""
-    coh = fock.coherent_state(beta, cutoff=len(rho) - 1)
+    """cavity_psucc with the probe from fockspace.coherent_state."""
+    coh = fockspace.coherent_state(beta, cutoff=len(rho) - 1)
     return 0.5 * (1.0 + math.exp(-(beta**2)) - float(np.real(coh.conj() @ rho @ coh)))
 
 

@@ -117,6 +117,20 @@ def test_grid_max_rejects_nan_or_negative_tol(tol):
     assert calls == []
 
 
+def test_grid_max_ends_where_floats_cannot_reach_tol():
+    # near beta = -1e4 one float spacing (1.8e-12) exceeds tol = 1e-12, so a
+    # box that must be narrower than tol never ends; opt_kennedy hung there
+    def fun(x):
+        calls.append(1)
+        assert len(calls) < 200, "_grid_max did not stop"
+        return -np.abs(x + 1e4 + 0.3)
+
+    calls = []
+    val, x = _grid_max(fun, (-1e4 - 1.0,), (-1e4 + 1.0,), (1e-12,))
+    assert x == pytest.approx(-1e4 - 0.3, abs=4 * np.spacing(1e4)) and val <= 0.0
+    assert rc.optimized_kennedy(1e4)[1] == pytest.approx(-1e4, abs=1e-6)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", range(4))
 def test_grid_max2_rejects_non_finite_bounds(bad, where):
