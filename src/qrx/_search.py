@@ -55,21 +55,14 @@ def _grid_max(fun, lo, hi, tol, n_grid=_ZOOM):
     pad = (...,) + (None,) * d
     a, b, tol = box.reshape((3, d) + box.shape[1:])[pad]
     w = b - a
-
-    def floor(a, b):
-        """4 float spacings at the larger end of each box."""
-        return 4.0 * np.spacing(np.maximum(abs(a), abs(b)))
-
-    # no sub-box has a coarser spacing than the first box, so only where that
-    # spacing exceeds tol can the floor end a lane
-    coarse = (floor(a, b) > tol).any()
     (ts, lo_t, hi_t), zoom = _grid(n_grid, d), _grid(_ZOOM, d)
     while True:
         v = fun(*[a[k] + w[k] * ts[k] for k in range(d)])
         i = np.argmax(v.reshape(v.shape[:-d] + (-1,)), axis=-1)[pad]
         a, b = a + w * lo_t[:, i], a + w * hi_t[:, i]
         w = b - a
-        if (w <= (np.maximum(tol, floor(a, b)) if coarse else tol)).all():
+        # within tol, or within 4 float spacings of the box's larger end
+        if (w <= np.maximum(tol, 4.0 * np.spacing(np.maximum(abs(a), abs(b))))).all():
             break
         ts, lo_t, hi_t = zoom
     x = 0.5 * (a + b)

@@ -369,7 +369,7 @@ def test_every_receiver_evaluates_at_a_max_and_refuses_above():
 
 
 def test_cavity_psucc_cutoff_covers_probe():
-    # weak signal, strong probe: the cutoff follows the larger of the two
+    # weak signal, strong probe: the cutoff follows the probe's |beta| only
     for alpha, beta in ((0.05, -2.0), (0.1, -3.0), (0.8, -0.3)):
         p = rc.cavity_psucc(alpha, beta)
         assert 0.0 <= p <= 1.0
