@@ -4,11 +4,11 @@ PSK/Hadamard code rates.
 Modules
 -------
 fock        the Fock-space truncation rule (auto_cutoff) of the cavity probe
-gaussian    phase-space (mean, covariance) calculus
-povm        measurements, Helstrom optimum, binary-tree decomposition
+gaussian    physicality of Gaussian states and channels
+povm        POVMs, binary-tree decomposition and reconstruction
 qubit_disc  minimum-error discrimination of 3-4 qubit states
 receivers   binary coherent-state receivers (Kennedy, NHPA, dephaser, ...)
-hadamard    PSK Hadamard codes and achievable rates
+hadamard    PSK Hadamard code rates
 cli         reproducible experiment runner
 """
 

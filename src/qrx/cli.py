@@ -48,6 +48,10 @@ class ConfigError(ValueError):
     """Invalid flag/grid/config-file content."""
 
 
+#: most points of a grid flag (--alpha-grid, --E-grid) and of figures --points
+POINTS_MAX = 10_000
+
+
 # ---------------------------------------------------------------- formatting
 
 
@@ -92,8 +96,9 @@ def _read_text(path: str) -> str:
 # ------------------------------------------------------------------ parsing
 
 
-def _parse_grid(spec: str) -> np.ndarray:
-    """``a:b:n`` or ``lin:a:b:n`` (linear) / ``log:a:b:n`` (log-spaced)."""
+def _parse_grid(spec: str, flag: str) -> np.ndarray:
+    """``a:b:n`` or ``lin:a:b:n`` (linear) / ``log:a:b:n`` (log-spaced), with
+    at most POINTS_MAX points; ``flag`` names the grid in that error."""
     parts = spec.split(":")
     kind = "lin"
     if parts and parts[0] in ("lin", "log"):
@@ -108,6 +113,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ConfigError(f"grid endpoints must be finite, got {spec!r}")
     if num < 1:
         raise ConfigError("grid needs at least one point")
+    if num > POINTS_MAX:
+        raise ConfigError(f"{flag} must have at most {POINTS_MAX} points, got {num}")
     if kind == "log":
         if lo <= 0 or hi <= 0:
             raise ConfigError("log grid endpoints must be positive")
@@ -150,15 +157,17 @@ def _parse_lengths(spec: str) -> list:
     return out
 
 
-def _int_flag(flag: str, value, least: int, what: str = "an integer") -> int:
-    """An integer flag >= ``least`` from its default or its text (which for
-    a config value is the value's JSON text, so 3.9 and true fail)."""
+def _int_flag(flag: str, value, least: int, most, what: str = "an integer") -> int:
+    """An integer flag in [least, most] from its default or its text (which
+    for a config value is the value's JSON text, so 3.9 and true fail)."""
     try:
         value = int(value)
     except ValueError:
         raise ConfigError(f"{flag} must be {what}, got {value}") from None
     if value < least:
         raise ConfigError(f"{flag} must be >= {least}")
+    if value > most:
+        raise ConfigError(f"{flag} must be at most {most}, got {value}")
     return value
 
 
@@ -196,12 +205,17 @@ def _sweep_point(kind: str, alpha: float, steps: int):
     return (alpha**2, p, p_hel, p_hel - p, *params)
 
 
+#: largest --steps: the Dolinar tree's cost doubles with each step (at
+#: alpha = 0.6, nhpa took 2.0 s at 12 steps and 7.3 s at 14, ~30 s at 16)
+STEPS_MAX = 16
+
+
 def _cmd_bpsk_sweep(args) -> int:
     if args.receiver not in receivers.PARAMS:
         raise ConfigError(
             f"receiver must be one of {tuple(receivers.PARAMS)}, got {args.receiver!r}")
-    steps = _int_flag("--steps", args.steps, 1)
-    alphas = _parse_grid(args.alpha_grid)
+    steps = _int_flag("--steps", args.steps, 1, STEPS_MAX)
+    alphas = _parse_grid(args.alpha_grid, "--alpha-grid")
     if (alphas < 0).any():
         raise ConfigError(f"alpha grid must not go below 0, got {args.alpha_grid!r}")
     header = ["alpha_sq", "p_succ", "p_helstrom", "gap"]
@@ -218,19 +232,34 @@ def _cmd_bpsk_sweep(args) -> int:
 #: largest PSK order --M: the rate arrays hold (E, N, M, M) floats, ~0.3 GB
 #: and ~4 s at M = 64 for the default 200 energies and 10 code lengths
 M_MAX = 64
+#: largest code length --N: 2^62, the largest power of two that int64 holds
+N_MAX = 1 << 62
+#: most floats in one array of a hadamard-rates request: the rates hold
+#: E·N·M² (8.2 M for the default 200 energies and 10 code lengths at M = 64),
+#: and a finite --J evaluates the J nodes of one energy at once, M² floats
+#: each, or 3·4·_NODES = 384 for the inner rule of the realistic M = 4 cascade
+RATE_FLOATS_MAX = 1 << 23
 
 
 def _cmd_hadamard_rates(args) -> int:
-    m = _int_flag("--M", args.m, 1)
-    if m > M_MAX:
-        raise ConfigError(f"--M must be at most {M_MAX}, got {m}")
+    m = _int_flag("--M", args.m, 1, M_MAX)
     lengths = _parse_lengths(args.n)
     for n in lengths:
         if n < 1 or n & (n - 1):
             raise ConfigError(f"code lengths must be powers of two, got {n}")
-    energies = _parse_grid(args.e_grid)
+        if n > N_MAX:
+            raise ConfigError(f"--N code lengths must be at most 2^62, got {n}")
+    energies = _parse_grid(args.e_grid, "--E-grid")
     j_steps = (None if str(args.j).lower() in ("inf", "none", "")
-               else _int_flag("--J", args.j, 1, "an integer or 'inf'"))
+               else _int_flag("--J", args.j, 1, math.inf, "an integer or 'inf'"))
+    rate_floats = len(energies) * len(lengths) * m * m
+    if rate_floats > RATE_FLOATS_MAX:
+        raise ConfigError(f"--E-grid and --N ask for {len(energies)} x {len(lengths)} rates of "
+                          f"{m} x {m} floats, {rate_floats} in all; at most {RATE_FLOATS_MAX}")
+    per_step = 3 * 4 * hadamard._NODES if (args.kernel, m) == ("realistic", 4) else m * m
+    if j_steps is not None and j_steps * per_step > RATE_FLOATS_MAX:
+        raise ConfigError(f"--J {j_steps} asks for {j_steps * per_step} floats per energy "
+                          f"({per_step} per step); at most {RATE_FLOATS_MAX}")
     rates = hadamard.had_rate(
         np.array(lengths), m, energies[:, None], kernel=args.kernel, j_steps=j_steps
     )
@@ -439,7 +468,7 @@ def _fig_finite_steps(energies) -> tuple:
 
 
 def _cmd_figures(args) -> int:
-    points = _int_flag("--points", args.points, 2)
+    points = _int_flag("--points", args.points, 2, POINTS_MAX)
     wanted = set(args.only.split(",")) if args.only else None
     produced = []
     jobs = {

@@ -1,4 +1,4 @@
-"""PSK Hadamard codes: construction, optimal rates, and vacuum-or-pulse receivers.
+"""PSK Hadamard codes: optimal rates and vacuum-or-pulse receivers.
 
 A Hadamard code of length ``N`` (a power of two) patterns binary coherent
 amplitudes ``±α`` on ``N`` modes after the columns of the Hadamard matrix
@@ -8,14 +8,12 @@ pulse-position-modulated one: a single pulse ``√N·α_m`` on one mode, vacuum
 elsewhere.  All rates below are evaluated in that PPM picture, so the pulse
 energy is ``ℰ = N·E`` with ``E`` the average energy per mode.
 
-The module provides the codewords (`hadamard_codewords`), the Holevo-optimal
-rate (`optimal_rate`), the single-mode detection kernels, named by a string:
-"helstrom" (cyclic-symmetric Helstrom) or "realistic" (a practical nulling
-cascade for M ∈ {3, 4}), as matrices (`kernel_matrix`) or entries
-(`psk_helstrom_prob`, `realistic_psk`), the vacuum-or-pulse detection
-probabilities at finite or infinite splitting steps (`vp_prob`), and the
-receiver/separable rates and their envelope over code lengths (`had_rate`,
-`separable_rate`, `envelope`).
+The module provides the Holevo-optimal rate (`optimal_rate`), the
+single-mode detection kernels, named by a string: "helstrom"
+(cyclic-symmetric Helstrom) or "realistic" (a practical nulling cascade for
+M ∈ {3, 4}), as matrices (`kernel_matrix`), vacuum-or-pulse detection at
+finite or infinite splitting steps, and the receiver/separable rates and
+their envelope over code lengths (`had_rate`, `separable_rate`, `envelope`).
 
 Numerical method
 ----------------
@@ -38,8 +36,8 @@ eigenvalues λ_ℓ(ε): `_psk_lambda` takes an FFT of O(1) terms, so the
 10, the relative error of λ reached 1.7e-5 for M = 4 (at ε = 1e-4) and 1.0
 for M = 8 (at ε = 0.01), and the Helstrom kernel entries were off by up to
 1.6e-14 absolute for M ≤ 3, 1.8e-12 for M = 4 and 1.1e-9 for M = 8.  ~1e-14
-holds for M ≤ 3, for M = 4 at ε ≥ 0.01 and for M = 8 at ε ≥ 1; direction 4
-of ROADMAP.md (a positive-series λ) is the fix.
+holds for M ≤ 3, for M = 4 at ε ≥ 0.01 and for M = 8 at ε ≥ 1; a
+positive-series λ would fix this.
 """
 
 from __future__ import annotations
@@ -55,17 +53,10 @@ __all__ = [
     "classical_capacity",
     "envelope",
     "had_rate",
-    "hadamard_codewords",
-    "hadamard_matrix",
     "kernel_matrix",
     "optimal_rate",
-    "ppm_transform_check",
     "psk_eigenvalues",
-    "psk_helstrom_prob",
-    "realistic_psk",
     "separable_rate",
-    "vp_prob",
-    "vp_vacuum_prob",
 ]
 
 #: Gauss–Legendre nodes per panel of the coarse rule (the fine one has twice)
@@ -93,41 +84,6 @@ def _require_power_of_two(n) -> None:
     arr = np.asarray(n)
     if arr.dtype.kind not in "iu" or np.any(arr < 1) or np.any(arr & (arr - 1)):
         raise ValueError(f"code length must be a power of two, got {n!r}")
-
-
-def hadamard_matrix(n: int) -> np.ndarray:
-    """Symmetric Hadamard matrix of order ``n`` (a power of two), integer ±1.
-
-    Entry (j, k) is (−1) raised to the bitwise scalar product of the binary
-    representations of j and k, so H is symmetric and H·Hᵀ = n·I exactly.
-    """
-    _require_power_of_two(n)
-    idx = np.arange(n, dtype=np.uint64)
-    parity = np.zeros((n, n), dtype=np.int64)
-    bits = np.bitwise_and.outer(idx, idx)
-    while np.any(bits):
-        parity ^= (bits & 1).astype(np.int64)
-        bits >>= 1
-    return 1 - 2 * parity
-
-
-def hadamard_codewords(n: int, m: int, alpha: complex) -> np.ndarray:
-    """N×(N·M) amplitude matrix of the order-``m`` PSK Hadamard code of
-    length ``n`` and base amplitude ``alpha``: column m'·N + k is codeword
-    (k, m'), the per-mode amplitudes α_{m'}·H_N[:, k] with α_{m'} = α·e^{i2πm'/m}.
-    The mean energy per mode is E = |α|²."""
-    _require_power_of_two(n)
-    if not (isinstance(m, (int, np.integer)) and m >= 1):
-        raise ValueError(f"number of phases must be a positive integer, got {m!r}")
-    return np.kron(alpha * np.exp(2j * np.pi * np.arange(m) / m), hadamard_matrix(n))
-
-
-def ppm_transform_check(n: int, m: int, alpha: complex) -> float:
-    """Max deviation of (H_N/√N)·codeword from a single pulse √N·α_{m'} on slot k."""
-    codewords = hadamard_codewords(n, m, alpha)
-    # row 0 of H_N is all ones, so row 0 of the codewords holds each α_{m'} N times
-    pulses = math.sqrt(n) * np.kron(codewords[0, ::n], np.eye(n))
-    return float(np.max(np.abs((hadamard_matrix(n) / math.sqrt(n)) @ codewords - pulses)))
 
 
 def _psk_lambda(m: int, eps: np.ndarray) -> np.ndarray:
@@ -366,44 +322,6 @@ def kernel_matrix(kind: str, m: int, energy) -> np.ndarray:
     cascade, M ∈ {3, 4}).  Columns sum to ≤ 1 (= 1 for helstrom); an array
     of energies gives an array of matrices, shape (..., M, M)."""
     return _detection(kind, m, energy, bare=True)
-
-
-def psk_helstrom_prob(l: int, m_in: int, m: int, energy: float) -> float:
-    """Optimal probability of guessing phase ℓ when phase m_in of an M-PSK
-    coherent set with per-state energy ``energy`` was sent:
-    |Σ_j e^{−i2πj(ℓ−m)/M}·√λ_j / M|².
-    """
-    return float(kernel_matrix("helstrom", m, energy)[(l - m_in) % m, 0])
-
-
-def realistic_psk(l: int, m_in: int, m: int, energy: float) -> float:
-    """Sequential-nulling cascade probability P(ℓ|m) for M ∈ {3, 4} PSK states.
-
-    Stage one nulls α₀ with a displaced on-off detector in the infinite
-    splitting-step limit; a click hands the residual energy to the next stage
-    (Dolinar for the final pair, nulling the equidistant α₂ first for M = 4).
-    """
-    mat = kernel_matrix("realistic", m, energy)
-    if not (0 <= l < m and 0 <= m_in < m):
-        raise ValueError("phase indices must lie in range(M)")
-    return float(mat[l, m_in])
-
-
-def vp_vacuum_prob(energy: float) -> float:
-    """Probability that vacuum-or-pulse detection never clicks on a pulse of
-    the given energy (the pulse is then mistaken for the vacuum)."""
-    return math.exp(-energy)
-
-
-def vp_prob(l: int, m_in: int, m: int, energy: float, j_steps: int | float | None = None,
-            kernel: str = "helstrom") -> float:
-    """Vacuum-or-pulse probability of identifying phase ℓ given pulse phase m_in.
-
-    The pulse of energy ℰ is split J ways; the first click at step j triggers
-    PSK detection on the remaining energy ℰ(J−j)/J.  ``j_steps=None`` (or inf)
-    takes the infinite-splitting limit ∫_{e^{−ℰ}}^{1} P_psk(ℓ|m; ℰ+ln t) dt.
-    """
-    return float(_detection(kernel, m, energy, j_steps)[l, m_in])
 
 
 def _channel_rate(cond: np.ndarray, n) -> np.ndarray:

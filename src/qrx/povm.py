@@ -1,5 +1,6 @@
-"""Measurements: POVM statistics, distances, the Helstrom optimum, and the
-binary-tree decomposition with SRM / sequential-measurement builders.
+"""POVMs and their binary-tree decomposition: a POVM read from JSON is split
+into nested two-outcome measurements, rebuilt from them, and checked for
+weak completeness, as `tree-decompose` reports it.
 
 Operators are plain complex matrices.  Binary outcome strings use
 little-endian bit order: label l = sum_u 2^(u-1) k_u, k_1 being the first
@@ -99,55 +100,6 @@ class Povm:
         return len(self.elements)
 
 
-def measure(povm: Povm, rho) -> np.ndarray:
-    r = _as_matrix(rho)
-    return np.array([np.trace(e @ r).real for e in povm.elements])
-
-
-def post_state(povm: Povm, rho, k: int) -> np.ndarray:
-    r = _as_matrix(rho)
-    s = sqrt_psd(povm.elements[k])
-    out = s @ r @ s
-    p = np.trace(out).real
-    if p <= 0:
-        raise ValueError(f"outcome {k} has zero probability")
-    return out / p
-
-
-# ---------------------------------------------------------------- distances
-
-
-def trace_distance(r1, r2) -> float:
-    """D = 1/2 ||r1 - r2||_1 (also accepts unnormalized weighted states)."""
-    d = _as_matrix(r1) - _as_matrix(r2)
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(0.5 * (d + d.conj().T))).sum())
-
-
-def fidelity(r1, r2) -> float:
-    """F = (Tr sqrt(sqrt(r1) r2 sqrt(r1)))^2."""
-    a = sqrt_psd(_as_matrix(r1))
-    inner = a @ _as_matrix(r2) @ a
-    w = np.clip(np.linalg.eigvalsh(0.5 * (inner + inner.conj().T)), 0.0, None)
-    return float(np.sqrt(w).sum() ** 2)
-
-
-def helstrom_binary(rho0, rho1, p0: float = 0.5):
-    """Minimum-error discrimination of rho0 (prior p0) vs rho1.
-
-    Returns (p_err, Povm) with p_err = 1/2 - D(p0 rho0, p1 rho1); the POVM
-    projects onto the positive/nonpositive support of p0 rho0 - p1 rho1 and
-    achieves p_err exactly.
-    """
-    if not 0.0 <= p0 <= 1.0:
-        raise ValueError("p0 must lie in [0, 1]")
-    gamma = p0 * _as_matrix(rho0) - (1.0 - p0) * _as_matrix(rho1)
-    w, u = np.linalg.eigh(0.5 * (gamma + gamma.conj().T))
-    p_err = 0.5 - 0.5 * float(np.abs(w).sum())
-    e0 = (u * (w > 0.0)) @ u.conj().T
-    e1 = np.eye(gamma.shape[0]) - e0
-    return p_err, Povm([e0, e1], labels=[0, 1])
-
-
 # ------------------------------------------------------------- nested POVMs
 
 
@@ -157,19 +109,16 @@ class NestedPovm:
 
     nodes maps the prefix bit string (k_1, ..., k_{u-1}) — () for the root —
     to the pair (B_0, B_1), weakly complete on the support of the parent
-    element.  Leaf labels are little-endian: l = sum_u 2^(u-1) k_u.
+    element.  Leaf labels are little-endian: l = sum_u 2^(u-1) k_u; the
+    leaves past the POVM's own outcomes are zero padding.
     """
 
     depth: int
     nodes: dict = field(repr=False)
-    n_original: int = None  # leaves with label >= n_original are null padding
 
     @property
     def dim(self) -> int:
         return self.nodes[()][0].shape[0]
-
-    def is_null_leaf(self, label: int) -> bool:
-        return self.n_original is not None and label >= self.n_original
 
 
 def _bits(label: int, depth: int) -> tuple:
@@ -208,7 +157,7 @@ def binary_tree_decompose(povm: Povm) -> NestedPovm:
                 build(prefix + (k,), pinv_chain @ pinv_sqrt_psd(bs[k]))
 
     build((), np.eye(d, dtype=complex))
-    return NestedPovm(depth=depth, nodes=nodes, n_original=m)
+    return NestedPovm(depth=depth, nodes=nodes)
 
 
 def reconstruct(nested: NestedPovm) -> Povm:
@@ -265,53 +214,13 @@ def weak_completeness_defect(nested: NestedPovm) -> float:
     return worst
 
 
-# ------------------------------------------------------- POVM constructions
-
-
-def srm(projectors) -> Povm:
-    """Square-root (pretty good) measurement S^{-1/2} Pi_x S^{-1/2}."""
-    mats = [_as_matrix(p) for p in projectors]
-    s = sum(mats)
-    si = pinv_sqrt_psd(s)
-    # complete on the support of S (the element sum is the support projector)
-    return Povm([si @ m @ si for m in mats])
-
-
-def sequential_povm(projectors) -> Povm:
-    """Sequential measurement E_l = |Pi_l Xi_{l-1} ... Xi_1|^2 with
-    Xi = 1 - Pi, plus the error element E_err = 1 - sum E_l."""
-    mats = [_as_matrix(p) for p in projectors]
-    d = mats[0].shape[0]
-    elements = []
-    chain = np.eye(d, dtype=complex)  # Xi_{l-1} ... Xi_1
-    for pi in mats:
-        x = pi @ chain
-        elements.append(x.conj().T @ x)
-        chain = (np.eye(d) - pi) @ chain
-    err = np.eye(d) - sum(elements)
-    elements.append(err)
-    return Povm(elements, labels=list(range(len(mats))) + ["err"])
-
-
 # ------------------------------------------------------------ serialization
 
 
-def povm_to_json(povm: Povm) -> str:
-    """JSON schema: complex entries as [re, im] pairs."""
-    return json.dumps(
-        {
-            "dim": povm.dim,
-            "labels": [str(label) for label in povm.labels],
-            "elements": [
-                [[[z.real, z.imag] for z in row] for row in e] for e in povm.elements
-            ],
-        }
-    )
-
-
 def povm_from_json(text: str) -> Povm:
-    """Inverse of povm_to_json; malformed input raises a ValueError that
-    names the field."""
+    """A Povm from JSON {"elements": [matrix of [re, im] pairs, ...],
+    "labels": [...]}; malformed input raises a ValueError that names the
+    field."""
     data = json.loads(text)
     if not isinstance(data, dict) or not isinstance(data.get("elements"), list):
         raise ValueError("POVM JSON must be an object with an 'elements' list")

