@@ -41,7 +41,10 @@ FIGURES = ("optimal-rates", "helstrom-rates", "envelope-gains", "finite-steps")
 #: input files in this directory of the commands that read one
 INPUTS = {"qubit-disc": ("qubit_disc_trine.in.csv", "qubit_disc_3_pure.in.csv",
                          "qubit_disc_4_mixed_3d.in.csv"),
-          "tree-decompose": ("tree_decompose_d6_m5.in.json",),
+          "tree-decompose": ("tree_decompose_d6_m5.in.json", "tree_decompose_d3_m2.in.json",
+                             "tree_decompose_d6_m10_ill.in.json",
+                             "tree_decompose_d4_m5_rank3.in.json",
+                             "tree_decompose_d4_m64.in.json"),
           "gaussian-check": ("gaussian_check_physical.in.json",
                              "gaussian_check_unphysical.in.json")}
 
