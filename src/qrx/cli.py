@@ -341,9 +341,9 @@ RECONSTRUCTION_TOL = 1e-9
 
 def _cmd_tree_decompose(args) -> int:
     parsed = povm.povm_from_json(_read_text(args.infile))
-    nested = povm.binary_tree_decompose(parsed)
+    levels = povm.binary_tree_decompose(parsed)
     try:
-        rebuilt = povm.reconstruct(nested)
+        rebuilt = povm.reconstruct(levels)
     except ValueError as exc:
         raise ConvergenceError(f"tree reconstruction is no POVM: {exc}") from None
     err = max(
@@ -356,9 +356,9 @@ def _cmd_tree_decompose(args) -> int:
     report = {
         "dimension": parsed.dim,
         "n_elements": len(parsed),
-        "depth": nested.depth,
+        "depth": len(levels),
         "max_reconstruction_error": err,
-        "weak_completeness_defect": float(povm.weak_completeness_defect(nested)),
+        "weak_completeness_defect": float(povm.weak_completeness_defect(levels)),
     }
     _write_json(args.out, report)
     return EXIT_OK

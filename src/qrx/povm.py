@@ -2,16 +2,24 @@
 into nested two-outcome measurements, rebuilt from them, and checked for
 weak completeness, as `tree-decompose` reports it.
 
-Operators are plain complex matrices.  Binary outcome strings use
+Operators are plain complex matrices, and the matrix functions below also
+take stacks of them (shape (..., d, d)).  Binary outcome strings use
 little-endian bit order: label l = sum_u 2^(u-1) k_u, k_1 being the first
 measured bit.
+
+The tree is a list of `depth` level arrays.  Level u (`levels[u - 1]`) has
+shape (2^u, d, d); its row c holds B^(u) of the node whose first u outcome
+bits have the code c = sum_{v<=u} 2^(v-1) k_v.  That node's parent is row
+c mod 2^(u-1) of level u - 1, and the two children of parent p are rows p
+(k_u = 0) and p + 2^(u-1) (k_u = 1).  The last level's rows are the leaves,
+in label order; those past the POVM's own outcomes are zero padding.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil, log2
 
 import numpy as np
@@ -27,8 +35,14 @@ def _as_matrix(x) -> np.ndarray:
     return np.asarray(x, dtype=complex)
 
 
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
 def _eigh_clamped(m: np.ndarray, warn: bool = True):
-    w, u = np.linalg.eigh(0.5 * (m + m.conj().T))
+    """Eigendecomposition of the Hermitian part of m; one warning counts the
+    gray-zone eigenvalues of the whole stack."""
+    w, u = np.linalg.eigh(0.5 * (m + _dagger(m)))
     if warn:
         gray = (np.abs(w) >= CLAMP_TOL) & (np.abs(w) < GRAY_ZONE_TOL)
         if np.any(gray):
@@ -41,22 +55,26 @@ def _eigh_clamped(m: np.ndarray, warn: bool = True):
     return w, u
 
 
+def _from_eigen(u: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """U diag(f) U^dagger for every matrix of a stack."""
+    return (u * f[..., None, :]) @ _dagger(u)
+
+
 def sqrt_psd(m: np.ndarray) -> np.ndarray:
     w, u = _eigh_clamped(m, warn=False)
-    return (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
+    return _from_eigen(u, np.sqrt(np.clip(w, 0.0, None)))
 
 
 def pinv_sqrt_psd(m: np.ndarray) -> np.ndarray:
     """Pseudo-inverse square root with the clamped-eigendecomposition
     convention (zero on the numerical kernel)."""
     w, u = _eigh_clamped(m)
-    inv = np.where(w > 0.0, 1.0 / np.sqrt(np.where(w > 0.0, w, 1.0)), 0.0)
-    return (u * inv) @ u.conj().T
+    return _from_eigen(u, np.where(w > 0.0, 1.0 / np.sqrt(np.where(w > 0.0, w, 1.0)), 0.0))
 
 
 def support_projector(m: np.ndarray) -> np.ndarray:
     w, u = _eigh_clamped(m)
-    return (u * (w > 0.0)) @ u.conj().T
+    return _from_eigen(u, w > 0.0)
 
 
 # --------------------------------------------------------------------- POVM
@@ -73,13 +91,15 @@ class Povm:
             raise ValueError("empty POVM")
         d = els[0].shape[0]
         total = np.zeros((d, d), dtype=complex)
-        for e in els:
+        for i, e in enumerate(els):
             if e.shape != (d, d):
-                raise ValueError("inconsistent element dimensions")
+                raise ValueError(f"POVM element {i} has shape {e.shape}, not ({d}, {d})")
+            if not np.all(np.isfinite(e)):
+                raise ValueError(f"POVM element {i} not finite")
             if np.max(np.abs(e - e.conj().T)) > 1e-9:
-                raise ValueError("POVM element not Hermitian")
+                raise ValueError(f"POVM element {i} not Hermitian")
             if np.linalg.eigvalsh(0.5 * (e + e.conj().T)).min() < -1e-10:
-                raise ValueError("POVM element not positive")
+                raise ValueError(f"POVM element {i} not positive")
             e.setflags(write=False)
             total += e
         # complete on the active subspace: spectrum of the sum is {0, 1}
@@ -88,7 +108,7 @@ class Povm:
             raise ValueError("POVM elements do not sum to a projector/identity")
         labels = list(self.labels) if self.labels is not None else list(range(len(els)))
         if len(labels) != len(els):
-            raise ValueError("labels/elements length mismatch")
+            raise ValueError(f"POVM has {len(els)} elements but {len(labels)} labels")
         object.__setattr__(self, "elements", els)
         object.__setattr__(self, "labels", labels)
 
@@ -100,118 +120,64 @@ class Povm:
         return len(self.elements)
 
 
-# ------------------------------------------------------------- nested POVMs
+# ------------------------------------------------------------- binary tree
 
 
-@dataclass(frozen=True)
-class NestedPovm:
-    """Binary tree of conditional two-outcome POVMs.
-
-    nodes maps the prefix bit string (k_1, ..., k_{u-1}) — () for the root —
-    to the pair (B_0, B_1), weakly complete on the support of the parent
-    element.  Leaf labels are little-endian: l = sum_u 2^(u-1) k_u; the
-    leaves past the POVM's own outcomes are zero padding.
-    """
-
-    depth: int
-    nodes: dict = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return self.nodes[()][0].shape[0]
-
-
-def _bits(label: int, depth: int) -> tuple:
-    return tuple((label >> (u - 1)) & 1 for u in range(1, depth + 1))
-
-
-def binary_tree_decompose(povm: Povm) -> NestedPovm:
-    """Decompose an M-outcome POVM into ceil(log2 M) nested binary steps.
+def binary_tree_decompose(povm: Povm) -> list:
+    """Decompose an M-outcome POVM into depth = ceil(log2 M) nested binary
+    steps, returned as the list of the depth level arrays.
 
     Each node element is the SRM-style renormalization
     B^(u) = |T^(1/2) (B^(1))^{-1/2} ... (B^(u-1))^{-1/2}|^2 with T the sum of
     the original elements sharing the first u outcome bits; pseudo-inverses
-    use the clamped eigendecomposition.
+    use the clamped eigendecomposition.  `chain` holds the product of
+    inverse roots for every node of the level.
     """
-    m = len(povm)
+    m, d = len(povm), povm.dim
     depth = max(1, ceil(log2(m)))
-    mt = 2**depth
-    d = povm.dim
-    els = list(povm.elements) + [np.zeros((d, d), dtype=complex)] * (mt - m)
-
-    nodes: dict = {}
-
-    def build(prefix: tuple, pinv_chain: np.ndarray):
-        u = len(prefix) + 1
-        bs = []
-        for k in (0, 1):
-            total = np.zeros((d, d), dtype=complex)
-            for label in range(mt):
-                if _bits(label, depth)[:u] == prefix + (k,):
-                    total += els[label]
-            x = sqrt_psd(total) @ pinv_chain
-            bs.append(x.conj().T @ x)
-        nodes[prefix] = (bs[0], bs[1])
+    leaves = np.concatenate([povm.elements, np.zeros((2**depth - m, d, d), dtype=complex)])
+    levels, chain = [], np.eye(d, dtype=complex)
+    for u in range(1, depth + 1):
+        total = leaves.reshape(-1, 2**u, d, d).sum(axis=0)
+        x = (sqrt_psd(total).reshape(2, -1, d, d) @ chain).reshape(-1, d, d)
+        levels.append(_dagger(x) @ x)
         if u < depth:
-            for k in (0, 1):
-                build(prefix + (k,), pinv_chain @ pinv_sqrt_psd(bs[k]))
-
-    build((), np.eye(d, dtype=complex))
-    return NestedPovm(depth=depth, nodes=nodes)
+            chain = (chain @ pinv_sqrt_psd(levels[-1]).reshape(2, -1, d, d)).reshape(-1, d, d)
+    return levels
 
 
-def reconstruct(nested: NestedPovm) -> Povm:
+def reconstruct(levels: list) -> Povm:
     """Leaf elements F = |sqrt(B^(u_F)) ... sqrt(B^(1))|^2."""
-    d = nested.dim
-    elements = []
-    for label in range(2**nested.depth):
-        bits = _bits(label, nested.depth)
-        x = np.eye(d, dtype=complex)
-        for u in range(1, nested.depth + 1):
-            b = nested.nodes[bits[: u - 1]][bits[u - 1]]
-            x = sqrt_psd(b) @ x
-        elements.append(x.conj().T @ x)
-    return Povm(elements)
+    d = levels[0].shape[-1]
+    x = np.eye(d, dtype=complex)
+    for b in levels:
+        x = (sqrt_psd(b).reshape(2, -1, d, d) @ x).reshape(-1, d, d)
+    return Povm(_dagger(x) @ x)
 
 
-def simulate_tree(nested: NestedPovm, rho) -> np.ndarray:
+def simulate_tree(levels: list, rho) -> np.ndarray:
     """Outcome distribution from sequentially applying the conditional binary
     measurements with explicit post-measurement states (the operational
-    reading of the nested POVM)."""
-    d = nested.dim
-    probs = np.zeros(2**nested.depth)
-
-    def walk(prefix: tuple, state: np.ndarray, weight: float):
-        u = len(prefix) + 1
-        b0, b1 = nested.nodes[prefix]
-        for k, b in ((0, b0), (1, b1)):
-            s = sqrt_psd(b)
-            post = s @ state @ s
-            p = np.trace(post).real
-            if p <= 1e-300:
-                continue
-            if u == nested.depth:
-                label = sum(bit << (v - 1) for v, bit in enumerate(prefix + (k,), start=1))
-                probs[label] += weight * p
-            else:
-                walk(prefix + (k,), post / p, weight * p)
-
-    walk((), _as_matrix(rho), 1.0)
+    reading of the nested POVM); a branch of probability <= 1e-300 stops."""
+    d = levels[0].shape[-1]
+    state, probs = _as_matrix(rho), np.ones(1)
+    for b in levels:
+        s = sqrt_psd(b).reshape(2, -1, d, d)
+        post = s @ state @ s
+        p = np.trace(post, axis1=-2, axis2=-1).real
+        p = np.where(p > 1e-300, p, 0.0)
+        state = (post / np.where(p > 0.0, p, 1.0)[..., None, None]).reshape(-1, d, d)
+        probs = (probs * p).reshape(-1)
     return probs
 
 
-def weak_completeness_defect(nested: NestedPovm) -> float:
+def weak_completeness_defect(levels: list) -> float:
     """Max deviation of B_0 + B_1 from the support projector of the parent
     element across all tree nodes."""
-    worst = 0.0
-    for prefix, (b0, b1) in nested.nodes.items():
-        if prefix == ():
-            parent_support = np.eye(nested.dim, dtype=complex)
-        else:
-            parent = nested.nodes[prefix[:-1]][prefix[-1]]
-            parent_support = support_projector(parent)
-        worst = max(worst, float(np.max(np.abs(b0 + b1 - parent_support))))
-    return worst
+    d = levels[0].shape[-1]
+    parents = [np.eye(d, dtype=complex)] + [support_projector(b) for b in levels[:-1]]
+    return max(float(np.max(np.abs(b[: len(b) // 2] + b[len(b) // 2:] - support)))
+               for b, support in zip(levels, parents))
 
 
 # ------------------------------------------------------------ serialization

@@ -1,12 +1,13 @@
 """Reference constructions that the tests check `qrx` against or build their
-inputs with; no command runs them.  They moved here from `qrx` unchanged.
+inputs with; no command runs them.  Most moved here from `qrx` unchanged.
 
 * hadamard: the Hadamard matrix, the PSK Hadamard codewords and their PPM
   map, which checks the claim that H_N/sqrt(N) turns every codeword into a
   single pulse;
 * povm: outcome statistics, trace distance and fidelity, the binary Helstrom
-  measurement, the square-root and sequential measurements, and the JSON
-  writer whose output `qrx.povm.povm_from_json` reads;
+  measurement, the square-root and sequential measurements, the binary tree
+  and its leaves node by node (the arithmetic `qrx.povm` runs on whole
+  levels), and the JSON writer whose output `qrx.povm.povm_from_json` reads;
 * qubit_disc: Bloch states, the F-function maximum over Q, the polytope
   construction and cyclic-symmetric pure-state sets;
 * gaussian: the symplectic generators and the attenuator and amplifier
@@ -125,6 +126,42 @@ def sequential_povm(projectors) -> Povm:
     err = np.eye(d) - sum(elements)
     elements.append(err)
     return Povm(elements, labels=list(range(len(mats))) + ["err"])
+
+
+def tree_by_nodes(povm: Povm) -> dict:
+    """The binary-tree decomposition one node at a time: {(u, c): B^(u)} for
+    the node whose first u outcome bits have the little-endian code c, each
+    T summed leaf by leaf in label order from zero and each chain X the
+    parent's X times the parent's inverse root.  `povm.binary_tree_decompose`
+    runs the same arithmetic on whole levels."""
+    m, d = len(povm), povm.dim
+    depth = max(1, math.ceil(math.log2(m)))
+    leaves = list(povm.elements) + [np.zeros((d, d), dtype=complex)] * (2**depth - m)
+    nodes, chains = {}, {(0, 0): np.eye(d, dtype=complex)}
+    for u in range(1, depth + 1):
+        for c in range(2**u):
+            total = np.zeros((d, d), dtype=complex)
+            for label in range(c, 2**depth, 2**u):
+                total += leaves[label]
+            x = sqrt_psd(total) @ chains[u - 1, c % 2 ** (u - 1)]
+            nodes[u, c] = x.conj().T @ x
+            if u < depth:
+                chains[u, c] = chains[u - 1, c % 2 ** (u - 1)] @ pinv_sqrt_psd(nodes[u, c])
+    return nodes
+
+
+def leaves_by_path(nodes: dict) -> list:
+    """Each leaf |sqrt(B^(depth)) ... sqrt(B^(1))|^2 rebuilt along its own
+    path through a `tree_by_nodes` tree, in label order."""
+    depth = max(u for u, _ in nodes)
+    leaves = []
+    for label in range(2**depth):
+        x = np.eye(len(nodes[1, 0]), dtype=complex)
+        for u in range(1, depth + 1):
+            x = sqrt_psd(nodes[u, label % 2**u]) @ x
+        leaves.append(x.conj().T @ x)
+    return leaves
+
 
 def povm_to_json(povm: Povm) -> str:
     """JSON schema: complex entries as [re, im] pairs."""

@@ -460,6 +460,60 @@ def test_tree_decompose_checks_the_reconstruction_error(tmp_path, monkeypatch, c
     assert "tree reconstruction error" in capsys.readouterr().err
 
 
+def test_tree_decompose_warns_of_ambiguous_support():
+    with pytest.warns(UserWarning, match="support detection ambiguous"):
+        povm.binary_tree_decompose(ill_conditioned_povm())
+
+
+def test_tree_decompose_scales_to_thousands_of_outcomes(tmp_path):
+    # one batched step per tree level: 2,048 outcomes are 11 levels
+    rng = np.random.default_rng(2048)
+    d, m = 4, 2048
+    x = rng.normal(size=(m, d, d)) + 1j * rng.normal(size=(m, d, d))
+    mats = x @ x.conj().swapaxes(-1, -2)
+    si = povm.pinv_sqrt_psd(mats.sum(axis=0))
+    src = tmp_path / "p.json"
+    src.write_text(ref.povm_to_json(povm.Povm(list(si @ mats @ si))))
+    start = time.perf_counter()
+    code, text = run_cli(["tree-decompose", "--in", str(src)], tmp_path)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    report = json.loads(text)
+    assert report["depth"] == 11
+    assert report["max_reconstruction_error"] <= 1e-9
+    assert elapsed < 3.0
+
+
+def pairs(matrix):
+    """A matrix as the POVM JSON writes it: rows of [re, im] pairs."""
+    return [[[z.real, z.imag] for z in row] for row in np.asarray(matrix, dtype=complex)]
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"elements": []}, "empty POVM"),
+    ({"elements": [pairs(np.eye(2) / 2), pairs(np.eye(3) / 2)]},
+     "POVM element 1 has shape (3, 3), not (2, 2)"),
+    ({"elements": [pairs(np.diag([1, 0])), pairs(np.diag([math.nan, 1]))]},
+     "POVM element 1 not finite"),
+    ({"elements": [pairs(np.diag([0.5, 0])), pairs(np.diag([0, 0.5])),
+                   pairs([[0.5, 0.3], [0, 0.5]])]}, "POVM element 2 not Hermitian"),
+    ({"elements": [pairs(np.diag([1.5, 1])), pairs(np.diag([-0.5, 0]))]},
+     "POVM element 1 not positive"),
+    ({"elements": [pairs(np.diag([0.5, 0])), pairs(np.diag([0, 0.5]))]},
+     "POVM elements do not sum to a projector/identity"),
+    ({"elements": [pairs(np.diag([1, 0])), pairs(np.diag([0, 1]))], "labels": "ab"},
+     "'labels' must be a list"),
+    ({"elements": [pairs(np.diag([1, 0])), pairs(np.diag([0, 1]))], "labels": ["a"]},
+     "POVM has 2 elements but 1 labels"),
+], ids=["empty", "ragged", "not-finite", "not-hermitian", "negative", "not-a-projector",
+        "labels-not-a-list", "labels-length"])
+def test_tree_decompose_names_the_povm_fault(tmp_path, capsys, payload, message):
+    src = tmp_path / "p.json"
+    src.write_text(json.dumps(payload))
+    assert run_cli(["tree-decompose", "--in", str(src)], tmp_path) == (2, "")
+    assert message in capsys.readouterr().err
+
+
 def test_tree_decompose_missing_file_is_io_error(tmp_path):
     code, _ = run_cli(["tree-decompose", "--in", str(tmp_path / "nope.json")], tmp_path)
     assert code == 4

@@ -142,8 +142,8 @@ class TestBinaryTree:
         rng = np.random.default_rng(4)
         p = random_povm(rng, 3, 2)
         tree = povm.binary_tree_decompose(p)
-        assert tree.depth == 1
-        b0, b1 = tree.nodes[()]
+        assert len(tree) == 1
+        b0, b1 = tree[0]
         assert np.max(np.abs(b0 - p.elements[0])) < 1e-10
         assert np.max(np.abs(b1 - p.elements[1])) < 1e-10
 
@@ -152,7 +152,7 @@ class TestBinaryTree:
         p = povm.Povm([np.diag(np.eye(d)[k]).astype(complex) for k in range(d)])
         tree = povm.binary_tree_decompose(p)
         # first-step nodes are sums of projectors (labels 0,2 vs 1,3: bit1=LSB)
-        b0, b1 = tree.nodes[()]
+        b0, b1 = tree[0]
         assert np.allclose(b0, np.diag([1, 0, 1, 0]))
         assert np.allclose(b1, np.diag([0, 1, 0, 1]))
         rec = povm.reconstruct(tree)
@@ -192,6 +192,21 @@ class TestBinaryTree:
         probs_seq = povm.simulate_tree(tree, rho)
         probs_oneshot = ref.measure(povm.reconstruct(tree), rho)
         assert np.max(np.abs(probs_seq - probs_oneshot)) < 1e-9
+
+    def test_levels_equal_the_node_by_node_tree(self):
+        # the level arrays run the per-node arithmetic on whole stacks, so
+        # every node and every rebuilt leaf is the same to the last bit
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            d, m = int(rng.integers(1, 9)), int(rng.integers(2, 18))
+            p = random_povm(rng, d, m)
+            levels = povm.binary_tree_decompose(p)
+            nodes = ref.tree_by_nodes(p)
+            assert len(nodes) == sum(len(b) for b in levels)
+            for (u, c), b in nodes.items():
+                assert np.array_equal(levels[u - 1][c], b)
+            rebuilt = povm.reconstruct(levels).elements
+            assert all(np.array_equal(e, f) for e, f in zip(rebuilt, ref.leaves_by_path(nodes)))
 
     def test_round_trip_sweep(self):
         rng = np.random.default_rng(9)
